@@ -1,0 +1,133 @@
+"""Bit-level goldens for the samplers, the moment tables and the path
+normalization.
+
+Each golden is the sha256 of the result as little-endian float64 bytes.
+They pin the exact output of the count chain, the chunked PCG64 draws,
+the composition sums and the regime divisors, so a rewrite of any of
+these must reproduce every bit, not just agree to a tolerance.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from cascadekit import (
+    CascadeParams,
+    build_path,
+    generate_leaf_signs,
+    limit_z_moments,
+    normalize_path,
+    normalized_moment_recursion,
+    sample_branch_signs,
+    sample_terminal,
+    sample_terminal_pair,
+    z_moment_recursion,
+)
+
+SEED = 11
+#: Two replica chunks of the samplers (chunk size 8192).
+REPS = 10000
+
+HURSTS = {"H0.7": 0.7, "H0.5": 0.5, "H0.3": 0.3, "sym": None}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.asarray(arr).astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def _params(b: int, tag: str) -> CascadeParams:
+    return CascadeParams(base=b, hurst=HURSTS[tag], seed=SEED)
+
+
+def _sampler_cases():
+    for b in (2, 3):
+        for tag in HURSTS:
+            yield (f"terminal-b{b}-{tag}",
+                   lambda b=b, tag=tag: sample_terminal(_params(b, tag), 8,
+                                                        REPS))
+            yield (f"pair-b{b}-{tag}",
+                   lambda b=b, tag=tag: sample_terminal_pair(
+                       _params(b, tag), 4, 3, REPS))
+            yield (f"branch-b{b}-{tag}",
+                   lambda b=b, tag=tag: sample_branch_signs(_params(b, tag),
+                                                            3, REPS))
+
+
+def _exact_cases():
+    for b, tag in ((2, "H0.5"), (3, "H0.3"), (2, "sym")):
+        yield (f"normalized-b{b}-{tag}",
+               lambda b=b, tag=tag: normalized_moment_recursion(
+                   _params(b, tag), 12, 8).values)
+    for b, h, q_max in ((2, 0.7, 12), (3, 0.8, 8), (5, 0.9, 6)):
+        yield (f"limit-b{b}-H{h}",
+               lambda b=b, h=h, q_max=q_max: limit_z_moments(
+                   CascadeParams(base=b, hurst=h), q_max))
+    for b, tag in ((2, "H0.7"), (3, "H0.3"), (2, "sym")):
+        yield (f"zlog-b{b}-{tag}",
+               lambda b=b, tag=tag: z_moment_recursion(
+                   _params(b, tag), 10, 8).log_values)
+
+
+def _path_cases():
+    for tag in HURSTS:
+        def run(tag=tag):
+            params = _params(2, tag)
+            raw = build_path(generate_leaf_signs(params, 10), params)
+            return normalize_path(raw, params).values
+        yield f"normalized-path-b2-{tag}", run
+
+
+CASES = dict([*_sampler_cases(), *_exact_cases(), *_path_cases()])
+
+GOLDENS = {
+    "branch-b2-H0.3": "0a910b3df97d9299d13520bfe6814855a564f5c11381878d5f22a94ba08933c6",
+    "branch-b2-H0.5": "a6df497f09dd37bc2d9b607cf29a9b212f18dd2f243bf6aa749f21f167fe71db",
+    "branch-b2-H0.7": "a7b17226b5c4b16b0fa99158e026dedb5fa35eefdb1b2c65a89b190eccfe19fa",
+    "branch-b2-sym": "1ff1b66dbd1f71640155a5fdc9067ff5df9e1fc88ff3bbd16a572f79f8ba4c78",
+    "branch-b3-H0.3": "546c89e6bde3440d5629d24b25a6ae1fe50619b65a5abe70f199ec1adf868469",
+    "branch-b3-H0.5": "23a0b47979c3dd232ee390a668376150d90895e1a79aa414150a09ca8da72ebd",
+    "branch-b3-H0.7": "a9440da1b8bbe7bbbfec88d0bf2e35e174ecaf0d6cad8eb3718ded2d1008ce56",
+    "branch-b3-sym": "9e4ae77757ab9ae7b65ac525b944a3e1f2193bb0211faabe6ec18e59f2e28fc0",
+    "limit-b2-H0.7": "90cbd0868ac24da8e8f60cc4135be4795f82734daf8ebf1cbff1cd3d87eecf22",
+    "limit-b3-H0.8": "339683d63a3771296cbbd2195bc101092b8e7a7da7d0f9d31fbab1bc324a93f1",
+    "limit-b5-H0.9": "5c7a259a0480ed1ef7c91fac51bd49011b35bd3da527e9d1b7d38a1044c9613a",
+    "normalized-b2-H0.5": "04020bb3dbf29d1ea3a38ec7ae588c02d9ea3ead94956ed8630a21709779efa6",
+    "normalized-b2-sym": "faf30f12872e447b251200d86bdaca66ba02c09da3287ff64924002d18a9809b",
+    "normalized-b3-H0.3": "b464fa1dc2e16bda9ec4fc06328e7321c64b23928bc60c5dd4fa7ca51aea9d3c",
+    "normalized-path-b2-H0.3": "f29333e3738e505c58bd0d303b10ae10f659a9b99a2dec3af2f1c91c20ef876d",
+    "normalized-path-b2-H0.5": "43a7e1a4a33fd0b16788118ac4c174e08a7bc6ba23ac9a8b972c21f75000147c",
+    "normalized-path-b2-H0.7": "4002afc561ef8412579c7a8cbef61e7b9b2233059fa8ef592107ec0508e83910",
+    "normalized-path-b2-sym": "79d72a6b1fdef60bf2b70d61de5fa735c9b80ee76eaca8e215b99ddfdbeb91fc",
+    "pair-b2-H0.3": "306f4d1a6d296b292d86c908a1bade8e6c74ef69e091ae6dd43fa01fae2c8188",
+    "pair-b2-H0.5": "ba10857adfd44a787c6b8ae7dd599a12300bd4ff762a4d76dac745ff87827e0f",
+    "pair-b2-H0.7": "ba55611b373fa7621a39108f9bf6225124ce0d21ce736486a5fdbb8167180408",
+    "pair-b2-sym": "d3d800bbe0f6f7828d27ffd286bb756928bef86d98b88b51bd3adfca999cec16",
+    "pair-b3-H0.3": "5ca387b4775891dac917fc4e148023a5091026c8461caa5226c1c80e601a60c5",
+    "pair-b3-H0.5": "36bae5b6d0603eb5d538ff454f0ec592730c877cd1a59a375ccb4cc1a4b89451",
+    "pair-b3-H0.7": "2abb76f9837fdf72d5b282bee297414a74e89d76d7ea9c662d633ecdd0bfc09d",
+    "pair-b3-sym": "09121367a01b532a63811b16ca7c0830f2edc41352f622e781bd32b74451cc67",
+    "terminal-b2-H0.3": "28f7e751cd982217593198668e8f8185bc5f4f2819b9218380809c3db62526c4",
+    "terminal-b2-H0.5": "526eb9544233ac2912a28fba95bd339b53f6d51021893050af983ff5f928b80b",
+    "terminal-b2-H0.7": "559562f56ae192e86c4364b38b04c5591f6989b33df396872da57c9ecf6d4ec0",
+    "terminal-b2-sym": "e5e89ca0567254ff9bd2fd200cd6b29bc186c54245c91c9ca366dced83b60d35",
+    "terminal-b3-H0.3": "e68e0e505854ec798ba99e7dbab29206c01d6a8ac986630cbf9d1a3d1fa060e4",
+    "terminal-b3-H0.5": "0606b727d286ba46bd5752194ce54352fa15f9aaa81a41e3bcff13b332a82c38",
+    "terminal-b3-H0.7": "976e98bd63d40ec24472b684074dad7c2d5257d7bcf5c274f6f921056aa9039e",
+    "terminal-b3-sym": "f604c6a7f7ca030fad0d5de0eaebf5d8974b7f5f9c59ce5634a83089939cc207",
+    "zlog-b2-H0.7": "7c3953582dd78b972b9898715931bc4e22e40042d34b1091e995b69a196a8221",
+    "zlog-b2-sym": "ba7fd0ae8dd1df52a032cdcc78eda76c7f1c9324258b15040a831b7f3a38b1f4",
+    "zlog-b3-H0.3": "78bb6c277209c4255c1d64db45568feb669b49029a559480f4fc9ec17466939b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bits(name):
+    result = CASES[name]()
+    arrays = result if isinstance(result, tuple) else (result,)
+    assert _digest(*arrays) == GOLDENS[name]
