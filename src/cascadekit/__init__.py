@@ -42,6 +42,7 @@ from .core import (
     sample_branch_signs,
     sample_terminal,
     sample_terminal_pair,
+    sigma,
     verify_self_similarity,
 )
 from .fractal import (
@@ -59,7 +60,6 @@ from .moments import (
     gaussian_even_moments,
     limit_z_moments,
     normalized_moment_recursion,
-    sigma,
     tilde_moment_solver,
     z_moment_recursion,
 )

@@ -39,6 +39,7 @@ from .core import (
     generate_leaf_signs,
     normalize_path,
     regime_of,
+    sigma,
 )
 from .fractal import (
     box_dimension,
@@ -48,7 +49,6 @@ from .fractal import (
 from .moments import (
     gaussian_even_moments,
     limit_z_moments,
-    sigma,
     z_moment_recursion,
 )
 from .reports import (
@@ -56,7 +56,6 @@ from .reports import (
     density_rows,
     dimension_fit_payload,
     format_float,
-    moment_table_rows,
     path_rows,
     stat_report_payload,
     write_csv,
@@ -315,7 +314,7 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     stem = f"moment_table_b{params.base}_H{tag}"
     meta = dict(config, sigma=sigma(params))
     write_csv(outdir / f"{stem}.csv", ["n", "q", "value", "flag"],
-              moment_table_rows(table), meta)
+              table.rows(), meta)
     written = [f"{stem}.csv"]
     if regime_of(params) is Regime.CONVERGENT:
         limits = limit_z_moments(params, ns.q)

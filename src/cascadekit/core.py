@@ -53,7 +53,7 @@ _CHUNK = 2**22
 _DOMAIN_TERMINAL = 0x7E51
 _DOMAIN_BRANCH = 0x55B7
 
-#: Replica chunk for sample_terminal; part of the determinism contract
+#: Replica chunk of the samplers; part of the determinism contract
 #: (changing it reshuffles draws, though not their law).
 _TERMINAL_CHUNK = 8192
 
@@ -148,10 +148,46 @@ def regime_of(params: CascadeParams) -> Regime:
     return Regime.DIVERGENT
 
 
-def epsilon_probabilities(params: CascadeParams) -> tuple[float, float]:
-    """(p_plus, p_minus) for one sign draw."""
-    p = params.p_plus
-    return p, 1.0 - p
+def sigma(params: CascadeParams) -> float:
+    """Regime normalization constant for paths and terminal masses.
+
+    convergent: sigma_H = sqrt((b-1) / (b - b^(2-2H)))
+    critical:   sqrt(1 - 1/b)
+    divergent:  sqrt(1 + (b-1) / (b^(2-2H) - b))
+    symmetric:  1
+    """
+    b = float(params.base)
+    reg = regime_of(params)
+    if reg is Regime.SYMMETRIC:
+        return 1.0
+    h = params.hurst
+    if reg is Regime.CRITICAL:
+        return math.sqrt(1.0 - 1.0 / b)
+    if reg is Regime.CONVERGENT:
+        return math.sqrt((b - 1.0) / (b - b ** (2.0 - 2.0 * h)))
+    return math.sqrt(1.0 + (b - 1.0) / (b ** (2.0 - 2.0 * h) - b))
+
+
+def regime_divisor(params: CascadeParams, n: int) -> float:
+    """Divisor taking a depth-n raw path or terminal mass to its regime
+    normalization.
+
+    convergent: sigma_H
+    critical:   sigma * sqrt(n)      (undefined at n = 0)
+    divergent:  sigma * b^(n(1/2-H))
+    symmetric:  b^(n/2)
+    """
+    reg = regime_of(params)
+    if reg is Regime.SYMMETRIC:
+        return float(params.base) ** (n / 2.0)
+    s = sigma(params)
+    if reg is Regime.CONVERGENT:
+        return s
+    if reg is Regime.CRITICAL:
+        if n == 0:
+            raise ValueError("critical normalization undefined at depth 0")
+        return s * math.sqrt(n)
+    return s * float(params.base) ** (n * (0.5 - params.hurst))
 
 
 @dataclass(frozen=True)
@@ -363,33 +399,17 @@ def evaluate(path: SamplePath, t) -> np.ndarray | float:
 def normalize_path(path: SamplePath, params: CascadeParams) -> SamplePath:
     """Apply the regime normalization to a raw path.
 
-    convergent: divide by sigma_H               (kind normalized_tilde)
-    critical:   divide by sigma * sqrt(n)       (kind normalized_x)
-    divergent:  divide by sigma * b^(n(1/2-H))  (kind normalized_x)
-    symmetric:  divide by b^(n/2), sigma = 1    (kind normalized_x)
+    Divides by :func:`regime_divisor` at the path's depth; the result
+    has kind normalized_tilde in the convergent regime (the limit path
+    over sigma_H) and normalized_x otherwise (Brownian limits).
     """
-    from .moments import sigma  # deferred: moments imports this module
-
     if path.kind is not PathKind.RAW:
         raise ValueError("normalize_path expects a raw path")
-    reg = regime_of(params)
-    n = path.depth
-    s = sigma(params)
-    if reg is Regime.CONVERGENT:
-        divisor = s
-        kind = PathKind.NORMALIZED_TILDE
-    elif reg is Regime.CRITICAL:
-        if n == 0:
-            raise ValueError("critical normalization undefined at depth 0")
-        divisor = s * math.sqrt(n)
-        kind = PathKind.NORMALIZED_X
-    elif reg is Regime.DIVERGENT:
-        divisor = s * float(params.base) ** (n * (0.5 - params.hurst))
-        kind = PathKind.NORMALIZED_X
-    else:  # symmetric
-        divisor = float(params.base) ** (n / 2.0)
-        kind = PathKind.NORMALIZED_X
-    return SamplePath(params=params, depth=n, values=path.values / divisor,
+    kind = (PathKind.NORMALIZED_TILDE
+            if regime_of(params) is Regime.CONVERGENT
+            else PathKind.NORMALIZED_X)
+    return SamplePath(params=params, depth=path.depth,
+                      values=path.values / regime_divisor(params, path.depth),
                       kind=kind, stride=path.stride)
 
 
@@ -472,7 +492,7 @@ def enumerate_next_level_mean(field: LeafSignField,
         raise CapacityError(f"2^{m} assignments exceed the enumeration budget")
     parent_signs = field.leaf_signs().astype(np.float64)
     scale = params.weight_scale(n + 1)
-    p_plus, p_minus = epsilon_probabilities(params)
+    p_plus, p_minus = params.p_plus, params.p_minus
 
     assign = np.arange(2**m, dtype=np.uint32)
     bits = ((assign[:, None] >> np.arange(m, dtype=np.uint32)[None, :])
@@ -489,19 +509,16 @@ def enumerate_next_level_mean(field: LeafSignField,
     return prob @ csum
 
 
-def _terminal_rng(seed: int, domain: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, domain, chunk_index])))
+def _chunks(seed: int, domain: int, reps: int):
+    """Yield (lo, hi, rng) per replica chunk, each on its own PCG64 stream.
 
-
-def _terminal_capacity_check(b: int, n: int, reps: int) -> None:
-    if n < 0:
-        raise ValueError("depth must be >= 0")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    # the count chain multiplies populations by b before each binomial
-    if (n + 1) * math.log2(b) > 62:
-        raise CapacityError(f"b^(n+1) = {b}^{n + 1} exceeds int64 counts")
+    The stream of chunk ci is keyed by (seed, domain, ci), so chunks are
+    independent of each other and of the other sampler domains.
+    """
+    for ci, lo in enumerate(range(0, reps, _TERMINAL_CHUNK)):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([seed, domain, ci])))
+        yield lo, min(lo + _TERMINAL_CHUNK, reps), rng
 
 
 def _evolve_counts(rng: np.random.Generator, b: int, p_plus: float,
@@ -518,34 +535,54 @@ def _evolve_counts(rng: np.random.Generator, b: int, p_plus: float,
     return from_plus + from_minus
 
 
+def _count_chain(params: CascadeParams, depths: Sequence[int],
+                 reps: int) -> tuple[np.ndarray, ...]:
+    """Run the count chain once per replica and record Z at each depth.
+
+    Per generation, the numbers of plus/minus branch products evolve by
+    two binomial draws (:func:`_evolve_counts`); Z_n is b^(-n*H) times
+    the signed count at generation n (unit increments when symmetric).
+    All depths come from the same realization, so the records have the
+    exact joint law of the martingale at those times.
+    """
+    b = params.base
+    n_max = max(depths)
+    if min(depths) < 0:
+        raise ValueError("depth must be >= 0")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    # the count chain multiplies populations by b before each binomial
+    if (n_max + 1) * math.log2(b) > 62:
+        raise CapacityError(f"b^(n+1) = {b}^{n_max + 1} exceeds int64 counts")
+    p_plus = params.p_plus
+    scales = [params.weight_scale(n) for n in depths]
+    out = tuple(np.empty(reps, dtype=np.float64) for _ in depths)
+    for lo, hi, rng in _chunks(params.seed, _DOMAIN_TERMINAL, reps):
+        plus = np.ones(hi - lo, dtype=np.int64)
+        total = 1
+        for gen in range(n_max + 1):
+            if gen:
+                plus = _evolve_counts(rng, b, p_plus, plus, total)
+                total *= b
+            for z, n, scale in zip(out, depths, scales):
+                if n == gen:
+                    z[lo:hi] = scale * (2 * plus - total)
+    return out
+
+
 def sample_terminal(params: CascadeParams, n: int, reps: int) -> np.ndarray:
     """Independent draws of the terminal mass Z_n = B_n(1).
 
     Uses the population-count chain over generations instead of explicit
-    trees: per generation, the numbers of plus/minus branch products
-    evolve by two binomial draws, which reproduces the law of Z_n exactly
-    at O(n) cost per replica.  Deterministic given (params.seed, n, reps);
-    replicas are generated in fixed-size chunks on disjoint PCG64
-    streams, so chunks may run concurrently.
+    trees, which reproduces the law of Z_n exactly at O(n) cost per
+    replica.  Deterministic given (params.seed, n, reps); replicas are
+    generated in fixed-size chunks on disjoint PCG64 streams, so chunks
+    may run concurrently.
 
     Symmetric params return the raw signed leaf count (unit increments);
     finite H returns b^(-n*H) times the signed count.
     """
-    b = params.base
-    _terminal_capacity_check(b, n, reps)
-    p_plus = params.p_plus
-    scale = params.weight_scale(n)
-    out = np.empty(reps, dtype=np.float64)
-    for ci, lo in enumerate(range(0, reps, _TERMINAL_CHUNK)):
-        hi = min(lo + _TERMINAL_CHUNK, reps)
-        rng = _terminal_rng(params.seed, _DOMAIN_TERMINAL, ci)
-        plus = np.ones(hi - lo, dtype=np.int64)
-        total = 1
-        for _ in range(n):
-            plus = _evolve_counts(rng, b, p_plus, plus, total)
-            total *= b
-        out[lo:hi] = scale * (2 * plus - total)
-    return out
+    return _count_chain(params, (n,), reps)[0]
 
 
 def sample_terminal_pair(params: CascadeParams, n: int, m: int,
@@ -556,25 +593,7 @@ def sample_terminal_pair(params: CascadeParams, n: int, m: int,
     so the pair has the exact joint law of the martingale at times n and
     n+m.  Needed by the residual convergence test.
     """
-    b = params.base
-    _terminal_capacity_check(b, n + m, reps)
-    p_plus = params.p_plus
-    scale_n = params.weight_scale(n)
-    scale_nm = params.weight_scale(n + m)
-    z_n = np.empty(reps, dtype=np.float64)
-    z_nm = np.empty(reps, dtype=np.float64)
-    for ci, lo in enumerate(range(0, reps, _TERMINAL_CHUNK)):
-        hi = min(lo + _TERMINAL_CHUNK, reps)
-        rng = _terminal_rng(params.seed, _DOMAIN_TERMINAL, ci)
-        plus = np.ones(hi - lo, dtype=np.int64)
-        total = 1
-        for gen in range(1, n + m + 1):
-            plus = _evolve_counts(rng, b, p_plus, plus, total)
-            total *= b
-            if gen == n:
-                z_n[lo:hi] = scale_n * (2 * plus - total)
-        z_nm[lo:hi] = scale_nm * (2 * plus - total)
-    return z_n, z_nm
+    return _count_chain(params, (n, n + m), reps)
 
 
 def sample_branch_signs(params: CascadeParams, depth: int,
@@ -590,9 +609,7 @@ def sample_branch_signs(params: CascadeParams, depth: int,
         raise CapacityError("branch-sign sampling is meant for shallow tops")
     p_plus = params.p_plus
     out = np.empty((reps, b**depth), dtype=np.int8)
-    for ci, lo in enumerate(range(0, reps, _TERMINAL_CHUNK)):
-        hi = min(lo + _TERMINAL_CHUNK, reps)
-        rng = _terminal_rng(params.seed, _DOMAIN_BRANCH, ci)
+    for lo, hi, rng in _chunks(params.seed, _DOMAIN_BRANCH, reps):
         bold = np.ones((hi - lo, 1), dtype=np.int8)
         for lev in range(1, depth + 1):
             eps = np.where(rng.random((hi - lo, b**lev)) < p_plus, 1, -1)

@@ -17,7 +17,8 @@ Four families of quantities are computed:
   * their n -> infinity limits, H > 1/2 (:func:`limit_z_moments`),
   * normalized moments M_n^(q) = E(X_n(1)^q) for H <= 1/2
                                          (:func:`normalized_moment_recursion`),
-  * moments of the rescaled limit mass for H in (1/2, 1]
+  * moments of the rescaled limit mass Z / sigma_H for H in (1/2, 1],
+    derived from the limit moments rather than solved separately
                                          (:func:`tilde_moment_solver`).
 
 plus the even-moment induction characterizing the standard normal law
@@ -42,31 +43,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import CapacityError, CascadeParams, Regime, regime_of
+from .core import CapacityError, CascadeParams, Regime, regime_of, sigma
 
 #: q_max guards: compositions of q into b parts grow combinatorially.
 _QMAX_BINARY = 16
 _QMAX_GENERAL = 10
-
-
-def sigma(params: CascadeParams) -> float:
-    """Regime normalization constant for paths and terminal masses.
-
-    convergent: sigma_H = sqrt((b-1) / (b - b^(2-2H)))
-    critical:   sqrt(1 - 1/b)
-    divergent:  sqrt(1 + (b-1) / (b^(2-2H) - b))
-    symmetric:  1
-    """
-    b = float(params.base)
-    reg = regime_of(params)
-    if reg is Regime.SYMMETRIC:
-        return 1.0
-    h = params.hurst
-    if reg is Regime.CRITICAL:
-        return math.sqrt(1.0 - 1.0 / b)
-    if reg is Regime.CONVERGENT:
-        return math.sqrt((b - 1.0) / (b - b ** (2.0 - 2.0 * h)))
-    return math.sqrt(1.0 + (b - 1.0) / (b ** (2.0 - 2.0 * h) - b))
 
 
 def epsilon_moment(q: int, params: CascadeParams) -> float:
@@ -165,6 +146,31 @@ def _compositions(base: int, q: int) -> tuple[tuple[float, tuple[int, ...]], ...
     return tuple(out)
 
 
+def _eps_moments(params: CascadeParams, q_max: int) -> list[float]:
+    """E(eps^k) for k = 0..q_max."""
+    return [1.0] + [epsilon_moment(k, params) for k in range(1, q_max + 1)]
+
+
+def _composition_sum(base: int, q: int, m, *,
+                     off_diagonal: bool = False) -> float:
+    """sum over compositions k of q into ``base`` parts of
+    multinom(q; k) * prod_j m[k_j].
+
+    ``off_diagonal`` drops the compositions with a part equal to q.
+    Terms are accumulated one by one in composition order: a vectorized
+    or compensated sum would move the last bits of every moment table.
+    """
+    acc = 0.0
+    for log_coef, parts in _compositions(base, q):
+        if off_diagonal and max(parts) == q:
+            continue
+        term = math.exp(log_coef)
+        for k in parts:
+            term *= m[k]
+        acc += term
+    return acc
+
+
 def _log_eps_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     """log E(eps^k) for k = 0..q_max (log 0 = -inf for odd symmetric)."""
     out = np.zeros(q_max + 1)
@@ -250,19 +256,13 @@ def limit_z_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     _check_qmax(params.base, q_max)
     b = params.base
     h = params.hurst
-    eps = [1.0] + [epsilon_moment(k, params) for k in range(1, q_max + 1)]
+    eps = _eps_moments(params, q_max)
     out = np.empty(q_max + 1)
     out[0] = 1.0  # E(Z^0)
     out[1] = 1.0
     for q in range(2, q_max + 1):
-        cross = 0.0
-        for log_coef, parts in _compositions(b, q):
-            if max(parts) == q:
-                continue
-            term = math.exp(log_coef)
-            for k in parts:
-                term *= eps[k] * out[k]
-            cross += term
+        m = [e * z for e, z in zip(eps, out[:q])]
+        cross = _composition_sum(b, q, m, off_diagonal=True)
         denom = 1.0 - float(b) ** (1.0 - q * h) * eps[q]
         out[q] = float(b) ** (-q * h) * cross / denom
     return out[1:]
@@ -315,8 +315,7 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     b = params.base
-    eps = [1.0] + [epsilon_moment(k, params) for k in range(1, q_max + 1)]
-    comp = {q: _compositions(b, q) for q in range(1, q_max + 1)}
+    eps = _eps_moments(params, q_max)
     sqrt_b = math.sqrt(b)
 
     vals = np.zeros((n_max + 1, q_max + 1))
@@ -326,14 +325,9 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
     def step(row: np.ndarray, r_n: float) -> np.ndarray:
         nxt = np.empty_like(row)
         nxt[0] = 1.0
+        m = [e * r for e, r in zip(eps, row)]
         for q in range(1, q_max + 1):
-            acc = 0.0
-            for log_coef, parts in comp[q]:
-                term = math.exp(log_coef)
-                for k in parts:
-                    term *= eps[k] * row[k]
-                acc += term
-            nxt[q] = acc * (r_n / sqrt_b) ** q
+            nxt[q] = _composition_sum(b, q, m) * (r_n / sqrt_b) ** q
         return nxt
 
     if reg is Regime.CRITICAL:
@@ -365,35 +359,14 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
 def tilde_moment_solver(params: CascadeParams, q_max: int) -> np.ndarray:
     """Moments of the rescaled limit mass Z / sigma_H, H in (1/2, 1].
 
-    Same linear solve as :func:`limit_z_moments` after dividing through
-    by sigma_H^q; the q = 1 equation is degenerate (both sides carry the
-    same factor), so the first moment is seeded directly:
+    Derived from :func:`limit_z_moments` as E(Z^q) / sigma_H^q, so
 
       M~(1) = 1 / sigma_H = sqrt((b - b^(2-2H)) / (b-1)),  M~(2) = 1.
 
     Indexing: result[q-1] = E((Z/sigma_H)^q).
     """
-    if regime_of(params) is not Regime.CONVERGENT:
-        raise ValueError("tilde moments exist only in the convergent regime")
-    _check_qmax(params.base, q_max)
-    b = params.base
-    h = params.hurst
-    eps = [1.0] + [epsilon_moment(k, params) for k in range(1, q_max + 1)]
-    out = np.empty(q_max + 1)
-    out[0] = 1.0
-    out[1] = 1.0 / sigma(params)
-    for q in range(2, q_max + 1):
-        cross = 0.0
-        for log_coef, parts in _compositions(b, q):
-            if max(parts) == q:
-                continue
-            term = math.exp(log_coef)
-            for k in parts:
-                term *= eps[k] * out[k]
-            cross += term
-        denom = 1.0 - float(b) ** (1.0 - q * h) * eps[q]
-        out[q] = float(b) ** (-q * h) * cross / denom
-    return out[1:]
+    limits = limit_z_moments(params, q_max)
+    return limits / sigma(params) ** np.arange(1, q_max + 1)
 
 
 # ---------------------------------------------------------------------------

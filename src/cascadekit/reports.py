@@ -95,8 +95,7 @@ def stat_report_payload(report) -> dict:
         "statistics": dict(report.statistics),
         "thresholds": dict(report.thresholds),
         "passed": report.passed,
-        "seed": report.seed,
-        "runtime_s": report.runtime_s,
+        "seed": params.seed,
     })
 
 
@@ -117,11 +116,6 @@ def dimension_fit_payload(fit) -> dict:
 def path_rows(path) -> Iterable[tuple[float, float]]:
     """(t, value) rows for a SamplePath CSV."""
     return zip(path.grid.tolist(), path.values.tolist())
-
-
-def moment_table_rows(table) -> Iterable[tuple]:
-    """(n, q, value, flag) rows; overflowed entries carry inf values."""
-    return table.rows()
 
 
 def density_rows(result) -> Iterable[tuple[float, float]]:

@@ -20,8 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -29,16 +28,17 @@ from scipy.special import ndtr
 from .core import (
     CascadeParams,
     Regime,
+    regime_divisor,
     regime_of,
     sample_branch_signs,
     sample_terminal,
     sample_terminal_pair,
+    sigma,
 )
 from .moments import (
     closed_form_second_moment,
     limit_z_moments,
     normalized_moment_recursion,
-    sigma,
     z_moment_recursion,
 )
 
@@ -65,8 +65,6 @@ class StatReport:
     sample_size: int
     statistics: dict[str, float]
     thresholds: dict[str, float]
-    seed: int
-    runtime_s: float
 
     @property
     def passed(self) -> bool:
@@ -120,22 +118,6 @@ def calibrate_ks_threshold(n_samples: int, n_runs: int = 100,
     return hits / n_runs
 
 
-def _terminal_divisor(params: CascadeParams, n: int) -> float:
-    """Divisor turning the raw terminal mass into the normalized X_n(1)."""
-    reg = regime_of(params)
-    s = sigma(params)
-    if reg is Regime.CRITICAL:
-        if n == 0:
-            raise ValueError("critical normalization undefined at depth 0")
-        return s * math.sqrt(n)
-    if reg is Regime.DIVERGENT:
-        return s * float(params.base) ** (n * (0.5 - params.hurst))
-    if reg is Regime.SYMMETRIC:
-        return float(params.base) ** (n / 2.0)
-    raise ValueError("terminal CLT normalization applies to H <= 1/2 "
-                     "or the symmetric case")
-
-
 def clt_terminal_test(params: CascadeParams, n: int, reps: int,
                       *, d_threshold: float | None = None) -> StatReport:
     """KS and first-four-moment check of X_n(1) against its normal limit.
@@ -145,12 +127,15 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
     normalized-moment table at this n (so the moment gates test the
     sampler against finite-n truth, not against the limit).
     """
+    reg = regime_of(params)
+    if reg is Regime.CONVERGENT:
+        raise ValueError("terminal CLT normalization applies to H <= 1/2 "
+                         "or the symmetric case")
+    divisor = regime_divisor(params, n)
     if d_threshold is None:
-        d_threshold = (D_THRESHOLD_CRITICAL
-                       if regime_of(params) is Regime.CRITICAL
+        d_threshold = (D_THRESHOLD_CRITICAL if reg is Regime.CRITICAL
                        else D_THRESHOLD_FAST)
-    t0 = time.perf_counter()
-    x = sample_terminal(params, n, reps) / _terminal_divisor(params, n)
+    x = sample_terminal(params, n, reps) / divisor
     d = ks_statistic(x)
 
     table = normalized_moment_recursion(params, max(n, 1), 8)
@@ -165,9 +150,7 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
         stats[f"moment{q}_exact"] = float(exact)
         thresholds[f"moment{q}_z"] = Z_BAND
     return StatReport(test="clt_terminal", params=params, sample_size=reps,
-                      statistics=stats, thresholds=thresholds,
-                      seed=params.seed,
-                      runtime_s=time.perf_counter() - t0)
+                      statistics=stats, thresholds=thresholds)
 
 
 def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
@@ -200,7 +183,6 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
         params = CascadeParams(base=base, hurst=float(h), seed=seed)
         if regime_of(params) is not Regime.CONVERGENT:
             raise ValueError("clt_small_h_test requires 1/2 < H <= 1")
-        t0 = time.perf_counter()
         m2_n = closed_form_second_moment(params, n)
         scale = 1.0 / math.sqrt(m2_n)
         y = scale * sample_terminal(params, n, reps)
@@ -215,8 +197,7 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
         thresholds = {"mean_z": Z_BAND, "m2_z": Z_BAND}
         out.append(StatReport(test="clt_small_h", params=params,
                               sample_size=reps, statistics=stats,
-                              thresholds=thresholds, seed=seed,
-                              runtime_s=time.perf_counter() - t0))
+                              thresholds=thresholds))
     return out
 
 
@@ -240,12 +221,11 @@ def increments_gaussianity(params: CascadeParams, p: int, n: int,
                          "the symmetric case")
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
-    t0 = time.perf_counter()
     b = params.base
     cols = b**p
     w = sample_branch_signs(params, p, reps).astype(float)
     sub = sample_terminal(params, n - p, reps * cols)
-    sub = sub.reshape(reps, cols) / _terminal_divisor(params, n - p)
+    sub = sub.reshape(reps, cols) / regime_divisor(params, n - p)
     factor = float(b) ** (-p / 2.0)
     if reg is Regime.CRITICAL:
         factor *= math.sqrt((n - p) / n)
@@ -272,8 +252,7 @@ def increments_gaussianity(params: CascadeParams, p: int, n: int,
                   "offdiag_z_max": Z_BAND}
     return StatReport(test="increments_gaussianity", params=params,
                       sample_size=reps, statistics=stats,
-                      thresholds=thresholds, seed=params.seed,
-                      runtime_s=time.perf_counter() - t0)
+                      thresholds=thresholds)
 
 
 def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
@@ -292,7 +271,6 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
         raise ValueError("residual CLT requires the convergent regime")
     if params.hurst == 1.0:
         raise ValueError("H = 1 has zero residual variance")
-    t0 = time.perf_counter()
     z_n, z_deep = sample_terminal_pair(params, n, proxy_levels, reps)
     sigma_resid = math.sqrt(float(limit_z_moments(params, 2)[1]) - 1.0)
     scale = sigma_resid * float(params.base) ** (n * (0.5 - params.hurst))
@@ -304,9 +282,7 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
              "sigma_resid": sigma_resid}
     thresholds = {"ks_distance": d_threshold, "mean_z": Z_BAND}
     return StatReport(test="residual_clt", params=params, sample_size=reps,
-                      statistics=stats, thresholds=thresholds,
-                      seed=params.seed,
-                      runtime_s=time.perf_counter() - t0)
+                      statistics=stats, thresholds=thresholds)
 
 
 def empirical_vs_exact_moments(params: CascadeParams, n: int, reps: int,
@@ -319,7 +295,6 @@ def empirical_vs_exact_moments(params: CascadeParams, n: int, reps: int,
     covering the log-space table's last-ulp wobble) and infinite
     otherwise.
     """
-    t0 = time.perf_counter()
     z = sample_terminal(params, n, reps)
     table = z_moment_recursion(params, n, q_max)
     stats: dict[str, float] = {}
@@ -337,10 +312,4 @@ def empirical_vs_exact_moments(params: CascadeParams, n: int, reps: int,
         thresholds[f"moment{q}_z"] = Z_BAND
     return StatReport(test="empirical_vs_exact_moments", params=params,
                       sample_size=reps, statistics=stats,
-                      thresholds=thresholds, seed=params.seed,
-                      runtime_s=time.perf_counter() - t0)
-
-
-def with_seed(params: CascadeParams, seed: int) -> CascadeParams:
-    """Convenience: same cascade parameters on a different stream."""
-    return replace(params, seed=seed)
+                      thresholds=thresholds)

@@ -19,7 +19,6 @@ from cascadekit.stats import (
     ks_normal_threshold,
     ks_statistic,
     residual_clt_test,
-    with_seed,
 )
 
 REPS = 4000
@@ -49,22 +48,26 @@ def test_ks_threshold_and_calibration():
 def test_stat_report_gating():
     """Only keys present in ``thresholds`` decide the pass flag."""
     r = StatReport(test="demo", params=CascadeParams(), sample_size=10,
-                   statistics={"a": 1.0, "b": 99.0}, thresholds={"a": 2.0},
-                   seed=0, runtime_s=0.0)
+                   statistics={"a": 1.0, "b": 99.0}, thresholds={"a": 2.0})
     assert r.passed
     assert "PASS" in r.summary_line()
     assert "a=1" in r.summary_line()
     bad = StatReport(test="demo", params=CascadeParams(), sample_size=10,
-                     statistics={"a": 3.0}, thresholds={"a": 2.0},
-                     seed=0, runtime_s=0.0)
+                     statistics={"a": 3.0}, thresholds={"a": 2.0})
     assert not bad.passed
     assert "FAIL" in bad.summary_line()
 
 
-def test_with_seed():
-    p = CascadeParams(base=2, hurst=0.7, seed=1)
-    q = with_seed(p, 9)
-    assert q.seed == 9 and q.hurst == 0.7 and p.seed == 1
+def test_clt_terminal_guard_raises_before_sampling(monkeypatch):
+    """Regime errors come before any replica is drawn."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the regime guard")
+
+    monkeypatch.setattr("cascadekit.stats.sample_terminal", no_sampling)
+    with pytest.raises(ValueError):
+        clt_terminal_test(CascadeParams(base=2, hurst=0.7), 8, 100)
+    with pytest.raises(ValueError):
+        clt_terminal_test(CascadeParams(base=2, hurst=0.5), 0, 100)
 
 
 def test_terminal_clt_symmetric():
