@@ -1,10 +1,12 @@
-"""Bit-level goldens for the samplers, the moment tables and the path
-normalization.
+"""Bit-level goldens for the sign fields, the paths, the samplers, the
+moment tables and the path normalization.
 
-Each golden is the sha256 of the result as little-endian float64 bytes.
-They pin the exact output of the count chain, the chunked PCG64 draws,
-the composition sums and the regime divisors, so a rewrite of any of
-these must reproduce every bit, not just agree to a tolerance.
+Each golden is the sha256 of the result as little-endian float64 bytes,
+except the packed sign fields, which are hashed as their raw bytes.
+They pin the exact output of the stream hashing, the level expansion,
+the block sums of ``build_path``, the count chain, the chunked PCG64
+draws, the composition sums and the regime divisors, so a rewrite of
+any of these must reproduce every bit, not just agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ def _path_cases():
             raw = build_path(generate_leaf_signs(params, 10), params)
             return normalize_path(raw, params).values
         yield f"normalized-path-b2-{tag}", run
+    for name, b, h, depth, max_points in (
+            ("path-b3-H0.6-n9-full", 3, 0.6, 9, 3**9),
+            ("path-b2-H0.7-n20-decimated", 2, 0.7, 20, 2**10)):
+        def run(b=b, h=h, depth=depth, max_points=max_points):
+            params = CascadeParams(base=b, hurst=h, seed=SEED)
+            return build_path(generate_leaf_signs(params, depth), params,
+                              max_points=max_points).values
+        yield name, run
 
 
 CASES = dict([*_sampler_cases(), *_exact_cases(), *_path_cases()])
@@ -112,6 +122,8 @@ GOLDENS = {
     "pair-b3-H0.5": "36bae5b6d0603eb5d538ff454f0ec592730c877cd1a59a375ccb4cc1a4b89451",
     "pair-b3-H0.7": "2abb76f9837fdf72d5b282bee297414a74e89d76d7ea9c662d633ecdd0bfc09d",
     "pair-b3-sym": "09121367a01b532a63811b16ca7c0830f2edc41352f622e781bd32b74451cc67",
+    "path-b2-H0.7-n20-decimated": "459f124d9be2e3f6fde17559bfb517dc915db5915801dda1d75dcedf5ed1d91c",
+    "path-b3-H0.6-n9-full": "cd285e9aba3e94e21a58a7dea58b44868ee02d82ee483159fea354e86976ac8b",
     "terminal-b2-H0.3": "28f7e751cd982217593198668e8f8185bc5f4f2819b9218380809c3db62526c4",
     "terminal-b2-H0.5": "526eb9544233ac2912a28fba95bd339b53f6d51021893050af983ff5f928b80b",
     "terminal-b2-H0.7": "559562f56ae192e86c4364b38b04c5591f6989b33df396872da57c9ecf6d4ec0",
@@ -131,3 +143,31 @@ def test_golden_bits(name):
     result = CASES[name]()
     arrays = result if isinstance(result, tuple) else (result,)
     assert _digest(*arrays) == GOLDENS[name]
+
+
+#: (b, H, depth) of the packed-field goldens: a depth >= 20 field, b = 3,
+#: the all-plus H = 1 field, the fair-sign field and a negative H.
+FIELDS = {
+    "b2-H0.7-n20": (2, 0.7, 20),
+    "b3-H0.6-n9": (3, 0.6, 9),
+    "b2-H1-n10": (2, 1.0, 10),
+    "b2-sym-n12": (2, None, 12),
+    "b2-H-2-n12": (2, -2.0, 12),
+}
+
+FIELD_GOLDENS = {
+    "b2-H0.7-n20": "f99d37759cbe991e150d7fa5961e8d5181f271d6c63b88b689a34225aae34d9e",
+    "b3-H0.6-n9": "2dbc44e10cfdc815b5e37676b47531f28fed0dcd36ffb99020d64f28361fd584",
+    "b2-H1-n10": "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+    "b2-sym-n12": "df0fd41eaaf3db3c8f2d8ac7c2dfe7f8ad04056164259e9d7040c6ad82b15e8f",
+    "b2-H-2-n12": "8bd43118c0669f4de6e99e40443789506f81891385c3f6c25454bd57601beda3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_packed_field_bits(name):
+    b, h, depth = FIELDS[name]
+    field = generate_leaf_signs(CascadeParams(base=b, hurst=h, seed=SEED),
+                                depth)
+    assert hashlib.sha256(field.packed.tobytes()).hexdigest() \
+        == FIELD_GOLDENS[name]

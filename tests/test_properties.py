@@ -1,10 +1,13 @@
-"""Property tests of the count-chain samplers' determinism contract."""
+"""Property tests of the determinism contracts of the node streams, the
+sign fields and the count-chain samplers."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from cascadekit import streams
 from cascadekit.core import (
     CascadeParams,
+    generate_leaf_signs,
     sample_terminal,
     sample_terminal_pair,
 )
@@ -40,3 +43,37 @@ def test_more_chunks_extend_the_draws(params, n, k):
     short = sample_terminal(params, n, k * CHUNK)
     long = sample_terminal(params, n, (k + 1) * CHUNK)
     assert np.array_equal(long[: k * CHUNK], short)
+
+
+@PROPERTY
+@given(params=params_st, level=st.integers(1, 9), data=st.data())
+def test_sign_bits_independent_of_split(params, level, data):
+    """Any split of [start, start + count) gives the same sign bits."""
+    b = params.base
+    width = b**level
+    start = data.draw(st.integers(0, width - 1))
+    count = data.draw(st.integers(1, width - start))
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
+    state = streams.premix_seed(params.seed)
+    threshold = streams.sign_threshold(params.p_plus)
+    whole = streams.sign_bits(state, b, level, start, count, threshold)
+    edges = [0, *cuts, count]
+    pieces = [streams.sign_bits(state, b, level, start + lo, hi - lo,
+                                threshold)
+              for lo, hi in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@PROPERTY
+@given(params=params_st, n=st.integers(0, 6), k=st.integers(1, 3))
+def test_deeper_field_expands_shallower_leaves(params, n, k):
+    """Depth-(n+k) leaves are the depth-n leaves, each repeated b times per
+    level, XORed with the fresh sign bits of levels n+1..n+k."""
+    b = params.base
+    state = streams.premix_seed(params.seed)
+    threshold = streams.sign_threshold(params.p_plus)
+    bits = generate_leaf_signs(params, n).leaf_bits()
+    for level in range(n + 1, n + k + 1):
+        bits = np.repeat(bits, b) ^ streams.sign_bits(
+            state, b, level, 0, b**level, threshold)
+    assert np.array_equal(bits, generate_leaf_signs(params, n + k).leaf_bits())
