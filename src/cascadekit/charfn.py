@@ -125,6 +125,16 @@ def charfn_auto(params: CascadeParams, t, *, tol: float = CAUCHY_TOL,
     return values, depth
 
 
+def _phi(params: CascadeParams, t, depth: int | None):
+    """phi at ``depth``, or at the auto-selected depth when it is None.
+
+    Returns (values, depth_used).
+    """
+    if depth is None:
+        return charfn_auto(params, t)
+    return charfn_at(params, t, depth), depth
+
+
 @dataclass(frozen=True)
 class CharFnGrid:
     """phi_n sampled on a symmetric uniform t-grid [-T, T]."""
@@ -164,10 +174,7 @@ def build_charfn_grid(params: CascadeParams, t_max: float, dt: float,
         raise ValueError("t_max and dt must be positive")
     n_half = int(round(t_max / dt))
     t_pos = dt * np.arange(n_half + 1)
-    if depth is None:
-        vals_pos, depth = charfn_auto(params, t_pos)
-    else:
-        vals_pos = charfn_at(params, t_pos, depth)
+    vals_pos, depth = _phi(params, t_pos, depth)
     t = np.concatenate([-t_pos[:0:-1], t_pos])
     values = np.concatenate([np.conj(vals_pos[:0:-1]), vals_pos])
     return CharFnGrid(params=params, depth=depth, t=t, values=values)
@@ -204,10 +211,7 @@ def _auto_t_max(params: CascadeParams, depth: int | None) -> tuple[float, int]:
     """Double T from 16 until |phi(T)| < TAIL_TOL (cap T_CAP)."""
     t_max = 16.0
     while True:
-        if depth is None:
-            val, used = charfn_auto(params, t_max)
-        else:
-            val, used = charfn_at(params, t_max, depth), depth
+        val, used = _phi(params, t_max, depth)
         if abs(val) < TAIL_TOL or t_max >= T_CAP:
             return t_max, used
         t_max *= 2.0
@@ -239,11 +243,7 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
         t_max, _ = _auto_t_max(params, depth)
     n_t = max(2, int(math.ceil(t_max / dt)) + 1)
     t = np.linspace(0.0, t_max, n_t)
-    if depth is None:
-        phi, depth_used = charfn_auto(params, t)
-    else:
-        phi = charfn_at(params, t, depth)
-        depth_used = depth
+    phi, depth_used = _phi(params, t, depth)
     tail = float(abs(phi[-1]))
     if tail >= TAIL_TOL:
         warnings.warn(f"characteristic function tail |phi({t_max:g})| = "
@@ -277,11 +277,7 @@ def cf_moments_by_differences(params: CascadeParams, *, h_step: float = 1e-3,
     moderate third moments.
     """
     _require_convergent(params)
-    t_arr = np.array([h_step])
-    if depth is None:
-        val, _ = charfn_auto(params, t_arr)
-    else:
-        val = charfn_at(params, t_arr, depth)
+    val, _ = _phi(params, np.array([h_step]), depth)
     g = complex(val[0]) - 1.0
     mean = g.imag / h_step
     second = -2.0 * g.real / h_step**2
@@ -317,10 +313,7 @@ def decay_fit(params: CascadeParams, *, t_lo: float | None = None,
     if t_lo is None:
         t_lo = 0.1
     t = np.geomspace(t_lo, t_hi, n_points)
-    if depth is None:
-        phi, _ = charfn_auto(params, t)
-    else:
-        phi = charfn_at(params, t, depth)
+    phi, _ = _phi(params, t, depth)
     mod = np.abs(phi)
     mask = (mod > 1e-12) & (mod < 1e-2)
     if mask.sum() < 8:

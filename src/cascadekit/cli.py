@@ -347,13 +347,8 @@ def cmd_clt(ns: argparse.Namespace) -> int:
         # the converged one the thresholds were calibrated for
         passed = reports[-1].passed
     elif ns.test == "smallh":
-        try:
-            reports = clt_small_h_test(ns.h_values, max(ns.n), ns.reps,
-                                       base=params.base, seed=params.seed)
-        except ValueError:
-            return _regime_error(
-                "the H-to-1/2 limit check",
-                "every H in (1/2, 1] (the convergent regime)", params)
+        reports = clt_small_h_test(ns.h_values, max(ns.n), ns.reps,
+                                   base=params.base, seed=params.seed)
         ds = [r.statistics["ks_distance"] for r in reports]
         payload = {"reports": [stat_report_payload(r) for r in reports],
                    "d_decreasing": all(b < a for a, b in zip(ds, ds[1:]))}

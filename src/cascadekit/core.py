@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -195,78 +195,48 @@ class LeafSignField:
     """Branch-product signs of all generation-``depth`` nodes, bit-packed.
 
     Bit convention: 0 encodes +1, 1 encodes -1.  ``packed[k]`` holds leaf
-    bits 8k..8k+7 (numpy packbits order).  When ``level_packed`` is
-    present, entry L-1 holds the raw eps bits of generation L (packed the
-    same way); these are needed only by structural checks.
+    bits 8k..8k+7 (numpy packbits order).
     """
 
     base: int
     depth: int
     packed: np.ndarray
-    level_packed: tuple[np.ndarray, ...] | None = None
 
     @property
     def n_leaves(self) -> int:
         return self.base**self.depth
 
-    @property
-    def has_levels(self) -> bool:
-        return self.level_packed is not None
-
     def leaf_bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Unpacked leaf bits (uint8 0/1) for indices [start, stop)."""
         if stop is None:
             stop = self.n_leaves
-        return _unpack_range(self.packed, start, stop)
+        byte_lo, byte_hi = start // 8, (stop + 7) // 8
+        bits = np.unpackbits(self.packed[byte_lo:byte_hi])
+        return bits[start - 8 * byte_lo: stop - 8 * byte_lo]
 
     def leaf_signs(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Leaf branch products as int8 values in {-1, +1}."""
         bits = self.leaf_bits(start, stop)
         return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
-    def level_bits(self, level: int) -> np.ndarray:
-        """Raw eps bits of generation ``level`` (requires retention)."""
-        if self.level_packed is None:
-            raise ValueError("per-level signs were not retained; "
-                             "generate with retain_levels=True")
-        if not 1 <= level <= self.depth:
-            raise ValueError(f"level must be in [1, {self.depth}]")
-        packed = self.level_packed[level - 1]
-        return _unpack_range(packed, 0, self.base**level)
-
-    def branch_bits(self, level: int) -> np.ndarray:
-        """Branch-product bits at generation ``level`` (requires retention)."""
-        bits = np.zeros(1, dtype=np.uint8)
-        for lev in range(1, level + 1):
-            bits = np.repeat(bits, self.base) ^ self.level_bits(lev)
-        return bits
-
-
-def _unpack_range(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
-    byte_lo, byte_hi = start // 8, (stop + 7) // 8
-    bits = np.unpackbits(packed[byte_lo:byte_hi])
-    return bits[start - 8 * byte_lo: stop - 8 * byte_lo]
-
 
 def generate_leaf_signs(params: CascadeParams, depth: int, *,
-                        retain_levels: bool = False,
                         max_leaves: int = DEFAULT_MAX_LEAVES) -> LeafSignField:
     """Draw the sign field down to ``depth`` and return the leaf products.
 
     Each node's sign comes from its own counter-based stream position
     (see :mod:`cascadekit.streams`), so the same (seed, depth) always
     yields the same field and any subtree regenerates identically no
-    matter how the tree is traversed.  Expansion is level by level with
-    two ping-pong bit arrays, chunked at deep levels.
+    matter how the tree is traversed.  In particular the generation-p
+    branch products of a deeper field are the leaves of the depth-p
+    field.  Expansion is level by level with two ping-pong bit arrays,
+    chunked at deep levels.
 
     Parameters
     ----------
     params : CascadeParams
     depth : int
         Generation n >= 0 of the leaves; the field has b^n entries.
-    retain_levels : bool
-        Keep the raw per-generation signs (needed by
-        :func:`verify_self_similarity` and the consistency checks).
     max_leaves : int
         Capacity guard; b^depth above this raises :class:`CapacityError`.
     """
@@ -281,25 +251,17 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     threshold = streams.sign_threshold(params.p_plus)
 
     bold = np.zeros(1, dtype=np.uint8)  # generation 0: empty product = +1
-    kept: list[np.ndarray] = []
     for level in range(1, depth + 1):
         count = b**level
         child = np.empty(count, dtype=np.uint8)
-        keep_raw = np.empty(count, dtype=np.uint8) if retain_levels else None
         for lo in range(0, count, _CHUNK):
             hi = min(lo + _CHUNK, count)
             fresh = streams.sign_bits(seed_state, b, level, lo, hi - lo,
                                       threshold)
             parents = bold[lo // b: (hi + b - 1) // b]
             child[lo:hi] = np.repeat(parents, b)[: hi - lo] ^ fresh
-            if keep_raw is not None:
-                keep_raw[lo:hi] = fresh
         bold = child
-        if keep_raw is not None:
-            kept.append(np.packbits(keep_raw))
-    return LeafSignField(
-        base=b, depth=depth, packed=np.packbits(bold),
-        level_packed=tuple(kept) if retain_levels else None)
+    return LeafSignField(base=b, depth=depth, packed=np.packbits(bold))
 
 
 @dataclass(frozen=True)
@@ -342,12 +304,15 @@ def build_path(signs: LeafSignField, params: CascadeParams, *,
     scaled once, so grid values are correctly rounded products and every
     increment magnitude matches b^(-n*H) to machine precision.
 
-    Fields wider than ``max_points`` cells produce a decimated path: the
-    cumulative sum is evaluated every ``stride`` leaves via exact integer
-    block sums.
+    The cumulative sum is evaluated every ``stride`` leaves via exact
+    integer block sums.  ``stride`` is the smallest power of b that
+    leaves at most ``max_points`` cells (>= 1), so fields wider than
+    ``max_points`` cells produce a decimated path.
     """
     if signs.base != params.base:
         raise ValueError("sign field and params disagree on base")
+    if max_points < 1:
+        raise ValueError(f"max_points must be >= 1, got {max_points}")
     n = signs.depth
     b = params.base
     n_leaves = signs.n_leaves
@@ -356,24 +321,19 @@ def build_path(signs: LeafSignField, params: CascadeParams, *,
     stride = 1
     while n_leaves // stride > max_points:
         stride *= b
-
-    if stride == 1:
-        csum = np.empty(n_leaves + 1, dtype=np.int64)
-        csum[0] = 0
-        np.cumsum(signs.leaf_signs(), out=csum[1:])
-    else:
-        n_blocks = n_leaves // stride
-        csum = np.empty(n_blocks + 1, dtype=np.int64)
-        csum[0] = 0
-        # sum signs per stride block: block_sum = stride - 2 * ones_count
-        blk_step = max(1, _CHUNK // stride)
-        for blk_lo in range(0, n_blocks, blk_step):
-            blk_hi = min(blk_lo + blk_step, n_blocks)
-            bits = signs.leaf_bits(blk_lo * stride, blk_hi * stride)
-            ones = bits.reshape(blk_hi - blk_lo, stride).sum(axis=1,
-                                                             dtype=np.int64)
-            csum[blk_lo + 1: blk_hi + 1] = stride - 2 * ones
-        np.cumsum(csum[1:], out=csum[1:])
+    n_blocks = n_leaves // stride
+    csum = np.empty(n_blocks + 1, dtype=np.int64)
+    csum[0] = 0
+    # minus-sign count per stride block, then block sum = stride - 2 * count
+    blk_step = max(1, _CHUNK // stride)
+    for blk_lo in range(0, n_blocks, blk_step):
+        blk_hi = min(blk_lo + blk_step, n_blocks)
+        bits = signs.leaf_bits(blk_lo * stride, blk_hi * stride)
+        np.sum(bits.reshape(blk_hi - blk_lo, stride), axis=1,
+               out=csum[blk_lo + 1: blk_hi + 1])
+    csum[1:] *= -2
+    csum[1:] += stride
+    np.cumsum(csum[1:], out=csum[1:])
     return SamplePath(params=params, depth=n, values=scale * csum,
                       kind=PathKind.RAW, stride=stride)
 
@@ -440,11 +400,10 @@ def verify_self_similarity(field: LeafSignField, params: CascadeParams,
 
     where B_n^(w) is the depth-n path built from the subtree's own signs
     and s is t rescaled to [0, 1].  The identity is algebraic, so the
-    relative violation reported is pure float roundoff.  Requires a field
-    generated with ``retain_levels=True``.
+    relative violation reported is pure float roundoff.  The sign(w) are
+    the leaves of the depth-p field, which the node streams make the same
+    generation-p products that ``field`` was expanded from.
     """
-    if not field.has_levels:
-        raise ValueError("self-similarity check needs retained levels")
     p = split_depth
     if not 0 < p < field.depth:
         raise ValueError("split_depth must be strictly inside (0, depth)")
@@ -452,7 +411,7 @@ def verify_self_similarity(field: LeafSignField, params: CascadeParams,
     n = field.depth - p
     sub_leaves = b**n
 
-    top = field.branch_bits(p)                    # sign(w) bits at gen p
+    top = generate_leaf_signs(params, p).leaf_bits()  # sign(w) bits at gen p
     leaf_bits = field.leaf_bits()
     full = build_path(field, params, max_points=field.n_leaves)
     outer_scale = params.weight_scale(p) if not params.is_symmetric else 1.0

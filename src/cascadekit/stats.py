@@ -118,6 +118,20 @@ def calibrate_ks_threshold(n_samples: int, n_runs: int = 100,
     return hits / n_runs
 
 
+def _z_score(x: np.ndarray, target: float) -> float:
+    """|mean(x) - target| in units of the sample standard error.
+
+    A constant sample (SE = 0, as for Z_n at H = 1) scores 0 when the
+    difference sits at float rounding scale (1e-12 relative, covering
+    the log-space table's last-ulp wobble) and infinity otherwise.
+    """
+    se = float(x.std(ddof=1)) / math.sqrt(x.size)
+    diff = abs(float(x.mean()) - target)
+    if se == 0.0:
+        return 0.0 if diff <= 1e-12 * max(1.0, abs(target)) else math.inf
+    return diff / se
+
+
 def clt_terminal_test(params: CascadeParams, n: int, reps: int,
                       *, d_threshold: float | None = None) -> StatReport:
     """KS and first-four-moment check of X_n(1) against its normal limit.
@@ -143,10 +157,7 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
     thresholds: dict[str, float] = {"ks_distance": d_threshold}
     for q in range(1, 5):
         exact = table.values[n, q]
-        sample_q = x**q
-        se = float(sample_q.std(ddof=1)) / math.sqrt(reps)
-        z = abs(float(sample_q.mean()) - exact) / se
-        stats[f"moment{q}_z"] = z
+        stats[f"moment{q}_z"] = _z_score(x**q, exact)
         stats[f"moment{q}_exact"] = float(exact)
         thresholds[f"moment{q}_z"] = Z_BAND
     return StatReport(test="clt_terminal", params=params, sample_size=reps,
@@ -178,21 +189,22 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     by the caller), mean z-score against the exact scaled mean, and
     second-moment z-score against 1.
     """
-    out = []
-    for h in h_values:
-        params = CascadeParams(base=base, hurst=float(h), seed=seed)
+    runs = [CascadeParams(base=base, hurst=float(h), seed=seed)
+            for h in h_values]
+    for params in runs:
         if regime_of(params) is not Regime.CONVERGENT:
-            raise ValueError("clt_small_h_test requires 1/2 < H <= 1")
+            raise ValueError(
+                "the H-to-1/2 limit check requires every H in (1/2, 1] "
+                f"(the convergent regime); got H = {params.hurst:g} "
+                f"({regime_of(params).value} regime)")
+    out = []
+    for params in runs:
         m2_n = closed_form_second_moment(params, n)
         scale = 1.0 / math.sqrt(m2_n)
         y = scale * sample_terminal(params, n, reps)
         d = ks_statistic(y)
-        se_mean = float(y.std(ddof=1)) / math.sqrt(reps)
-        z_mean = abs(float(y.mean()) - scale) / se_mean
-        y2 = y**2
-        se_m2 = float(y2.std(ddof=1)) / math.sqrt(reps)
-        z_m2 = abs(float(y2.mean()) - 1.0) / se_m2
-        stats = {"ks_distance": d, "mean_z": z_mean, "m2_z": z_m2,
+        stats = {"ks_distance": d, "mean_z": _z_score(y, scale),
+                 "m2_z": _z_score(y**2, 1.0),
                  "scale": scale, "limit_scale": 1.0 / sigma(params)}
         thresholds = {"mean_z": Z_BAND, "m2_z": Z_BAND}
         out.append(StatReport(test="clt_small_h", params=params,
@@ -276,9 +288,7 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
     scale = sigma_resid * float(params.base) ** (n * (0.5 - params.hurst))
     resid = (z_deep - z_n) / scale
     d = ks_statistic(resid)
-    se = float(resid.std(ddof=1)) / math.sqrt(reps)
-    mean_z = abs(float(resid.mean())) / se
-    stats = {"ks_distance": d, "mean_z": mean_z,
+    stats = {"ks_distance": d, "mean_z": _z_score(resid, 0.0),
              "sigma_resid": sigma_resid}
     thresholds = {"ks_distance": d_threshold, "mean_z": Z_BAND}
     return StatReport(test="residual_clt", params=params, sample_size=reps,
@@ -289,11 +299,8 @@ def empirical_vs_exact_moments(params: CascadeParams, n: int, reps: int,
                                q_max: int) -> StatReport:
     """Sample moments of Z_n against the exact recursion table.
 
-    One z-score per q in 1..q_max using the sample standard error; in
-    the degenerate H = 1 case (Z_n constant, SE = 0) the score is 0
-    when the difference sits at float rounding scale (1e-12 relative,
-    covering the log-space table's last-ulp wobble) and infinite
-    otherwise.
+    One z-score per q in 1..q_max using the sample standard error
+    (see :func:`_z_score` for the degenerate H = 1 case).
     """
     z = sample_terminal(params, n, reps)
     table = z_moment_recursion(params, n, q_max)
@@ -301,14 +308,7 @@ def empirical_vs_exact_moments(params: CascadeParams, n: int, reps: int,
     thresholds: dict[str, float] = {}
     for q in range(1, q_max + 1):
         exact = float(table.values[n, q])
-        zq = z**q
-        se = float(zq.std(ddof=1)) / math.sqrt(reps)
-        diff = abs(float(zq.mean()) - exact)
-        if se == 0.0:
-            score = 0.0 if diff <= 1e-12 * max(1.0, abs(exact)) else math.inf
-        else:
-            score = diff / se
-        stats[f"moment{q}_z"] = score
+        stats[f"moment{q}_z"] = _z_score(z**q, exact)
         thresholds[f"moment{q}_z"] = Z_BAND
     return StatReport(test="empirical_vs_exact_moments", params=params,
                       sample_size=reps, statistics=stats,

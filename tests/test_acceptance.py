@@ -142,7 +142,7 @@ def test_criterion_04_structural_identities():
             depth = int(rng.integers(split + 2, 17))  # split + n <= 16
             seed = int(rng.integers(0, 2**32))
             params = CascadeParams(base=2, hurst=h, seed=seed)
-            field = generate_leaf_signs(params, depth, retain_levels=True)
+            field = generate_leaf_signs(params, depth)
             rep = verify_self_similarity(field, params, split)
             worst_ss = max(worst_ss, rep.max_rel_violation)
             path = build_path(field, params, max_points=2**depth)

@@ -122,6 +122,14 @@ def test_simulate_rejects_unknown_format(tmp_path, capsys):
     assert "png" in capsys.readouterr().err
 
 
+def test_simulate_rejects_empty_point_budget(tmp_path, capsys):
+    code = main(["simulate", "--depths", "7", "--max-points", "0",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "max_points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("H = 0.5\nn = 4\nq = 2\n")
@@ -184,6 +192,17 @@ def test_clt_regime_mismatch_diagnostics(tmp_path, capsys):
                  "--outdir", str(tmp_path)])
     assert code == 2
     assert "convergent" in capsys.readouterr().err
+
+
+def test_clt_smallh_names_the_offending_h(tmp_path, capsys):
+    """The diagnostic names the bad H of the sequence, not the --H default."""
+    code = main(["clt", "--test", "smallh", "--h-values", "0.8,0.3",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "H = 0.3 (divergent regime)" in err
+    assert "0.7" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fractal_cli_passes_and_fails_on_tolerance(tmp_path):

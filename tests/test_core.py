@@ -78,28 +78,6 @@ def test_field_determinism_and_shapes():
     assert set(np.unique(f1.leaf_signs())) <= {-1, 1}
 
 
-def test_field_prefix_stability():
-    """Deepening the tree must not change shallower generations."""
-    params = CascadeParams(base=2, hurst=0.7, seed=SEED)
-    f8 = generate_leaf_signs(params, 8, retain_levels=True)
-    f10 = generate_leaf_signs(params, 10, retain_levels=True)
-    for level in range(1, 9):
-        assert np.array_equal(f8.level_bits(level), f10.level_bits(level))
-
-
-def test_branch_bits_match_leaves():
-    """The cumulative XOR of per-level signs reproduces the leaf field."""
-    params = CascadeParams(base=2, hurst=0.55, seed=1)
-    field = generate_leaf_signs(params, 7, retain_levels=True)
-    assert np.array_equal(field.branch_bits(7), field.leaf_bits())
-
-
-def test_level_access_requires_retention():
-    field = generate_leaf_signs(CascadeParams(seed=0), 4)
-    with pytest.raises(ValueError):
-        field.level_bits(2)
-
-
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         generate_leaf_signs(CascadeParams(seed=0), 12, max_leaves=2**10)
@@ -144,6 +122,13 @@ def test_decimated_path_is_exact_subsample():
     assert np.array_equal(thin.values, full.values[::2**3])
 
 
+def test_build_path_rejects_empty_point_budget():
+    params = CascadeParams(base=2, hurst=0.7, seed=SEED)
+    field = generate_leaf_signs(params, 7)
+    with pytest.raises(ValueError, match="max_points"):
+        build_path(field, params, max_points=0)
+
+
 def test_evaluate_grid_and_midpoints():
     params = CascadeParams(base=2, hurst=0.7, seed=SEED)
     path = build_path(generate_leaf_signs(params, 4), params)
@@ -183,19 +168,16 @@ def test_normalize_path_kinds_and_divisors():
 def test_self_similarity_all_regimes(h, seed):
     """Subtree rescaling holds to near machine precision in every regime."""
     params = CascadeParams(base=2, hurst=h, seed=seed)
-    field = generate_leaf_signs(params, 10, retain_levels=True)
+    field = generate_leaf_signs(params, 10)
     report = verify_self_similarity(field, params, split_depth=3)
     assert report.passed
     assert report.max_rel_violation <= 1e-12
     assert report.subtrees_checked == 8
 
 
-def test_self_similarity_needs_levels_and_interior_split():
+def test_self_similarity_needs_interior_split():
     params = CascadeParams(base=2, hurst=0.7, seed=0)
-    bare = generate_leaf_signs(params, 6)
-    with pytest.raises(ValueError):
-        verify_self_similarity(bare, params, split_depth=2)
-    field = generate_leaf_signs(params, 6, retain_levels=True)
+    field = generate_leaf_signs(params, 6)
     with pytest.raises(ValueError):
         verify_self_similarity(field, params, split_depth=6)
 

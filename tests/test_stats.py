@@ -143,6 +143,24 @@ def test_small_h_rejects_nonconvergent():
         clt_small_h_test((0.5,), 8, 100)
 
 
+def test_small_h_guard_checks_every_h_before_sampling(monkeypatch):
+    """A bad H late in the sequence is caught before any draw and named."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the regime guard")
+
+    monkeypatch.setattr("cascadekit.stats.sample_terminal", no_sampling)
+    with pytest.raises(ValueError, match=r"H = 0\.3 "):
+        clt_small_h_test((0.8, 0.3), 8, 100)
+
+
+def test_small_h_degenerate_h_one():
+    """H = 1 makes Z_n = 1 exactly: zero SE must not blow up the z-scores."""
+    (r,) = clt_small_h_test([1.0], 8, 100)
+    assert r.passed
+    assert r.statistics["mean_z"] == 0.0
+    assert r.statistics["m2_z"] == 0.0
+
+
 def test_increments_symmetric():
     params = CascadeParams.symmetric(base=2, seed=0)
     r = increments_gaussianity(params, 2, 12, REPS)
