@@ -2,7 +2,8 @@
 moment tables and the path normalization.
 
 Each golden is the sha256 of the result as little-endian float64 bytes,
-except the packed sign fields, which are hashed as their raw bytes.
+except the packed sign fields and the raw sign-bit windows, which are
+hashed as their raw bytes.
 They pin the exact output of the stream hashing, the level expansion,
 the block sums of ``build_path``, the count chain, the chunked PCG64
 draws, the composition sums and the regime divisors, so a rewrite of
@@ -26,6 +27,7 @@ from cascadekit import (
     sample_branch_signs,
     sample_terminal,
     sample_terminal_pair,
+    streams,
     z_moment_recursion,
 )
 
@@ -145,14 +147,17 @@ def test_golden_bits(name):
     assert _digest(*arrays) == GOLDENS[name]
 
 
-#: (b, H, depth) of the packed-field goldens: a depth >= 20 field, b = 3,
-#: the all-plus H = 1 field, the fair-sign field and a negative H.
+#: (b, H, depth, seed) of the packed-field goldens: a depth >= 20 field,
+#: b = 3, the all-plus H = 1 field, the fair-sign field, a negative H, and
+#: a b = 3 field whose last level (3^14 > 2^22 leaves) spans two expansion
+#: chunks, the second starting off a multiple of b.
 FIELDS = {
-    "b2-H0.7-n20": (2, 0.7, 20),
-    "b3-H0.6-n9": (3, 0.6, 9),
-    "b2-H1-n10": (2, 1.0, 10),
-    "b2-sym-n12": (2, None, 12),
-    "b2-H-2-n12": (2, -2.0, 12),
+    "b2-H0.7-n20": (2, 0.7, 20, SEED),
+    "b3-H0.6-n9": (3, 0.6, 9, SEED),
+    "b2-H1-n10": (2, 1.0, 10, SEED),
+    "b2-sym-n12": (2, None, 12, SEED),
+    "b2-H-2-n12": (2, -2.0, 12, SEED),
+    "b3-H0.7-n14-seed1": (3, 0.7, 14, 1),
 }
 
 FIELD_GOLDENS = {
@@ -161,13 +166,42 @@ FIELD_GOLDENS = {
     "b2-H1-n10": "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
     "b2-sym-n12": "df0fd41eaaf3db3c8f2d8ac7c2dfe7f8ad04056164259e9d7040c6ad82b15e8f",
     "b2-H-2-n12": "8bd43118c0669f4de6e99e40443789506f81891385c3f6c25454bd57601beda3",
+    "b3-H0.7-n14-seed1": "587d1dffdbfb64c930329734490b02e9bbf376e01ec304ba465196b2c5368bb5",
 }
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_packed_field_bits(name):
-    b, h, depth = FIELDS[name]
-    field = generate_leaf_signs(CascadeParams(base=b, hurst=h, seed=SEED),
+    b, h, depth, seed = FIELDS[name]
+    field = generate_leaf_signs(CascadeParams(base=b, hurst=h, seed=seed),
                                 depth)
     assert hashlib.sha256(field.packed.tobytes()).hexdigest() \
         == FIELD_GOLDENS[name]
+
+
+def _window_args(count):
+    """Seed-1 stream at b = 2, level 20, H = 0.7, from in-level index 12345."""
+    state = streams.premix_seed(1)
+    threshold = streams.sign_threshold(
+        CascadeParams(base=2, hurst=0.7, seed=1).p_plus)
+    return state, 2, 20, 12345, count, threshold
+
+
+def test_sign_bits_window_bits():
+    """An unaligned window spanning several 2^16-word blocks."""
+    bits = streams.sign_bits(*_window_args(3 * 2**16 + 7))
+    assert bits.dtype == np.uint8
+    assert bits.shape == (3 * 2**16 + 7,)
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == \
+        "40f903aa3c411a3b1e9c25563b3886e93350f216dbc6e13097e7d1c6d9ea2914"
+
+
+@pytest.mark.parametrize("threshold", [None, 0, 2**64])
+def test_sign_bits_empty_window(threshold):
+    """count = 0 gives an empty uint8 array, on every threshold branch."""
+    args = list(_window_args(0))
+    if threshold is not None:
+        args[-1] = threshold
+    bits = streams.sign_bits(*args)
+    assert bits.dtype == np.uint8
+    assert bits.shape == (0,)

@@ -2,6 +2,7 @@
 sign fields and the count-chain samplers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascadekit import streams
@@ -77,3 +78,18 @@ def test_deeper_field_expands_shallower_leaves(params, n, k):
         bits = np.repeat(bits, b) ^ streams.sign_bits(
             state, b, level, 0, b**level, threshold)
     assert np.array_equal(bits, generate_leaf_signs(params, n + k).leaf_bits())
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "for a base that is not a power of 2, generate_leaf_signs expands "
+    "levels wider than its 2^22-leaf chunk from chunk starts that are not "
+    "multiples of b, so leaves past the first chunk take the wrong parent"))
+def test_deeper_field_expands_shallower_leaves_across_chunks():
+    """The expansion property at b = 3, depth 14: 3^14 leaves span two
+    expansion chunks, and 2^22 is not a multiple of 3."""
+    params = CascadeParams(base=3, hurst=0.7, seed=1)
+    state = streams.premix_seed(params.seed)
+    threshold = streams.sign_threshold(params.p_plus)
+    bits = np.repeat(generate_leaf_signs(params, 13).leaf_bits(), 3) \
+        ^ streams.sign_bits(state, 3, 14, 0, 3**14, threshold)
+    assert np.array_equal(bits, generate_leaf_signs(params, 14).leaf_bits())
