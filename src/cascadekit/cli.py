@@ -172,7 +172,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                        help="depth or comma list of depths "
                             "(default 8,12,16)")
     p_clt.add_argument("--reps", type=int, default=4000,
-                       help="replicas per depth (default 4000)")
+                       help="replicas per depth, at least 2 (default 4000)")
     p_clt.add_argument("--h-values", type=_parse_float_list,
                        default=(0.8, 0.65, 0.55, 0.51),
                        help="H sequence for --test smallh")

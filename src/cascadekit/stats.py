@@ -118,6 +118,13 @@ def calibrate_ks_threshold(n_samples: int, n_runs: int = 100,
     return hits / n_runs
 
 
+def _require_replicas(reps: int) -> None:
+    """Sample standard errors (``ddof=1``) need at least two replicas."""
+    if reps < 2:
+        raise ValueError("the sample standard error needs reps >= 2; "
+                         f"got reps = {reps}")
+
+
 def _z_score(x: np.ndarray, target: float) -> float:
     """|mean(x) - target| in units of the sample standard error.
 
@@ -145,6 +152,7 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
     if reg is Regime.CONVERGENT:
         raise ValueError("terminal CLT normalization applies to H <= 1/2 "
                          "or the symmetric case")
+    _require_replicas(reps)
     divisor = regime_divisor(params, n)
     if d_threshold is None:
         d_threshold = (D_THRESHOLD_CRITICAL if reg is Regime.CRITICAL
@@ -189,6 +197,7 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     by the caller), mean z-score against the exact scaled mean, and
     second-moment z-score against 1.
     """
+    _require_replicas(reps)
     runs = [CascadeParams(base=base, hurst=float(h), seed=seed)
             for h in h_values]
     for params in runs:
@@ -233,6 +242,7 @@ def increments_gaussianity(params: CascadeParams, p: int, n: int,
                          "the symmetric case")
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
+    _require_replicas(reps)
     b = params.base
     cols = b**p
     w = sample_branch_signs(params, p, reps).astype(float)
@@ -283,6 +293,7 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
         raise ValueError("residual CLT requires the convergent regime")
     if params.hurst == 1.0:
         raise ValueError("H = 1 has zero residual variance")
+    _require_replicas(reps)
     z_n, z_deep = sample_terminal_pair(params, n, proxy_levels, reps)
     sigma_resid = math.sqrt(float(limit_z_moments(params, 2)[1]) - 1.0)
     scale = sigma_resid * float(params.base) ** (n * (0.5 - params.hurst))
@@ -302,6 +313,7 @@ def empirical_vs_exact_moments(params: CascadeParams, n: int, reps: int,
     One z-score per q in 1..q_max using the sample standard error
     (see :func:`_z_score` for the degenerate H = 1 case).
     """
+    _require_replicas(reps)
     z = sample_terminal(params, n, reps)
     table = z_moment_recursion(params, n, q_max)
     stats: dict[str, float] = {}

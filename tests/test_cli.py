@@ -205,6 +205,18 @@ def test_clt_smallh_names_the_offending_h(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("test,hurst", [
+    ("terminal", "0.3"), ("smallh", "0.7"), ("increments", "0.3"),
+    ("residual", "0.7"), ("moments", "0.7")])
+def test_clt_single_replica_is_a_usage_error(tmp_path, capsys, test, hurst):
+    """--reps 1 has no sample standard error: exit 2, nothing written."""
+    code = main(["clt", "--test", test, "--H", hurst, "--n", "8",
+                 "--reps", "1", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "reps >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fractal_cli_passes_and_fails_on_tolerance(tmp_path):
     args = ["fractal", "--n", "18", "--seed", "35",
             "--outdir", str(tmp_path)]

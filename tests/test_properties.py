@@ -66,6 +66,25 @@ def test_sign_bits_independent_of_split(params, level, data):
 
 
 @PROPERTY
+@given(params=params_st, level=st.integers(17, 20), data=st.data())
+def test_sign_bits_are_thresholded_node_words(params, level, data):
+    """Windows spanning several hashing blocks give the sign of each node's
+    word, computed one array at a time by node_words."""
+    b = params.base
+    width = b**level
+    start = data.draw(st.integers(0, width - 1))
+    count = data.draw(st.integers(0, min(width - start, 3 * 2**16 + 100)))
+    state = streams.premix_seed(params.seed)
+    threshold = streams.sign_threshold(params.p_plus)
+    first = streams.level_offset(b, level) + start
+    words = streams.node_words(
+        state, np.arange(first, first + count, dtype=np.uint64))
+    expected = (words.astype(object) >= threshold).astype(np.uint8)
+    assert np.array_equal(
+        streams.sign_bits(state, b, level, start, count, threshold), expected)
+
+
+@PROPERTY
 @given(params=params_st, n=st.integers(0, 6), k=st.integers(1, 3))
 def test_deeper_field_expands_shallower_leaves(params, n, k):
     """Depth-(n+k) leaves are the depth-n leaves, each repeated b times per

@@ -70,6 +70,36 @@ def test_clt_terminal_guard_raises_before_sampling(monkeypatch):
         clt_terminal_test(CascadeParams(base=2, hurst=0.5), 0, 100)
 
 
+H07 = CascadeParams(base=2, hurst=0.7)
+H03 = CascadeParams(base=2, hurst=0.3)
+
+#: Every check that takes sample standard errors (ddof=1), with valid
+#: arguments apart from ``reps``.
+SE_CHECKS = {
+    "terminal": lambda reps: clt_terminal_test(H03, 8, reps),
+    "trend": lambda reps: clt_terminal_trend(H03, (4, 8), reps),
+    "smallh": lambda reps: clt_small_h_test((0.8, 0.65), 8, reps),
+    "increments": lambda reps: increments_gaussianity(H03, 2, 8, reps),
+    "residual": lambda reps: residual_clt_test(H07, 8, reps),
+    "moments": lambda reps: empirical_vs_exact_moments(H07, 8, reps, 4),
+}
+
+
+@pytest.mark.parametrize("reps", [0, 1])
+@pytest.mark.parametrize("check", sorted(SE_CHECKS))
+def test_fewer_than_two_replicas_rejected_before_sampling(monkeypatch,
+                                                          check, reps):
+    """One replica has no sample standard error; no draw is made."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the replica guard")
+
+    for name in ("sample_terminal", "sample_terminal_pair",
+                 "sample_branch_signs"):
+        monkeypatch.setattr(f"cascadekit.stats.{name}", no_sampling)
+    with pytest.raises(ValueError, match=r"reps >= 2"):
+        SE_CHECKS[check](reps)
+
+
 def test_terminal_clt_symmetric():
     params = CascadeParams.symmetric(base=2, seed=0)
     r = clt_terminal_test(params, 16, REPS)
