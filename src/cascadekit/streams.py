@@ -26,9 +26,9 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-#: 2^64 as a Python int, for threshold arithmetic done outside uint64.
+#: 2^64 as a Python int, for threshold and counter arithmetic done
+#: outside uint64.
 _TWO64 = 1 << 64
-
 
 #: Words hashed per block in :func:`sign_bits`: the block's three uint64
 #: buffers (1.5 MiB) stay in a 2 MiB L2 cache.

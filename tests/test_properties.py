@@ -66,14 +66,13 @@ def test_sign_bits_independent_of_split(params, level, data):
 
 
 @PROPERTY
-@given(params=params_st, level=st.integers(17, 20), data=st.data())
-def test_sign_bits_are_thresholded_node_words(params, level, data):
-    """Windows spanning several hashing blocks give the sign of each node's
-    word, computed one array at a time by node_words."""
+@given(params=params_st, level=st.integers(18, 20),
+       count=st.integers(2**16 + 1, 3 * 2**16 + 100), data=st.data())
+def test_sign_bits_are_thresholded_node_words(params, level, count, data):
+    """Windows spanning several 2^16-word hashing blocks give the sign of
+    each node's word, computed one array at a time by node_words."""
     b = params.base
-    width = b**level
-    start = data.draw(st.integers(0, width - 1))
-    count = data.draw(st.integers(0, min(width - start, 3 * 2**16 + 100)))
+    start = data.draw(st.integers(0, b**level - count))
     state = streams.premix_seed(params.seed)
     threshold = streams.sign_threshold(params.p_plus)
     first = streams.level_offset(b, level) + start
