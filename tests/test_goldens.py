@@ -1,13 +1,16 @@
 """Bit-level goldens for the sign fields, the paths, the samplers, the
-moment tables and the path normalization.
+moment tables, the path normalization, the fractal estimates and the
+CLI's CSV and SVG artifacts.
 
 Each golden is the sha256 of the result as little-endian float64 bytes,
 except the packed sign fields and the raw sign-bit windows, which are
-hashed as their raw bytes.
+hashed as their raw bytes, and the CLI artifacts, which are hashed as
+the bytes of the files written.
 They pin the exact output of the stream hashing, the level expansion,
 the block sums of ``build_path``, the count chain, the chunked PCG64
-draws, the composition sums and the regime divisors, so a rewrite of
-any of these must reproduce every bit, not just agree to a tolerance.
+draws, the composition sums, the regime divisors, the fractal window
+extrema and the writers' number formatting, so a rewrite of any of these
+must reproduce every bit, not just agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from cascadekit import (
     streams,
     z_moment_recursion,
 )
+from cascadekit.fractal import box_dimension, pointwise_holder_profile
 
 SEED = 11
 #: Two replica chunks of the samplers (chunk size 8192).
@@ -205,3 +209,88 @@ def test_sign_bits_empty_window(threshold):
     bits = streams.sign_bits(*args)
     assert bits.dtype == np.uint8
     assert bits.shape == (0,)
+
+
+#: CLI artifacts pinned byte for byte: argv of one call and the files it
+#: writes.  Every run writes to the relative outdir ``out``, which the
+#: metadata block records, so the bytes do not depend on the test's
+#: temporary directory.
+ARTIFACTS = {
+    "simulate-b2-H0.7-n12": (
+        ["simulate", "--H", "0.7", "--depths", "12", "--seed", "1"],
+        ("path_b2_H0.7_n12.csv", "path_b2_H0.7_n12.svg")),
+    "simulate-b2-H0.7-n18-decimated": (
+        ["simulate", "--H", "0.7", "--depths", "18", "--seed", "1"],
+        ("path_b2_H0.7_n18.csv", "path_b2_H0.7_n18.svg")),
+    "simulate-b3-H0.7-n9": (
+        ["simulate", "--b", "3", "--H", "0.7", "--depths", "9", "--seed",
+         "1"],
+        ("path_b3_H0.7_n9.csv", "path_b3_H0.7_n9.svg")),
+    "simulate-b2-H0.5-n12-norm": (
+        ["simulate", "--H", "0.5", "--depths", "12", "--normalize",
+         "--seed", "1"],
+        ("path_b2_H0.5_n12_norm.csv", "path_b2_H0.5_n12_norm.svg")),
+    "density-b2-H0.7": (
+        ["density", "--b", "2", "--H", "0.7"],
+        ("density_b2_H0.7.csv", "charfn_b2_H0.7.csv")),
+}
+
+ARTIFACT_GOLDENS = {
+    "density-b2-H0.7": (
+        "0e6fba336cf31c94de0ea1fa8a9fddf149adefd9f56a0f6852c8118bc85427be",
+        "8b2be21a350eb1930481e26ba1b7fc8be3f8198fa089d29229b402fcf0c8e266"),
+    "simulate-b2-H0.5-n12-norm": (
+        "09fb45b50c1615e66e969a91f7199f0ec25fb69936a083b2d5ec50d357edd04d",
+        "1684a1cbad7b9c6aa35693f2eaaca4cf441d060fcb7dfebca57cc5339640ca9e"),
+    "simulate-b2-H0.7-n12": (
+        "24eab5ddc8aa087e1ec25d5d43e6acc3f6a5e28ea510c2bf81802d96d4838315",
+        "553318a9061657ac9f6b453b63a3c3a3166c514cb631e7025dc3028edeb9c9af"),
+    "simulate-b2-H0.7-n18-decimated": (
+        "274df629f54bbfa163dac6d32ade777c78e1c55d13f4929c86d12a34bb0cdd68",
+        "02db38b5541384537e74c7b1a1d0b238dfb98312ac01374aa89ebe40c81a324c"),
+    "simulate-b3-H0.7-n9": (
+        "1340dff043dd51b79fb2cebe9e7f3522abee7c9389630f57ce1be9cc5602f122",
+        "a08d04a8bfa832ea90bc87690278b75266844f6b61f80bdd9d3e3397dd09866a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_cli_artifact_bytes(name, tmp_path, monkeypatch):
+    from cascadekit.cli import main
+
+    argv, files = ARTIFACTS[name]
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--outdir", "out"]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes())
+                    .hexdigest() for f in files)
+    assert digests == ARTIFACT_GOLDENS[name]
+
+
+#: (b, H, depth, box j_range, profile j_range) of the fractal goldens.
+ESTIMATES = {
+    "b2-H0.7-n16": (2, 0.7, 16, (2, 14), (2, 12)),
+    "b3-H0.7-n10": (3, 0.7, 10, (3, 8), (2, 10)),
+}
+
+ESTIMATE_GOLDENS = {
+    "b2-H0.7-n16": (
+        "0c1849929587e4f8f3b190ecabff4add1e046ee7a70377e691b5974aadf7909f",
+        "f8cd75078f8e7bc004626e76d13ba7b6534e701c64178b4cbc6dc5e985df6b45"),
+    "b3-H0.7-n10": (
+        "23263d680461f6342f075f24b58cefe6ef470dcc33726933a72a935f5b6d8f6a",
+        "28a8d1a8aab0a604d560153b30602d244ebb819a93617bf4d7c9bd93b17f4d87"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATES))
+def test_fractal_estimate_bits(name):
+    """Box-count log values and estimate, and the pointwise profile, bit
+    for bit (equal digests of float64 bytes imply array_equal)."""
+    b, h, depth, box_range, prof_range = ESTIMATES[name]
+    params = CascadeParams(base=b, hurst=h, seed=SEED)
+    path = build_path(generate_leaf_signs(params, depth), params,
+                      max_points=b**depth)
+    box = box_dimension(path, box_range)
+    profile = pointwise_holder_profile(path, j_range=prof_range)
+    assert (_digest(box.log_values, box.estimate), _digest(profile)) \
+        == ESTIMATE_GOLDENS[name]
