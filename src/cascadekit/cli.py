@@ -42,7 +42,9 @@ from .core import (
     sigma,
 )
 from .fractal import (
+    HOLDER_J_RANGE,
     box_dimension,
+    check_scale_range,
     increment_scaling_exponent,
     pointwise_holder_profile,
 )
@@ -391,6 +393,19 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
             "fractal estimation",
             "the convergent regime 1/2 < H <= 1 (the Hölder/dimension "
             "claims hold for that limit path)", params)
+    # every fit's scale range is checked against --n before hashing
+    ranges = [("--p-range", "increment_exponent", ns.p_range),
+              ("--j-range", "box_dimension", ns.j_range)]
+    if ns.profile:
+        ranges.append(("--profile (its pointwise fits use j_range "
+                       f"{HOLDER_J_RANGE[0]},{HOLDER_J_RANGE[1]})",
+                       "pointwise_holder", HOLDER_J_RANGE))
+    for flag, kind, scale_range in ranges:
+        try:
+            check_scale_range(kind, ns.n, tuple(scale_range))
+        except ValueError as exc:
+            print(f"error: {flag}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     outdir = _outdir(ns)
     config = _effective_config(ns)
     tag = _hurst_tag(params.hurst)

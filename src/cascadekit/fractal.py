@@ -13,6 +13,15 @@ oscillation of the stored piecewise-linear interpolant is attained at
 grid points, so window extrema are exact, but a decimated path hides
 sub-stride oscillation and silently flattens the estimates.
 
+Window extrema come from precomputed block extrema rather than a scan
+of every sample: box counting coarsens a b-adic min/max pyramid one
+level per scale, and the pointwise balls read a table of per-block
+extrema over blocks of 4,096 samples plus the raw samples at either
+ragged end.  Min and max of floats are exact (the result is one of the
+inputs, with no rounding), so they can be regrouped freely: the min of
+block mins is the min of the window, bit for bit, and the estimates are
+the same as those of a raw scan.
+
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
 use j at most n - 6 (exponent) or n - 2 (boxes) to keep within-window
@@ -27,6 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SamplePath
+
+
+#: Scale range of the pointwise exponent fits (the CLI's --profile
+#: uses it as is).
+HOLDER_J_RANGE = (2, 12)
+
+#: Samples per block of the pointwise extrema table.
+_BLOCK = 4096
+
+#: Per fit kind: the range's name, its lowest start and the margin its
+#: end keeps below the depth (see the module docstring).
+_RANGE_RULES = {"increment_exponent": ("p_range", 2, 6),
+                "box_dimension": ("j_range", 1, 2),
+                "pointwise_holder": ("j_range", 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -59,6 +82,19 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def check_scale_range(kind: str, depth: int,
+                      scale_range: tuple[int, int]) -> None:
+    """Raise ValueError unless ``scale_range`` suits fit ``kind`` (a
+    DimensionFit kind) on a depth-``depth`` path.  Cheap, so callers can
+    check their ranges before building the path."""
+    name, lo_min, margin = _RANGE_RULES[kind]
+    lo, hi = scale_range
+    if lo < lo_min or hi > depth - margin or hi < lo:
+        top = f"depth - {margin}" if margin else "depth"
+        raise ValueError(f"{name} must sit within [{lo_min}, {top}]; got "
+                         f"{lo},{hi} at depth {depth}")
+
+
 def _require_full_resolution(path: SamplePath) -> None:
     if path.is_decimated:
         raise ValueError("fractal estimators need a full-resolution path; "
@@ -80,9 +116,8 @@ def increment_scaling_exponent(path: SamplePath,
     _require_full_resolution(path)
     b = path.params.base
     n = path.depth
+    check_scale_range("increment_exponent", n, p_range)
     p_lo, p_hi = p_range
-    if p_lo < 2 or p_hi > n - 6 or p_hi < p_lo:
-        raise ValueError("p_range must sit within [2, depth - 6]")
     v = path.values
     log_b = math.log(b)
     ps, means = [], []
@@ -104,20 +139,28 @@ def increment_scaling_exponent(path: SamplePath,
                         estimate=-slope, zero_increments=zeros)
 
 
-def _window_extrema(values: np.ndarray, edges: np.ndarray,
-                    grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window (min, max) of the path samples, windows sharing edges.
+def _level_extrema(v: np.ndarray, b: int, n: int, j_hi: int, j_lo: int):
+    """Yield (j, mins, maxs) for j = j_hi down to j_lo (j_hi < n): the
+    extrema of v over the half-open blocks [k s, (k + 1) s), s = b^(n - j),
+    of the first b^n samples.
 
-    ``edges`` are fractional positions in [0, 1]; each window
-    [edges[k], edges[k+1]] includes both boundary samples, matching the
-    sup of the piecewise-linear interpolant over the closed window.
+    A b-adic pyramid: the first level, j = max(j_hi, n - 2), takes the
+    elementwise min (max) of the s interleaved slices of v; each coarser
+    level does the same with the b interleaved slices of the one below,
+    in place, and only the current level is held.
     """
-    idx = np.round(edges * grid_size).astype(np.int64)
-    starts = idx[:-1]
-    mins = np.minimum.reduceat(values, starts)
-    maxs = np.maximum.reduceat(values, starts)
-    right = values[idx[1:]]
-    return np.minimum(mins, right), np.maximum(maxs, right)
+    level = max(j_hi, n - 2)
+    mins = maxs = v[:b**n]
+    width = b**(n - level)
+    for j in range(level, j_lo - 1, -1):
+        lo = np.minimum(mins[0::width], mins[1::width])
+        hi = np.maximum(maxs[0::width], maxs[1::width])
+        for i in range(2, width):
+            np.minimum(lo, mins[i::width], out=lo)
+            np.maximum(hi, maxs[i::width], out=hi)
+        mins, maxs, width = lo, hi, b
+        if j <= j_hi:
+            yield j, mins, maxs
 
 
 def box_dimension(path: SamplePath,
@@ -127,29 +170,35 @@ def box_dimension(path: SamplePath,
     For each scale j the graph is covered by squares of side b^-j; the
     count over one width-b^-j column is floor(max/delta) -
     floor(min/delta) + 1 with delta = b^-j (the vertical run of boxes
-    the column's range touches), using exact window extrema.  Fits
-    ln N_j against j ln b; the slope is the dimension estimate.
+    the column's range touches), using exact window extrema: each
+    closed column [k s, (k + 1) s] is a pyramid block plus its right
+    edge sample.  Fits ln N_j against j ln b; the slope is the
+    dimension estimate.
     """
     _require_full_resolution(path)
     b = path.params.base
     n = path.depth
+    check_scale_range("box_dimension", n, j_range)
     j_lo, j_hi = j_range
-    if j_lo < 1 or j_hi > n - 2 or j_hi < j_lo:
-        raise ValueError("j_range must sit within [1, depth - 2]")
     v = path.values
-    m = b**n
     js, log_counts = [], []
-    for j in range(j_lo, j_hi + 1):
+    for j, mins, maxs in _level_extrema(v, b, n, j_hi, j_lo):
+        step = b**(n - j)
+        right = v[step::step]
         delta = float(b) ** (-j)
-        edges = np.arange(b**j + 1) * delta
-        mins, maxs = _window_extrema(v, edges, m)
-        per_col = (np.floor(maxs / delta) - np.floor(mins / delta)
-                   + 1.0)
-        count = float(per_col.sum())
+        top = np.maximum(maxs, right)
+        top /= delta
+        np.floor(top, out=top)
+        bottom = np.minimum(mins, right)
+        bottom /= delta
+        np.floor(bottom, out=bottom)
+        top -= bottom
+        top += 1.0  # per-column box counts
         js.append(j)
-        log_counts.append(math.log(count))
+        log_counts.append(math.log(float(top.sum())))
+    js.reverse()  # fit in ascending j, as the pyramid runs descending
     x = np.array(js, dtype=float) * math.log(b)
-    y = np.array(log_counts)
+    y = np.array(log_counts[::-1])
     slope, intercept, r2 = _ols(x, y)
     return DimensionFit(kind="box_dimension", scales=np.array(js),
                         log_values=y, slope=slope, intercept=intercept,
@@ -164,27 +213,39 @@ def box_counts(path: SamplePath, j_range: tuple[int, int] = (4, 12)
             for j, y in zip(fit.scales, fit.log_values)]
 
 
-def pointwise_holder(path: SamplePath, t: float,
-                     j_range: tuple[int, int] = (2, 12)) -> DimensionFit:
-    """Pointwise Hölder exponent at t from shrinking-ball oscillations.
+def _extrema_table(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block (min, max) of v over its whole blocks of _BLOCK samples."""
+    blocks = v[:v.size // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
+    return blocks.min(axis=1), blocks.max(axis=1)
 
-    Regresses log_b of the oscillation sup - inf over the balls
-    |s - t| <= b^-j (clipped to [0, 1]) against j; the negated slope
-    estimates the exponent.  The ball endpoints are snapped outward to
-    grid points, so the oscillation is that of the stored interpolant
-    over a slightly enlarged ball, a conservative choice at these scales.
-    """
-    _require_full_resolution(path)
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
+
+def _oscillation(v: np.ndarray, table: tuple[np.ndarray, np.ndarray],
+                 i_lo: int, i_hi: int) -> float:
+    """max - min of v[i_lo:i_hi + 1]: the whole blocks inside the window
+    come from ``table`` (see _extrema_table), the ragged ends from v."""
+    first = -(-i_lo // _BLOCK)
+    stop = (i_hi + 1) // _BLOCK
+    if stop <= first:
+        window = v[i_lo:i_hi + 1]
+        return float(window.max() - window.min())
+    mins, maxs = table
+    lo, hi = mins[first:stop].min(), maxs[first:stop].max()
+    for edge in (v[i_lo:first * _BLOCK], v[stop * _BLOCK:i_hi + 1]):
+        if edge.size:
+            lo = np.minimum(lo, edge.min())
+            hi = np.maximum(hi, edge.max())
+    return float(hi - lo)
+
+
+def _holder_fit(path: SamplePath, t: float, j_range: tuple[int, int],
+                table: tuple[np.ndarray, np.ndarray]) -> DimensionFit:
+    """The fit of :func:`pointwise_holder` at t, given the path's block
+    extrema table; the path and the range are already checked."""
     b = path.params.base
-    n = path.depth
-    j_lo, j_hi = j_range
-    if j_hi > n or j_hi < j_lo:
-        raise ValueError("j_range must sit within [1, depth]")
+    m = b**path.depth
     v = path.values
-    m = b**n
     log_b = math.log(b)
+    j_lo, j_hi = j_range
     js, log_osc = [], []
     for j in range(j_lo, j_hi + 1):
         r = float(b) ** (-j)
@@ -192,8 +253,7 @@ def pointwise_holder(path: SamplePath, t: float,
         hi = min(1.0, t + r)
         i_lo = int(math.floor(lo * m))
         i_hi = int(math.ceil(hi * m))
-        window = v[i_lo:i_hi + 1]
-        osc = float(window.max() - window.min())
+        osc = _oscillation(v, table, i_lo, i_hi)
         if osc <= 0.0:
             raise ValueError(f"zero oscillation at scale j={j}; "
                              "path is flat near t")
@@ -207,15 +267,37 @@ def pointwise_holder(path: SamplePath, t: float,
                         estimate=-slope)
 
 
+def pointwise_holder(path: SamplePath, t: float,
+                     j_range: tuple[int, int] = HOLDER_J_RANGE
+                     ) -> DimensionFit:
+    """Pointwise Hölder exponent at t from shrinking-ball oscillations.
+
+    Regresses log_b of the oscillation sup - inf over the balls
+    |s - t| <= b^-j (clipped to [0, 1]) against j; the negated slope
+    estimates the exponent.  The ball endpoints are snapped outward to
+    grid points, so the oscillation is that of the stored interpolant
+    over a slightly enlarged ball, a conservative choice at these scales.
+    """
+    _require_full_resolution(path)
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie in (0, 1)")
+    check_scale_range("pointwise_holder", path.depth, j_range)
+    return _holder_fit(path, t, j_range, _extrema_table(path.values))
+
+
 def pointwise_holder_profile(path: SamplePath, n_points: int = 64,
-                             j_range: tuple[int, int] = (2, 12)
+                             j_range: tuple[int, int] = HOLDER_J_RANGE
                              ) -> np.ndarray:
     """Pointwise exponent estimates at n_points mid-cell positions.
 
     Evaluation points (k + 1/2)/n_points avoid 0 and 1; monofractality
     predicts a tight spread around H (the profile's spread, not each
-    individual point, is the stable statistic at finite depth).
+    individual point, is the stable statistic at finite depth).  The
+    block extrema table is built once and shared by every point.
     """
+    _require_full_resolution(path)
+    check_scale_range("pointwise_holder", path.depth, j_range)
+    table = _extrema_table(path.values)
     ts = (np.arange(n_points) + 0.5) / n_points
-    return np.array([pointwise_holder(path, float(t), j_range).estimate
+    return np.array([_holder_fit(path, float(t), j_range, table).estimate
                      for t in ts])

@@ -8,7 +8,10 @@ the same pairs under a ``"meta"`` object; SVG carries them in a leading
 XML comment.
 
 Numbers in CSV bodies are written with 17 significant digits ('.'
-decimal, no grouping), enough to round-trip float64 exactly.
+decimal, no grouping), enough to round-trip float64 exactly.  Float
+tables (paths, densities, characteristic functions) travel as 2-D
+float64 arrays and are formatted a block of rows at a time with one
+``%``-template, which yields the same text as formatting cell by cell.
 """
 
 from __future__ import annotations
@@ -20,9 +23,36 @@ import numpy as np
 
 FLOAT_FMT = "%.17g"
 
+#: Rows per formatting block of a float table: large enough to amortize
+#: the template, small enough to keep each block's text in cache.
+_BLOCK_ROWS = 2**14
+
 
 def format_float(x: float) -> str:
     return FLOAT_FMT % float(x)
+
+
+def _format_blocks(table: np.ndarray, row_fmt: str,
+                   sep: str = "") -> list[str]:
+    """Text of a 2-D table, one string per block of rows.
+
+    Each block is ``sep.join([row_fmt] * k) % cells`` over the block's
+    k rows, with the cells taken from one ``.tolist()`` of the table, so
+    every number goes through the same ``%`` conversion as a per-cell
+    loop would and the text is the same.
+    """
+    cols = table.shape[1]
+    cells = table.ravel().tolist()
+    step = _BLOCK_ROWS * cols
+    full = sep.join([row_fmt] * _BLOCK_ROWS)
+    blocks = []
+    for lo in range(0, len(cells), step):
+        chunk = cells[lo:lo + step]
+        rows = len(chunk) // cols
+        template = full if rows == _BLOCK_ROWS else sep.join([row_fmt]
+                                                            * rows)
+        blocks.append(template % tuple(chunk))
+    return blocks
 
 
 def metadata_items(config: Mapping[str, object]) -> list[tuple[str, str]]:
@@ -41,21 +71,29 @@ def metadata_items(config: Mapping[str, object]) -> list[tuple[str, str]]:
     return out
 
 
-def write_csv(path, header: list[str], rows: Iterable[tuple],
+def write_csv(path, header: list[str],
+              rows: np.ndarray | Iterable[tuple],
               config: Mapping[str, object]) -> None:
     """CSV with a ``# key = value`` metadata block before the header row.
 
-    Row cells that are floats are rendered at 17 significant digits;
-    everything else via str().
+    ``rows`` is either a 2-D array, whose cells are written as float64,
+    or an iterable of tuples of mixed type.  Row cells that are floats
+    are rendered at 17 significant digits; everything else via str().
     """
     with open(path, "w", encoding="utf-8") as fh:
         for key, text in metadata_items(config):
             fh.write(f"# {key} = {text}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [format_float(c) if isinstance(c, (float, np.floating))
-                     else str(c) for c in row]
-            fh.write(",".join(cells) + "\n")
+        if isinstance(rows, np.ndarray):
+            table = np.asarray(rows, dtype=np.float64)
+            row_fmt = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+            fh.writelines(_format_blocks(table, row_fmt))
+        else:
+            for row in rows:
+                cells = [format_float(c)
+                         if isinstance(c, (float, np.floating))
+                         else str(c) for c in row]
+                fh.write(",".join(cells) + "\n")
 
 
 def write_json(path, payload: Mapping[str, object],
@@ -113,18 +151,19 @@ def dimension_fit_payload(fit) -> dict:
     })
 
 
-def path_rows(path) -> Iterable[tuple[float, float]]:
-    """(t, value) rows for a SamplePath CSV."""
-    return zip(path.grid.tolist(), path.values.tolist())
+def path_rows(path) -> np.ndarray:
+    """(t, value) table for a SamplePath CSV."""
+    return np.column_stack((path.grid, path.values))
 
 
-def density_rows(result) -> Iterable[tuple[float, float]]:
-    return zip(result.x.tolist(), result.density.tolist())
+def density_rows(result) -> np.ndarray:
+    """(x, density) table for a DensityResult CSV."""
+    return np.column_stack((result.x, result.density))
 
 
-def charfn_rows(grid) -> Iterable[tuple[float, float, float]]:
-    return zip(grid.t.tolist(), grid.values.real.tolist(),
-               grid.values.imag.tolist())
+def charfn_rows(grid) -> np.ndarray:
+    """(t, re, im) table for a characteristic-function grid CSV."""
+    return np.column_stack((grid.t, grid.values.real, grid.values.imag))
 
 
 def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,
@@ -150,7 +189,8 @@ def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,
     px = margin + (xs - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
     py = height - margin - (ys - y_lo) / (y_hi - y_lo) * (height
                                                           - 2 * margin)
-    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    points = " ".join(_format_blocks(np.column_stack((px, py)),
+                                     "%.2f,%.2f", " "))
     meta = "\n".join(f"{k} = {v}" for k, v in metadata_items(config))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')

@@ -230,6 +230,28 @@ def test_fractal_cli_passes_and_fails_on_tolerance(tmp_path):
     assert main(args + ["--exp-tol", "0.001"]) == 1
 
 
+@pytest.mark.parametrize("ranges, flag", [
+    (["--p-range", "2,5", "--j-range", "2,9", "--profile"], "--profile"),
+    (["--p-range", "2,6", "--j-range", "2,9"], "--p-range"),
+    (["--p-range", "2,5", "--j-range", "2,10"], "--j-range"),
+])
+def test_fractal_ranges_checked_before_hashing(tmp_path, capsys,
+                                               monkeypatch, ranges, flag):
+    """A scale range that does not fit --n is a usage error naming its
+    own option (the profile's fixed range included), before any hashing."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("the sign field was generated")
+
+    monkeypatch.setattr("cascadekit.cli.generate_leaf_signs", no_field)
+    outdir = tmp_path / "out"
+    code = main(["fractal", "--H", "0.7", "--n", "11", *ranges,
+                 "--outdir", str(outdir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and "at depth 11" in err
+    assert not outdir.exists()
+
+
 def test_fractal_regime_mismatch(capsys):
     assert main(["fractal", "--H", "0.3", "--n", "12"]) == 2
     assert "convergent regime" in capsys.readouterr().err

@@ -136,3 +136,13 @@ def test_range_preconditions():
         box_dimension(path, j_range=(4, 13))  # needs j <= n - 2
     with pytest.raises(ValueError):
         box_dimension(path, j_range=(0, 8))
+
+
+def test_pointwise_holder_rejects_scales_below_one():
+    """j_range must start at 1 or above, as its message says."""
+    params = CascadeParams(base=2, hurst=0.7, seed=0)
+    path = full_path(params, 14)
+    with pytest.raises(ValueError, match=r"\[1, depth\]"):
+        pointwise_holder(path, 0.5, j_range=(0, 8))
+    with pytest.raises(ValueError, match=r"\[1, depth\]"):
+        pointwise_holder_profile(path, j_range=(0, 8))

@@ -1,11 +1,18 @@
 """Property tests of the determinism contracts of the node streams, the
-sign fields and the count-chain samplers."""
+sign fields and the count-chain samplers, and of the exactness of the
+fractal estimators' block extrema."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascadekit import streams
+from cascadekit.fractal import (
+    _BLOCK,
+    _extrema_table,
+    _level_extrema,
+    _oscillation,
+)
 from cascadekit.core import (
     CascadeParams,
     generate_leaf_signs,
@@ -111,3 +118,59 @@ def test_deeper_field_expands_shallower_leaves_across_chunks():
     bits = np.repeat(generate_leaf_signs(params, 13).leaf_bits(), 3) \
         ^ streams.sign_bits(state, 3, 14, 0, 3**14, threshold)
     assert np.array_equal(bits, generate_leaf_signs(params, 14).leaf_bits())
+
+
+def _walk(seed, size):
+    """A random-walk sample vector, the shape of a cascade path."""
+    return np.cumsum(np.random.default_rng(seed).standard_normal(size))
+
+
+@settings(PROPERTY, max_examples=120)
+@given(seed=st.integers(0, 2**32), n=st.integers(13, 15), data=st.data())
+def test_block_oscillation_is_the_window_range(seed, n, data):
+    """Block-table oscillation equals max - min of the raw window, for
+    windows shorter than one block, windows spanning whole blocks, windows
+    on block boundaries and windows ending at the last sample."""
+    m = 2**n
+    v = _walk(seed, m + 1)
+    kind = data.draw(st.sampled_from(["short", "long", "aligned", "last"]))
+    if kind == "short":
+        i = data.draw(st.integers(0, m))
+        j = data.draw(st.integers(i, min(m, i + _BLOCK - 1)))
+    elif kind == "long":
+        i = data.draw(st.integers(0, m - 2 * _BLOCK))
+        j = data.draw(st.integers(i + 2 * _BLOCK - 1, m))
+    elif kind == "aligned":
+        k = data.draw(st.integers(0, m // _BLOCK - 1))
+        lst = data.draw(st.integers(k + 1, m // _BLOCK))
+        i = k * _BLOCK
+        j = lst * _BLOCK - data.draw(st.sampled_from([0, 1]))
+    else:
+        i = data.draw(st.integers(0, m))
+        j = m
+    # put the window's extreme on one of its end samples, where a dropped
+    # head or tail sample would show
+    end = data.draw(st.sampled_from([None, i, j]))
+    if end is not None:
+        v[end] = v.max() + 1.0 if data.draw(st.booleans()) else v.min() - 1.0
+    window = v[i:j + 1]
+    assert _oscillation(v, _extrema_table(v), i, j) \
+        == window.max() - window.min()
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32), b=st.sampled_from([2, 3, 5]),
+       data=st.data())
+def test_pyramid_levels_match_reduceat(seed, b, data):
+    """Each pyramid level holds the block extrema that reduceat gives."""
+    n = data.draw(st.integers(1, {2: 12, 3: 8, 5: 5}[b]))
+    j_hi = data.draw(st.integers(0, n - 1))
+    j_lo = data.draw(st.integers(0, j_hi))
+    m = b**n
+    v = _walk(seed, m + 1)
+    levels = list(_level_extrema(v, b, n, j_hi, j_lo))
+    assert [j for j, _, _ in levels] == list(range(j_hi, j_lo - 1, -1))
+    for j, mins, maxs in levels:
+        starts = np.arange(0, m, b**(n - j))
+        assert np.array_equal(mins, np.minimum.reduceat(v[:m], starts))
+        assert np.array_equal(maxs, np.maximum.reduceat(v[:m], starts))
