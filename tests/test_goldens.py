@@ -33,6 +33,7 @@ from cascadekit import (
     streams,
     z_moment_recursion,
 )
+from cascadekit.cli import main
 from cascadekit.fractal import box_dimension, pointwise_holder_profile
 
 SEED = 11
@@ -256,8 +257,6 @@ ARTIFACT_GOLDENS = {
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))
 def test_cli_artifact_bytes(name, tmp_path, monkeypatch):
-    from cascadekit.cli import main
-
     argv, files = ARTIFACTS[name]
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--outdir", "out"]) == 0
