@@ -26,12 +26,23 @@ This module generates sign fields reproducibly, assembles paths, applies
 the regime normalizations, checks the structural identities of the
 construction, and draws the terminal mass directly (without paths) for
 Monte-Carlo use.
+
+The count-chain samplers split their replicas into fixed chunks of
+8,192, each drawing from its own PCG64 stream keyed by (seed, domain,
+chunk index).  The chunks of the count chain run on up to
+min(usable CPUs, 4) threads (with one they run inline): each chunk's
+binomial draws release the interpreter lock for milliseconds at a time,
+so the threads overlap.  A chunk's draws depend only on its own stream
+and it writes only its own slice of the output, so the samples are the
+same bits for any number of threads and any completion order.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +67,10 @@ _DOMAIN_BRANCH = 0x55B7
 #: Replica chunk of the samplers; part of the determinism contract
 #: (changing it reshuffles draws, though not their law).
 _TERMINAL_CHUNK = 8192
+
+#: Upper bound on the sampler's default thread count: 10^5 replicas are
+#: only 13 chunks, so more threads add start-up cost for little overlap.
+_MAX_WORKERS = 4
 
 
 class CapacityError(RuntimeError):
@@ -480,6 +495,29 @@ def _chunks(seed: int, domain: int, reps: int):
         yield lo, min(lo + _TERMINAL_CHUNK, reps), rng
 
 
+def _map_threads(fn, items, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads.
+
+    ``workers`` defaults to the CPUs this process may run on, at most
+    :data:`_MAX_WORKERS`.  Each call of ``fn`` must write only state that
+    no other item touches.  With one worker or one item everything runs
+    inline and no thread is started.  Exceptions raised by ``fn``
+    propagate to the caller.
+    """
+    items = list(items)
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            workers = os.cpu_count() or 1
+        workers = min(workers, _MAX_WORKERS)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _evolve_counts(rng: np.random.Generator, b: int, p_plus: float,
                    plus: np.ndarray, total: int) -> np.ndarray:
     """One generation of the count chain: plus-node population update.
@@ -494,8 +532,8 @@ def _evolve_counts(rng: np.random.Generator, b: int, p_plus: float,
     return from_plus + from_minus
 
 
-def _count_chain(params: CascadeParams, depths: Sequence[int],
-                 reps: int) -> tuple[np.ndarray, ...]:
+def _count_chain(params: CascadeParams, depths: Sequence[int], reps: int,
+                 workers: int | None = None) -> tuple[np.ndarray, ...]:
     """Run the count chain once per replica and record Z at each depth.
 
     Per generation, the numbers of plus/minus branch products evolve by
@@ -503,6 +541,10 @@ def _count_chain(params: CascadeParams, depths: Sequence[int],
     the signed count at generation n (unit increments when symmetric).
     All depths come from the same realization, so the records have the
     exact joint law of the martingale at those times.
+
+    Replica chunks run on ``workers`` threads (see :func:`_map_threads`);
+    each chunk draws from its own stream and fills only its own slice,
+    so the records do not depend on the worker count.
     """
     b = params.base
     n_max = max(depths)
@@ -516,7 +558,9 @@ def _count_chain(params: CascadeParams, depths: Sequence[int],
     p_plus = params.p_plus
     scales = [params.weight_scale(n) for n in depths]
     out = tuple(np.empty(reps, dtype=np.float64) for _ in depths)
-    for lo, hi, rng in _chunks(params.seed, _DOMAIN_TERMINAL, reps):
+
+    def run_chunk(chunk) -> None:
+        lo, hi, rng = chunk
         plus = np.ones(hi - lo, dtype=np.int64)
         total = 1
         for gen in range(n_max + 1):
@@ -526,6 +570,9 @@ def _count_chain(params: CascadeParams, depths: Sequence[int],
             for z, n, scale in zip(out, depths, scales):
                 if n == gen:
                     z[lo:hi] = scale * (2 * plus - total)
+
+    _map_threads(run_chunk, _chunks(params.seed, _DOMAIN_TERMINAL, reps),
+                 workers)
     return out
 
 
@@ -535,8 +582,8 @@ def sample_terminal(params: CascadeParams, n: int, reps: int) -> np.ndarray:
     Uses the population-count chain over generations instead of explicit
     trees, which reproduces the law of Z_n exactly at O(n) cost per
     replica.  Deterministic given (params.seed, n, reps); replicas are
-    generated in fixed-size chunks on disjoint PCG64 streams, so chunks
-    may run concurrently.
+    generated in fixed-size chunks on disjoint PCG64 streams, and the
+    chunks run concurrently on a few threads without changing a bit.
 
     Symmetric params return the raw signed leaf count (unit increments);
     finite H returns b^(-n*H) times the signed count.

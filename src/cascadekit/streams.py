@@ -16,6 +16,12 @@ Stream layout (fixed; part of the reproducibility contract):
 
 Changing any of these constants changes every field drawn from a given
 seed, so they are frozen here rather than configurable.
+
+Hashing runs in the calling thread, one worker.  Since a word depends
+only on its node index, a window's blocks could be hashed on several
+threads with the same bits, but each block is about ten ufunc calls of
+tens of microseconds, too short for threads to overlap under the
+interpreter lock: a two-thread split made the hashing slower.
 """
 
 from __future__ import annotations

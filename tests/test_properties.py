@@ -1,12 +1,16 @@
 """Property tests of the determinism contracts of the node streams, the
-sign fields and the count-chain samplers, and of the exactness of the
-fractal estimators' block extrema."""
+sign fields and the count-chain samplers (whatever the number of worker
+threads), and of the exactness of the fractal estimators' block
+extrema."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cascadekit import streams
+from cascadekit import core, streams
 from cascadekit.fractal import (
     _BLOCK,
     _extrema_table,
@@ -14,7 +18,10 @@ from cascadekit.fractal import (
     _oscillation,
 )
 from cascadekit.core import (
+    CapacityError,
     CascadeParams,
+    _count_chain,
+    _map_threads,
     generate_leaf_signs,
     sample_terminal,
     sample_terminal_pair,
@@ -51,6 +58,75 @@ def test_more_chunks_extend_the_draws(params, n, k):
     short = sample_terminal(params, n, k * CHUNK)
     long = sample_terminal(params, n, (k + 1) * CHUNK)
     assert np.array_equal(long[: k * CHUNK], short)
+
+
+#: Replica counts below one chunk, of exactly one chunk, and with a
+#: partial last chunk.
+reps_st = st.one_of(
+    st.integers(1, CHUNK - 1), st.just(CHUNK),
+    st.builds(lambda k, r: k * CHUNK + r, st.integers(1, 2),
+              st.integers(1, CHUNK - 1)))
+
+
+@PROPERTY
+@given(params=params_st,
+       depths=st.lists(st.integers(0, 12), min_size=1, max_size=2),
+       reps=reps_st)
+@example(params=CascadeParams.symmetric(base=2, seed=3), depths=[9],
+         reps=CHUNK)
+@example(params=CascadeParams(base=3, hurst=0.7, seed=4), depths=[4, 8],
+         reps=2 * CHUNK + 5)
+def test_count_chain_independent_of_workers(params, depths, reps):
+    """Chunks on two threads give the draws of one thread, bit for bit."""
+    one = _count_chain(params, depths, reps, workers=1)
+    two = _count_chain(params, depths, reps, workers=2)
+    assert all(np.array_equal(a, b) for a, b in zip(one, two))
+
+
+def test_more_workers_than_cores_under_fast_switching():
+    """Eight threads switching every microsecond still fill every chunk of
+    their own slice with the one-thread draws, round after round."""
+    params = CascadeParams(base=2, hurst=0.3, seed=7)
+    one = _count_chain(params, (6, 10), 9 * CHUNK + 1, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            many = _count_chain(params, (6, 10), 9 * CHUNK + 1, workers=8)
+            assert all(np.array_equal(a, b) for a, b in zip(one, many))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_worker_or_one_item_starts_no_thread():
+    """The thread map runs inline unless it has two workers and two items,
+    and returns results in item order either way."""
+    def where(item):
+        return item, threading.current_thread()
+
+    main = threading.current_thread()
+    assert _map_threads(where, range(3), workers=1) == [
+        (0, main), (1, main), (2, main)]
+    assert _map_threads(where, [5], workers=4) == [(5, main)]
+    spread = _map_threads(where, range(3), workers=2)
+    assert [item for item, _ in spread] == [0, 1, 2]
+    assert all(thread is not main for _, thread in spread)
+
+
+def test_sampler_guards_raise_before_the_thread_map(monkeypatch):
+    """The depth and replica guards of the samplers raise before any chunk
+    is handed to the thread map."""
+    def no_map(*args, **kwargs):
+        raise AssertionError("the chunks reached the thread map")
+
+    monkeypatch.setattr(core, "_map_threads", no_map)
+    params = CascadeParams(base=2, hurst=0.7, seed=1)
+    with pytest.raises(CapacityError):
+        sample_terminal(params, 62, 10)
+    with pytest.raises(ValueError, match="reps"):
+        sample_terminal(params, 8, 0)
+    with pytest.raises(CapacityError):
+        sample_terminal_pair(params, 40, 30, 10)
 
 
 @PROPERTY
