@@ -228,7 +228,11 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     aliasing period equals the window; t_max defaults to doubling until
     the tail |phi(T)| < 1e-12.  A non-negligible tail at t_max is
     reported via a warning and the ``tail_magnitude`` field, not raised.
+    ``x_points`` below :data:`MIN_X_POINTS` raises ``ValueError``.
     """
+    if x_points < MIN_X_POINTS:
+        raise ValueError(f"x_points must be at least MIN_X_POINTS = "
+                         f"{MIN_X_POINTS}, got {x_points}")
     _require_convergent(params)
     if params.hurst == 1.0:
         raise ValueError("H = 1 gives the deterministic mass Z = 1, "
@@ -250,7 +254,7 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
                       f"{tail:.2e} is not negligible; density accuracy "
                       "is degraded", RuntimeWarning, stacklevel=2)
 
-    x = np.linspace(x_lo, x_hi, max(x_points, MIN_X_POINTS))
+    x = np.linspace(x_lo, x_hi, x_points)
     weights = np.full(n_t, t[1] - t[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5

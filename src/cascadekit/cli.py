@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .charfn import build_charfn_grid, density_of_z
+from .charfn import MIN_X_POINTS, build_charfn_grid, density_of_z
 from .core import (
     CapacityError,
     CascadeParams,
@@ -89,6 +89,18 @@ def _hurst_tag(hurst) -> str:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _parse_scale_range(text: str) -> tuple[int, int]:
+    """``lo,hi``: exactly two integer scales."""
+    try:
+        scales = _parse_int_list(text)
+    except ValueError:
+        scales = ()
+    if len(scales) != 2:
+        raise argparse.ArgumentTypeError(
+            f"takes two scales lo,hi, got {text!r}")
+    return scales
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -191,9 +203,9 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     _add_common(p_fra)
     p_fra.add_argument("--n", type=int, default=18,
                        help="path depth (default 18)")
-    p_fra.add_argument("--p-range", type=_parse_int_list, default=(4, 12),
+    p_fra.add_argument("--p-range", type=_parse_scale_range, default=(4, 12),
                        help="generation range for the increment fit")
-    p_fra.add_argument("--j-range", type=_parse_int_list, default=(4, 12),
+    p_fra.add_argument("--j-range", type=_parse_scale_range, default=(4, 12),
                        help="scale range for box counting")
     p_fra.add_argument("--profile", action="store_true",
                        help="also estimate pointwise exponents at 64 "
@@ -208,8 +220,9 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     _add_common(p_den)
     p_den.add_argument("--depth", type=int, default=None,
                        help="ladder depth (default: auto Cauchy)")
-    p_den.add_argument("--x-points", type=int, default=4096,
-                       help="x-grid size (default 4096)")
+    p_den.add_argument("--x-points", type=int, default=MIN_X_POINTS,
+                       help=f"x-grid size, at least {MIN_X_POINTS} "
+                            f"(default {MIN_X_POINTS})")
     registry["density"] = p_den
 
     return parser, registry
@@ -402,7 +415,7 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
                        "pointwise_holder", HOLDER_J_RANGE))
     for flag, kind, scale_range in ranges:
         try:
-            check_scale_range(kind, ns.n, tuple(scale_range))
+            check_scale_range(kind, ns.n, scale_range)
         except ValueError as exc:
             print(f"error: {flag}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -412,8 +425,8 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
     signs = generate_leaf_signs(params, ns.n)
     path = build_path(signs, params,
                       max_points=params.base**ns.n)
-    exp_fit = increment_scaling_exponent(path, tuple(ns.p_range))
-    box_fit = box_dimension(path, tuple(ns.j_range))
+    exp_fit = increment_scaling_exponent(path, ns.p_range)
+    box_fit = box_dimension(path, ns.j_range)
     payload = {"increment_exponent": dimension_fit_payload(exp_fit),
                "box_dimension": dimension_fit_payload(box_fit)}
     if ns.profile:
@@ -453,10 +466,12 @@ def cmd_density(ns: argparse.Namespace) -> int:
         print("error: at H = 1 the limit mass is the constant 1 and has "
               "no density", file=sys.stderr)
         return EXIT_USAGE
+    # density_of_z checks --x-points before any work, so a bad grid size
+    # is a usage error that leaves no outdir behind
+    result = density_of_z(params, x_points=ns.x_points, depth=ns.depth)
     outdir = _outdir(ns)
     config = _effective_config(ns)
     tag = _hurst_tag(params.hurst)
-    result = density_of_z(params, x_points=ns.x_points, depth=ns.depth)
     grid = build_charfn_grid(params, result.t_max, result.dt,
                              depth=result.depth)
     integral = result.moment(0)

@@ -252,6 +252,20 @@ def test_fractal_ranges_checked_before_hashing(tmp_path, capsys,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("flag", ["--p-range", "--j-range"])
+@pytest.mark.parametrize("value", ["2,5,7", "5"])
+def test_fractal_range_takes_two_scales(tmp_path, capsys, flag, value):
+    """A scale range of three values or of one is a usage error that says
+    the option takes two scales."""
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["fractal", "--H", "0.7", "--n", "14", flag, value,
+              "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert f"{flag}: takes two scales lo,hi" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_fractal_regime_mismatch(capsys):
     assert main(["fractal", "--H", "0.3", "--n", "12"]) == 2
     assert "convergent regime" in capsys.readouterr().err
@@ -273,6 +287,16 @@ def test_density_cli(tmp_path):
     mid = rows[len(rows) // 2]
     assert float(mid[0]) == 0.0
     assert float(mid[1]) == 1.0
+
+
+def test_density_rejects_grid_below_floor(tmp_path, capsys):
+    """An --x-points below the 4,096-point floor is a usage error raised
+    before any work, not a silently larger grid."""
+    outdir = tmp_path / "out"
+    assert main(["density", "--H", "0.7", "--x-points", "1",
+                 "--outdir", str(outdir)]) == 2
+    assert "at least MIN_X_POINTS = 4096, got 1" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_density_h1_rejected(capsys):
