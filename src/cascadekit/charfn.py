@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CascadeParams, Regime, regime_of
+from .core import CascadeParams, require_regime
 from .moments import limit_z_moments
 
 DEFAULT_DEPTH = 48
@@ -49,12 +49,6 @@ CAUCHY_TOL = 1e-10
 TAIL_TOL = 1e-12
 T_CAP = float(2**20)
 MIN_X_POINTS = 4096
-
-
-def _require_convergent(params: CascadeParams) -> None:
-    if regime_of(params) is not Regime.CONVERGENT:
-        raise ValueError("characteristic-function machinery requires the "
-                         "convergent regime (1/2 < H <= 1)")
 
 
 def _deviation_step(g: np.ndarray, p_plus: float, base: int) -> np.ndarray:
@@ -87,7 +81,7 @@ def charfn_at(params: CascadeParams, t, depth: int = DEFAULT_DEPTH):
     depth grows this converges to the characteristic function of the
     limit mass Z (geometrically; slower as H approaches 1/2).
     """
-    _require_convergent(params)
+    require_regime(params, "the characteristic function", convergent=True)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     t_arr = np.asarray(t, dtype=float)
@@ -107,7 +101,7 @@ def charfn_auto(params: CascadeParams, t, *, tol: float = CAUCHY_TOL,
     the tolerance is reported as a warning, not an error (the returned
     values are then the deepest computed).
     """
-    _require_convergent(params)
+    require_regime(params, "the characteristic function", convergent=True)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     depth = start_depth
     prev = 1.0 + _ladder(params, t_arr, depth)
@@ -169,7 +163,7 @@ def build_charfn_grid(params: CascadeParams, t_max: float, dt: float,
     reflection, so the Hermitian invariant holds by construction and the
     stored pair per ladder rung is explicit in the output too.
     """
-    _require_convergent(params)
+    require_regime(params, "the characteristic function", convergent=True)
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
     n_half = int(round(t_max / dt))
@@ -233,10 +227,10 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     if x_points < MIN_X_POINTS:
         raise ValueError(f"x_points must be at least MIN_X_POINTS = "
                          f"{MIN_X_POINTS}, got {x_points}")
-    _require_convergent(params)
-    if params.hurst == 1.0:
-        raise ValueError("H = 1 gives the deterministic mass Z = 1, "
-                         "which has no density")
+    require_regime(params, "the limit-mass density", convergent=True,
+                   below_one=True,
+                   why="only there does the limit mass exist and carry a "
+                       "smooth density; at H = 1 it is the constant 1")
     m2 = float(limit_z_moments(params, 2)[1])
     sd = math.sqrt(m2 - 1.0)
     x_lo, x_hi = 1.0 - span_sds * sd, 1.0 + span_sds * sd
@@ -280,7 +274,6 @@ def cf_moments_by_differences(params: CascadeParams, *, h_step: float = 1e-3,
     O(h^2) truncation error; h_step = 1e-3 keeps that below 1e-5 for
     moderate third moments.
     """
-    _require_convergent(params)
     val, _ = _phi(params, np.array([h_step]), depth)
     g = complex(val[0]) - 1.0
     mean = g.imag / h_step
@@ -311,7 +304,6 @@ def decay_fit(params: CascadeParams, *, t_lo: float | None = None,
     log |phi| against |t|^(1/H) gives rho = exp(slope).  Raises when the
     window holds fewer than 8 usable points.
     """
-    _require_convergent(params)
     if t_hi is None:
         t_hi, _ = _auto_t_max(params, depth)
     if t_lo is None:

@@ -9,15 +9,18 @@ Subcommands map one-to-one onto the library layers:
   density    characteristic function and inverted density -> CSVs
 
 Configuration can come from flags or from a ``key = value`` file passed
-with --config; explicit flags always win over file values.  The default
-output directory is $CASCADEKIT_OUTDIR, falling back to the current
-directory.  Every emitted file starts with a metadata block holding the
-tool version and the full effective configuration.
+with --config (on/off keys take true or false); explicit flags always win
+over file values.  The default output directory is $CASCADEKIT_OUTDIR,
+falling back to the current directory.  Every emitted file starts with a
+metadata block holding the tool version and the full effective
+configuration.
 
 Exit codes (stable contract): 0 all requested checks passed, 1 a
 threshold or runtime failure, 2 usage errors including regime
 mismatches (each such diagnostic names the mathematical restriction
-that was violated).
+that was violated).  The library raises every usage and capacity error
+before anything is hashed, drawn or written, and the output directory is
+created only after that, so a refused run leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -36,9 +39,14 @@ from .core import (
     CascadeParams,
     Regime,
     build_path,
+    check_leaf_budget,
+    check_max_points,
     generate_leaf_signs,
+    hurst_tag,
     normalize_path,
+    regime_divisor,
     regime_of,
+    require_regime,
     sigma,
 )
 from .fractal import (
@@ -83,19 +91,22 @@ def _parse_hurst(text: str):
     return float(text)
 
 
-def _hurst_tag(hurst) -> str:
-    return "sym" if hurst is None else f"{hurst:g}"
+def _parse_list(kind, text: str) -> tuple:
+    values = tuple(kind(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return _parse_list(int, text)
 
 
 def _parse_scale_range(text: str) -> tuple[int, int]:
     """``lo,hi``: exactly two integer scales."""
     try:
         scales = _parse_int_list(text)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         scales = ()
     if len(scales) != 2:
         raise argparse.ArgumentTypeError(
@@ -104,7 +115,7 @@ def _parse_scale_range(text: str) -> tuple[int, int]:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    return _parse_list(float, text)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -235,15 +246,21 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser,
     if getattr(ns, "config", None):
         values = _load_config_file(ns.config)
         sub = registry[ns.command]
-        known = {action.dest for action in sub._actions}
+        actions = {action.dest: action for action in sub._actions}
         defaults = {}
         for key, value in values.items():
-            dest = key.replace("-", "_")
-            if dest in known:
-                defaults[dest] = value
-            else:
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
                 print(f"warning: ignoring unknown config key '{key}'",
                       file=sys.stderr)
+                continue
+            # on/off flags have no ``type`` to convert a string default
+            if action.const is True:
+                if value.lower() not in ("true", "false"):
+                    raise ValueError(f"config key '{key}' takes true or "
+                                     f"false, got {value!r}")
+                value = value.lower() == "true"
+            defaults[action.dest] = value
         sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -255,12 +272,13 @@ def _effective_config(ns: argparse.Namespace) -> dict[str, object]:
         if key in skip:
             continue
         if key == "H":
-            value = _hurst_tag(value)
+            value = hurst_tag(value)
         cfg[key] = value
     return cfg
 
 
 def _outdir(ns: argparse.Namespace) -> Path:
+    """Create and return the output directory; call just before writing."""
     out = ns.outdir or os.environ.get("CASCADEKIT_OUTDIR") or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -271,28 +289,21 @@ def _params(ns: argparse.Namespace) -> CascadeParams:
     return CascadeParams(base=ns.b, hurst=ns.H, seed=ns.seed)
 
 
-def _regime_error(what: str, restriction: str, params: CascadeParams) -> int:
-    reg = regime_of(params).name.lower()
-    print(f"error: {what} requires {restriction}; got H = "
-          f"{_hurst_tag(params.hurst)} ({reg} regime)", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_simulate(ns: argparse.Namespace) -> int:
     params = _params(ns)
-    outdir = _outdir(ns)
     formats = {f.strip() for f in ns.formats.split(",") if f.strip()}
     bad = formats - {"csv", "svg"}
     if bad:
-        print(f"error: unknown format(s) {sorted(bad)}", file=sys.stderr)
-        return EXIT_USAGE
-    if ns.normalize and regime_of(params) is Regime.CRITICAL \
-            and 0 in ns.depths:
-        print("error: the critical normalization divides by sqrt(depth) "
-              "and is undefined at depth 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown format(s) {sorted(bad)}")
+    # every depth is checked before the first field is hashed
+    for depth in ns.depths:
+        check_leaf_budget(params.base, depth)
+        if ns.normalize:
+            regime_divisor(params, depth)
+    check_max_points(ns.max_points)
+    outdir = _outdir(ns)
     config = _effective_config(ns)
-    tag = _hurst_tag(params.hurst)
+    tag = hurst_tag(params.hurst)
     for depth in ns.depths:
         signs = generate_leaf_signs(params, depth)
         path = build_path(signs, params, max_points=ns.max_points)
@@ -322,12 +333,12 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     if ns.sigma:
         print(f"{sigma(params):.6f}")
         return EXIT_OK
-    outdir = _outdir(ns)
     config = _effective_config(ns)
-    tag = _hurst_tag(params.hurst)
+    tag = hurst_tag(params.hurst)
     table = z_moment_recursion(params, ns.n, ns.q)
     stem = f"moment_table_b{params.base}_H{tag}"
     meta = dict(config, sigma=sigma(params))
+    outdir = _outdir(ns)
     write_csv(outdir / f"{stem}.csv", ["n", "q", "value", "flag"],
               table.rows(), meta)
     written = [f"{stem}.csv"]
@@ -344,17 +355,10 @@ def cmd_moments(ns: argparse.Namespace) -> int:
 
 def cmd_clt(ns: argparse.Namespace) -> int:
     params = _params(ns)
-    outdir = _outdir(ns)
     config = _effective_config(ns)
-    tag = _hurst_tag(params.hurst)
-    reg = regime_of(params)
+    tag = hurst_tag(params.hurst)
 
     if ns.test == "terminal":
-        if reg is Regime.CONVERGENT:
-            return _regime_error(
-                "the terminal central limit check",
-                "H <= 1/2 or the symmetric case (the limit of X_n(1) is "
-                "normal only there)", params)
         reports, decreasing = clt_terminal_trend(params, ns.n, ns.reps)
         payload = {"reports": [stat_report_payload(r) for r in reports],
                    "d_decreasing": decreasing}
@@ -368,44 +372,28 @@ def cmd_clt(ns: argparse.Namespace) -> int:
         payload = {"reports": [stat_report_payload(r) for r in reports],
                    "d_decreasing": all(b < a for a, b in zip(ds, ds[1:]))}
         passed = all(r.passed for r in reports)
-    elif ns.test == "increments":
-        if reg is Regime.CONVERGENT:
-            return _regime_error(
-                "the increment gaussianity check",
-                "H <= 1/2 or the symmetric case (Brownian-limit "
-                "increments)", params)
-        report = increments_gaussianity(params, ns.p, max(ns.n), ns.reps)
-        payload = {"reports": [stat_report_payload(report)]}
-        passed = report.passed
-    elif ns.test == "residual":
-        if reg is not Regime.CONVERGENT:
-            return _regime_error(
-                "the residual central limit check",
-                "the convergent regime 1/2 < H < 1 (it rescales "
-                "Z_limit - Z_n)", params)
-        report = residual_clt_test(params, max(ns.n), ns.reps,
-                                   proxy_levels=ns.proxy_levels)
-        payload = {"reports": [stat_report_payload(report)]}
-        passed = report.passed
-    else:  # moments
-        report = empirical_vs_exact_moments(params, max(ns.n), ns.reps,
-                                            ns.q)
+    else:  # the single-report checks
+        if ns.test == "increments":
+            report = increments_gaussianity(params, ns.p, max(ns.n), ns.reps)
+        elif ns.test == "residual":
+            report = residual_clt_test(params, max(ns.n), ns.reps,
+                                       proxy_levels=ns.proxy_levels)
+        else:  # moments
+            report = empirical_vs_exact_moments(params, max(ns.n), ns.reps,
+                                                ns.q)
         payload = {"reports": [stat_report_payload(report)]}
         passed = report.passed
 
     name = f"clt_{ns.test}_b{params.base}_H{tag}.json"
-    write_json(outdir / name, payload, config)
+    write_json(_outdir(ns) / name, payload, config)
     print(f"wrote {name} ({'pass' if passed else 'FAIL'})")
     return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_fractal(ns: argparse.Namespace) -> int:
     params = _params(ns)
-    if regime_of(params) is not Regime.CONVERGENT:
-        return _regime_error(
-            "fractal estimation",
-            "the convergent regime 1/2 < H <= 1 (the Hölder/dimension "
-            "claims hold for that limit path)", params)
+    require_regime(params, "fractal estimation", convergent=True,
+                   why="the Hölder/dimension claims hold for that limit path")
     # every fit's scale range is checked against --n before hashing
     ranges = [("--p-range", "increment_exponent", ns.p_range),
               ("--j-range", "box_dimension", ns.j_range)]
@@ -417,11 +405,9 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
         try:
             check_scale_range(kind, ns.n, scale_range)
         except ValueError as exc:
-            print(f"error: {flag}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    outdir = _outdir(ns)
+            raise ValueError(f"{flag}: {exc}") from None
     config = _effective_config(ns)
-    tag = _hurst_tag(params.hurst)
+    tag = hurst_tag(params.hurst)
     signs = generate_leaf_signs(params, ns.n)
     path = build_path(signs, params,
                       max_points=params.base**ns.n)
@@ -437,6 +423,7 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
             "estimates": [float(v) for v in prof],
         }
     stem = f"fractal_b{params.base}_H{tag}_n{ns.n}"
+    outdir = _outdir(ns)
     write_json(outdir / f"{stem}.json", payload, config)
     rows = [("exponent", int(s), float(v))
             for s, v in zip(exp_fit.scales, exp_fit.log_values)]
@@ -457,21 +444,9 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
 
 def cmd_density(ns: argparse.Namespace) -> int:
     params = _params(ns)
-    if regime_of(params) is not Regime.CONVERGENT:
-        return _regime_error(
-            "the limit-mass density",
-            "the convergent regime 1/2 < H < 1 (only there does the "
-            "limit mass exist and carry a smooth density)", params)
-    if params.hurst == 1.0:
-        print("error: at H = 1 the limit mass is the constant 1 and has "
-              "no density", file=sys.stderr)
-        return EXIT_USAGE
-    # density_of_z checks --x-points before any work, so a bad grid size
-    # is a usage error that leaves no outdir behind
     result = density_of_z(params, x_points=ns.x_points, depth=ns.depth)
-    outdir = _outdir(ns)
     config = _effective_config(ns)
-    tag = _hurst_tag(params.hurst)
+    tag = hurst_tag(params.hurst)
     grid = build_charfn_grid(params, result.t_max, result.dt,
                              depth=result.depth)
     integral = result.moment(0)
@@ -483,6 +458,7 @@ def cmd_density(ns: argparse.Namespace) -> int:
                 t_max=result.t_max, ladder_depth=result.depth,
                 tail_magnitude=result.tail_magnitude)
     d_stem = f"density_b{params.base}_H{tag}"
+    outdir = _outdir(ns)
     write_csv(outdir / f"{d_stem}.csv", ["x", "density"],
               density_rows(result), meta)
     c_stem = f"charfn_b{params.base}_H{tag}"

@@ -163,6 +163,34 @@ def regime_of(params: CascadeParams) -> Regime:
     return Regime.DIVERGENT
 
 
+def hurst_tag(hurst: float | None) -> str:
+    """H as file names and diagnostics print it: ``sym`` or ``%g``."""
+    return "sym" if hurst is None else f"{hurst:g}"
+
+
+def require_regime(params: CascadeParams, what: str, *, convergent: bool,
+                   below_one: bool = False, why: str = "") -> None:
+    """Raise ``ValueError`` unless ``params`` lie where ``what`` is valid.
+
+    Each tool is valid on one side of H = 1/2: ``convergent=True`` admits
+    1/2 < H <= 1 (1/2 < H < 1 with ``below_one``), ``convergent=False``
+    admits H <= 1/2 and the symmetric case.  The message reads "<what>
+    requires <restriction> (<why>); got H = <tag> (<regime> regime)".
+    """
+    reg = regime_of(params)
+    if convergent:
+        ok = reg is Regime.CONVERGENT and (params.hurst < 1 or not below_one)
+        top = "< 1" if below_one else "<= 1"
+        restriction = f"the convergent regime 1/2 < H {top}"
+    else:
+        ok = reg is not Regime.CONVERGENT
+        restriction = "H <= 1/2 or the symmetric case"
+    if not ok:
+        because = f" ({why})" if why else ""
+        raise ValueError(f"{what} requires {restriction}{because}; got H = "
+                         f"{hurst_tag(params.hurst)} ({reg.value} regime)")
+
+
 def sigma(params: CascadeParams) -> float:
     """Regime normalization constant for paths and terminal masses.
 
@@ -200,7 +228,8 @@ def regime_divisor(params: CascadeParams, n: int) -> float:
         return s
     if reg is Regime.CRITICAL:
         if n == 0:
-            raise ValueError("critical normalization undefined at depth 0")
+            raise ValueError("the critical normalization divides by "
+                             "sqrt(depth) and is undefined at depth 0")
         return s * math.sqrt(n)
     return s * float(params.base) ** (n * (0.5 - params.hurst))
 
@@ -235,6 +264,22 @@ class LeafSignField:
         return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
 
+def check_leaf_budget(base: int, depth: int,
+                      max_leaves: int = DEFAULT_MAX_LEAVES) -> None:
+    """The size guard of :func:`generate_leaf_signs`, allocating nothing."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if base**depth > max_leaves:
+        raise CapacityError(
+            f"b^depth = {base}^{depth} exceeds the leaf budget {max_leaves}")
+
+
+def check_max_points(max_points: int) -> None:
+    """Raise the ``ValueError`` :func:`build_path` gives ``max_points`` < 1."""
+    if max_points < 1:
+        raise ValueError(f"max_points must be >= 1, got {max_points}")
+
+
 def generate_leaf_signs(params: CascadeParams, depth: int, *,
                         max_leaves: int = DEFAULT_MAX_LEAVES) -> LeafSignField:
     """Draw the sign field down to ``depth`` and return the leaf products.
@@ -255,13 +300,8 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     max_leaves : int
         Capacity guard; b^depth above this raises :class:`CapacityError`.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    check_leaf_budget(params.base, depth, max_leaves)
     b = params.base
-    if b**depth > max_leaves:
-        raise CapacityError(
-            f"b^depth = {b}^{depth} exceeds the leaf budget {max_leaves}")
-
     seed_state = streams.premix_seed(params.seed)
     threshold = streams.sign_threshold(params.p_plus)
 
@@ -326,8 +366,7 @@ def build_path(signs: LeafSignField, params: CascadeParams, *,
     """
     if signs.base != params.base:
         raise ValueError("sign field and params disagree on base")
-    if max_points < 1:
-        raise ValueError(f"max_points must be >= 1, got {max_points}")
+    check_max_points(max_points)
     n = signs.depth
     b = params.base
     n_leaves = signs.n_leaves
@@ -532,6 +571,17 @@ def _evolve_counts(rng: np.random.Generator, b: int, p_plus: float,
     return from_plus + from_minus
 
 
+def check_chain_depths(base: int, depths: Sequence[int]) -> None:
+    """The depth guard of the count-chain samplers, allocating nothing."""
+    if min(depths) < 0:
+        raise ValueError("depth must be >= 0")
+    n_max = max(depths)
+    # the count chain multiplies populations by b before each binomial
+    if (n_max + 1) * math.log2(base) > 62:
+        raise CapacityError(
+            f"b^(n+1) = {base}^{n_max + 1} exceeds int64 counts")
+
+
 def _count_chain(params: CascadeParams, depths: Sequence[int], reps: int,
                  workers: int | None = None) -> tuple[np.ndarray, ...]:
     """Run the count chain once per replica and record Z at each depth.
@@ -546,15 +596,11 @@ def _count_chain(params: CascadeParams, depths: Sequence[int], reps: int,
     each chunk draws from its own stream and fills only its own slice,
     so the records do not depend on the worker count.
     """
-    b = params.base
-    n_max = max(depths)
-    if min(depths) < 0:
-        raise ValueError("depth must be >= 0")
+    check_chain_depths(params.base, depths)
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    # the count chain multiplies populations by b before each binomial
-    if (n_max + 1) * math.log2(b) > 62:
-        raise CapacityError(f"b^(n+1) = {b}^{n_max + 1} exceeds int64 counts")
+    b = params.base
+    n_max = max(depths)
     p_plus = params.p_plus
     scales = [params.weight_scale(n) for n in depths]
     out = tuple(np.empty(reps, dtype=np.float64) for _ in depths)

@@ -43,7 +43,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import CapacityError, CascadeParams, Regime, regime_of, sigma
+from .core import (CapacityError, CascadeParams, Regime, regime_of,
+                   require_regime, sigma)
 
 #: q_max guards: compositions of q into b parts grow combinatorially.
 _QMAX_BINARY = 16
@@ -250,9 +251,7 @@ def limit_z_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     with S_q the multinomial sum over compositions with all parts < q.
     Entry [0] is E(Z^1) = 1.  Indexing: result[q-1] = E(Z^q).
     """
-    if regime_of(params) is not Regime.CONVERGENT:
-        raise ValueError("limit moments exist only in the convergent "
-                         "regime (1/2 < H <= 1)")
+    require_regime(params, "the limit moments", convergent=True)
     _check_qmax(params.base, q_max)
     b = params.base
     h = params.hurst
@@ -308,9 +307,8 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
     critical at n = 1 (the sqrt(n) divisor is undefined at n = 0; that
     row is flagged undefined).
     """
+    require_regime(params, "the normalized moment table", convergent=False)
     reg = regime_of(params)
-    if reg is Regime.CONVERGENT:
-        raise ValueError("normalized moments apply to H <= 1/2 or symmetric")
     _check_qmax(params.base, q_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -461,45 +459,26 @@ def brute_force_moments(params: CascadeParams, n_max: int, q_max: int, *,
     for n in range(1, n_max + 1):
         counts = _aggregate_counts(b, n)
         n_signs = _tree_sign_count(b, n)
-        sums = np.arange(-(b**n), b**n + 1)
-
-        if use_rational:
-            if params.is_symmetric:
-                scale = Fraction(1)
+        # (count, #minus signs, signed leaf sum) per occupied cell
+        ks, si = np.nonzero(counts)
+        cells = [(int(counts[k, i]), k, i - b**n)
+                 for k, i in zip(ks.tolist(), si.tolist())]
+        with mp.workdps(40):
+            if use_rational:
+                p_plus = p_rat
+                scale = (Fraction(1) if params.is_symmetric
+                         else Fraction(b) ** (-n * int(params.hurst)))
+            elif params.is_symmetric:
+                scale, p_plus = mp.mpf(1), mp.mpf(0.5)
             else:
-                h_int = int(params.hurst)
-                scale = Fraction(b) ** (-n * h_int)
-            p_plus, p_minus = p_rat, 1 - p_rat
-            weights = {}
-            for k in range(n_signs + 1):
-                weights[k] = p_plus ** (n_signs - k) * p_minus**k
+                scale = mp.power(b, -n * mp.mpf(params.hurst))
+                p_plus = (1 + mp.power(b, mp.mpf(params.hurst) - 1)) / 2
+            p_minus = 1 - p_plus
+            weights = [p_plus ** (n_signs - k) * p_minus**k
+                       for k in range(n_signs + 1)]
             for q in range(1, q_max + 1):
-                acc = Fraction(0)
-                ks, si = np.nonzero(counts)
-                for k, i in zip(ks.tolist(), si.tolist()):
-                    s = int(sums[i])
-                    acc += (int(counts[k, i]) * weights[k]
-                            * (scale * s) ** q)
-                vals[n, q] = float(acc)
-        else:
-            with mp.workdps(40):
-                if params.is_symmetric:
-                    scale = mp.mpf(1)
-                    p_plus = mp.mpf(0.5)
-                else:
-                    scale = mp.power(b, -n * mp.mpf(params.hurst))
-                    p_plus = (1 + mp.power(b, mp.mpf(params.hurst) - 1)) / 2
-                p_minus = 1 - p_plus
-                weights = [p_plus ** (n_signs - k) * p_minus**k
-                           for k in range(n_signs + 1)]
-                for q in range(1, q_max + 1):
-                    acc = mp.mpf(0)
-                    ks, si = np.nonzero(counts)
-                    for k, i in zip(ks.tolist(), si.tolist()):
-                        s = int(sums[i])
-                        acc += (int(counts[k, i]) * weights[k]
-                                * (scale * s) ** q)
-                    vals[n, q] = float(acc)
+                vals[n, q] = float(sum(count * weights[k] * (scale * s) ** q
+                                       for count, k, s in cells))
 
     with np.errstate(divide="ignore"):
         log_vals = np.where(vals != 0.0, np.log(np.abs(vals) + (vals == 0.0)),

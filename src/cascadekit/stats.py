@@ -28,8 +28,10 @@ from scipy.special import ndtr
 from .core import (
     CascadeParams,
     Regime,
+    check_chain_depths,
     regime_divisor,
     regime_of,
+    require_regime,
     sample_branch_signs,
     sample_terminal,
     sample_terminal_pair,
@@ -139,6 +141,16 @@ def _z_score(x: np.ndarray, target: float) -> float:
     return diff / se
 
 
+def _terminal_divisor(params: CascadeParams, n: int, reps: int) -> float:
+    """Check a terminal CLT run at depth n, drawing nothing; its divisor."""
+    require_regime(params, "the terminal central limit check",
+                   convergent=False,
+                   why="the limit of X_n(1) is normal only there")
+    _require_replicas(reps)
+    check_chain_depths(params.base, (n,))
+    return regime_divisor(params, n)
+
+
 def clt_terminal_test(params: CascadeParams, n: int, reps: int,
                       *, d_threshold: float | None = None) -> StatReport:
     """KS and first-four-moment check of X_n(1) against its normal limit.
@@ -148,14 +160,10 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
     normalized-moment table at this n (so the moment gates test the
     sampler against finite-n truth, not against the limit).
     """
-    reg = regime_of(params)
-    if reg is Regime.CONVERGENT:
-        raise ValueError("terminal CLT normalization applies to H <= 1/2 "
-                         "or the symmetric case")
-    _require_replicas(reps)
-    divisor = regime_divisor(params, n)
+    divisor = _terminal_divisor(params, n, reps)
     if d_threshold is None:
-        d_threshold = (D_THRESHOLD_CRITICAL if reg is Regime.CRITICAL
+        d_threshold = (D_THRESHOLD_CRITICAL
+                       if regime_of(params) is Regime.CRITICAL
                        else D_THRESHOLD_FAST)
     x = sample_terminal(params, n, reps) / divisor
     d = ks_statistic(x)
@@ -175,6 +183,8 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
 def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
                        reps: int) -> tuple[list[StatReport], bool]:
     """clt_terminal_test at several depths; also report strict D decrease."""
+    for n in depths:  # every depth is checked before the first draw
+        _terminal_divisor(params, n, reps)
     reports = [clt_terminal_test(params, n, reps) for n in depths]
     ds = [r.statistics["ks_distance"] for r in reports]
     decreasing = all(b < a for a, b in zip(ds, ds[1:]))
@@ -201,11 +211,8 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     runs = [CascadeParams(base=base, hurst=float(h), seed=seed)
             for h in h_values]
     for params in runs:
-        if regime_of(params) is not Regime.CONVERGENT:
-            raise ValueError(
-                "the H-to-1/2 limit check requires every H in (1/2, 1] "
-                f"(the convergent regime); got H = {params.hurst:g} "
-                f"({regime_of(params).value} regime)")
+        require_regime(params, "the H-to-1/2 limit check", convergent=True,
+                       why="for every H of the sequence")
     out = []
     for params in runs:
         m2_n = closed_form_second_moment(params, n)
@@ -236,20 +243,19 @@ def increments_gaussianity(params: CascadeParams, p: int, n: int,
     max marginal-variance z against b^-p, max off-diagonal covariance z
     against 0.
     """
-    reg = regime_of(params)
-    if reg is Regime.CONVERGENT:
-        raise ValueError("increment gaussianity applies to H <= 1/2 or "
-                         "the symmetric case")
+    require_regime(params, "the increment gaussianity check",
+                   convergent=False, why="Brownian-limit increments")
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
     _require_replicas(reps)
+    check_chain_depths(params.base, (n - p,))
     b = params.base
     cols = b**p
     w = sample_branch_signs(params, p, reps).astype(float)
     sub = sample_terminal(params, n - p, reps * cols)
     sub = sub.reshape(reps, cols) / regime_divisor(params, n - p)
     factor = float(b) ** (-p / 2.0)
-    if reg is Regime.CRITICAL:
+    if regime_of(params) is Regime.CRITICAL:
         factor *= math.sqrt((n - p) / n)
     incr = w * sub * factor
 
@@ -289,10 +295,9 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
     sigma_resid = sqrt(E Z^2 - 1) from the limit moments.  Gates: KS
     distance to N(0,1) and the residual-mean z-score against 0.
     """
-    if regime_of(params) is not Regime.CONVERGENT:
-        raise ValueError("residual CLT requires the convergent regime")
-    if params.hurst == 1.0:
-        raise ValueError("H = 1 has zero residual variance")
+    require_regime(params, "the residual central limit check",
+                   convergent=True, below_one=True,
+                   why="it rescales Z_limit - Z_n, which is 0 at H = 1")
     _require_replicas(reps)
     z_n, z_deep = sample_terminal_pair(params, n, proxy_levels, reps)
     sigma_resid = math.sqrt(float(limit_z_moments(params, 2)[1]) - 1.0)
@@ -314,8 +319,9 @@ def empirical_vs_exact_moments(params: CascadeParams, n: int, reps: int,
     (see :func:`_z_score` for the degenerate H = 1 case).
     """
     _require_replicas(reps)
+    check_chain_depths(params.base, (n,))
+    table = z_moment_recursion(params, n, q_max)  # checks q_max; no draw yet
     z = sample_terminal(params, n, reps)
-    table = z_moment_recursion(params, n, q_max)
     stats: dict[str, float] = {}
     thresholds: dict[str, float] = {}
     for q in range(1, q_max + 1):

@@ -144,6 +144,49 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert meta["n"] == "4"
 
 
+def test_config_file_booleans(tmp_path, capsys):
+    """On/off keys take true/false in any case and record the bool a flag
+    run would; any other value is a usage error naming the key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("normalize = false\ndepths = 4\n")
+    assert main(["simulate", "--config", str(cfg), "--formats", "csv",
+                 "--outdir", str(tmp_path)]) == 0
+    assert read_meta(tmp_path / "path_b2_H0.7_n4.csv")["normalize"] == "False"
+    assert not (tmp_path / "path_b2_H0.7_n4_norm.csv").exists()
+    cfg.write_text("normalize = TRUE\ndepths = 4\n")
+    assert main(["simulate", "--config", str(cfg), "--formats", "csv",
+                 "--outdir", str(tmp_path)]) == 0
+    meta = read_meta(tmp_path / "path_b2_H0.7_n4_norm.csv")
+    assert meta["normalize"] == "True"
+    cfg.write_text("sigma = false\nn = 4\nq = 2\n")
+    assert main(["moments", "--config", str(cfg),
+                 "--outdir", str(tmp_path)]) == 0
+    assert (tmp_path / H07_TABLE).exists()
+    capsys.readouterr()
+    cfg.write_text("normalize = yes\n")
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg),
+                 "--outdir", str(outdir)]) == 2
+    assert "config key 'normalize' takes true or false" in \
+        capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["clt", "--H", "0.3", "--n", ""],
+    ["simulate", "--depths", ""],
+    ["clt", "--test", "smallh", "--h-values", ""],
+])
+def test_empty_list_is_a_usage_error(tmp_path, capsys, args):
+    """An empty comma list is rejected by the parser, not run as no work."""
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert "empty list" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_config_file_unknown_key_warns(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\nn = 4\n")
@@ -252,6 +295,26 @@ def test_fractal_ranges_checked_before_hashing(tmp_path, capsys,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--depths", "26", "--max-points", "0"], 2),
+    (["--depths", "4,-1"], 2),
+    (["--depths", "4,30"], 1),
+    (["--H", "0.5", "--normalize", "--depths", "4,0"], 2),
+])
+def test_simulate_checks_every_depth_before_hashing(tmp_path, capsys,
+                                                    monkeypatch, args, code):
+    """Every depth and the point budget are checked before the first
+    field is hashed, so a bad late depth writes nothing."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("the sign field was generated")
+
+    monkeypatch.setattr("cascadekit.cli.generate_leaf_signs", no_field)
+    outdir = tmp_path / "out"
+    assert main(["simulate", *args, "--outdir", str(outdir)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--p-range", "--j-range"])
 @pytest.mark.parametrize("value", ["2,5,7", "5"])
 def test_fractal_range_takes_two_scales(tmp_path, capsys, flag, value):
@@ -309,3 +372,43 @@ def test_usage_errors():
         main([])
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+
+
+#: One row per usage or capacity error: argv, exit code, and a fragment
+#: of the diagnostic.
+REFUSED_RUNS = {
+    "clt-terminal-convergent": (
+        ["clt", "--test", "terminal", "--H", "0.7"], 2, "H <= 1/2"),
+    "clt-increments-convergent": (
+        ["clt", "--test", "increments", "--H", "0.7"], 2, "H <= 1/2"),
+    "clt-residual-critical": (
+        ["clt", "--test", "residual", "--H", "0.5"], 2,
+        "1/2 < H < 1"),
+    "clt-residual-h1": (
+        ["clt", "--test", "residual", "--H", "1"], 2, "1/2 < H < 1"),
+    "clt-moments-q99": (
+        ["clt", "--test", "moments", "--q", "99"], 2, "q_max"),
+    "simulate-png": (["simulate", "--formats", "png"], 2, "png"),
+    "moments-q99": (["moments", "--q", "99"], 2, "q_max"),
+    "moments-negative-n": (["moments", "--n", "-1"], 2, "n_max"),
+    "density-divergent": (
+        ["density", "--H", "0.3"], 2, "H = 0.3 (divergent regime)"),
+    "density-h1": (["density", "--H", "1"], 2, "constant 1"),
+    "fractal-divergent": (
+        ["fractal", "--H", "0.3"], 2, "convergent regime"),
+    "simulate-over-budget": (
+        ["simulate", "--depths", "4,30"], 1, "leaf budget"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RUNS))
+def test_refused_run_creates_nothing(tmp_path, capsys, case):
+    """A usage or capacity error exits with its documented code, prints
+    one error line and no traceback, and creates no output directory."""
+    argv, code, fragment = REFUSED_RUNS[case]
+    outdir = tmp_path / "out"
+    assert main(argv + ["--outdir", str(outdir)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert fragment in err and "Traceback" not in err
+    assert not outdir.exists()

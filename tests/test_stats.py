@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cascadekit.core import CascadeParams
+from cascadekit.core import CapacityError, CascadeParams
 from cascadekit.stats import (
     D_THRESHOLD_CRITICAL,
     D_THRESHOLD_FAST,
@@ -230,6 +230,34 @@ def test_residual_clt():
     assert r.statistics["ks_distance"] <= D_THRESHOLD_FAST
     assert math.isclose(r.statistics["sigma_resid"], SIGMA_RESID_H07,
                         rel_tol=1e-12)
+
+
+#: Bad arguments that a check meets only after a valid draw would have
+#: been made: q_max past the table's cap, or a bad depth after a good one.
+LATE_BAD_ARGS = {
+    "moments-q99": (ValueError,
+                    lambda: empirical_vs_exact_moments(H07, 8, 100, 99)),
+    "trend-depth70": (CapacityError,
+                      lambda: clt_terminal_trend(H03, (8, 70), 100)),
+    "trend-critical-depth0": (ValueError, lambda: clt_terminal_trend(
+        CascadeParams(base=2, hurst=0.5), (8, 0), 100)),
+    "increments-depth70": (CapacityError,
+                           lambda: increments_gaussianity(H03, 2, 70, 100)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_BAD_ARGS))
+def test_sampler_guards_run_before_the_first_draw(monkeypatch, case):
+    """Every argument is checked before the first replica is drawn."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the guard")
+
+    for name in ("sample_terminal", "sample_terminal_pair",
+                 "sample_branch_signs"):
+        monkeypatch.setattr(f"cascadekit.stats.{name}", no_sampling)
+    error, check = LATE_BAD_ARGS[case]
+    with pytest.raises(error):
+        check()
 
 
 def test_residual_clt_guards():
