@@ -8,9 +8,10 @@ hashed as their raw bytes, and the CLI artifacts, which are hashed as
 the bytes of the files written.
 They pin the exact output of the stream hashing, the level expansion,
 the block sums of ``build_path``, the count chain, the chunked PCG64
-draws, the composition sums, the regime divisors, the fractal window
-extrema and the writers' number formatting, so a rewrite of any of these
-must reproduce every bit, not just agree to a tolerance.
+draws, the composition sums and log-sum-exps of the moment tables, the
+statistics of the terminal CLT trend, the regime divisors, the fractal
+window extrema and the writers' number formatting, so a rewrite of any
+of these must reproduce every bit, not just agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from cascadekit import (
     CascadeParams,
     build_path,
+    clt_terminal_trend,
     generate_leaf_signs,
     limit_z_moments,
     normalize_path,
@@ -81,6 +83,27 @@ def _exact_cases():
         yield (f"zlog-b{b}-{tag}",
                lambda b=b, tag=tag: z_moment_recursion(
                    _params(b, tag), 10, 8).log_values)
+    # the tables of the benchmark's moments operations (n = 60) and of its
+    # moments check (n = 40, q = 4): b = 5, deep rows and overflowed entries
+    for b, tag, n_max, q_max in ((2, "H0.7", 60, 16), (2, "H0.5", 60, 16),
+                                 (2, "H0.3", 60, 16), (2, "sym", 60, 16),
+                                 (3, "H0.7", 60, 10), (5, "H0.7", 60, 10),
+                                 (5, "H0.3", 60, 10), (2, "H0.7", 40, 4)):
+        yield (f"zlog-b{b}-{tag}-n{n_max}-q{q_max}",
+               lambda b=b, tag=tag, n_max=n_max, q_max=q_max:
+               z_moment_recursion(_params(b, tag), n_max, q_max).log_values)
+
+
+def _trend_cases():
+    """Every statistic of the terminal CLT trend, in report and key order,
+    then the decreasing flag."""
+    for tag in ("H0.3", "sym", "H0.5"):
+        def run(tag=tag):
+            reports, decreasing = clt_terminal_trend(_params(2, tag),
+                                                     (8, 12, 16), REPS)
+            return (*(list(r.statistics.values()) for r in reports),
+                    float(decreasing))
+        yield f"trend-b2-{tag}", run
 
 
 def _path_cases():
@@ -100,7 +123,8 @@ def _path_cases():
         yield name, run
 
 
-CASES = dict([*_sampler_cases(), *_exact_cases(), *_path_cases()])
+CASES = dict([*_sampler_cases(), *_exact_cases(), *_trend_cases(),
+              *_path_cases()])
 
 GOLDENS = {
     "branch-b2-H0.3": "0a910b3df97d9299d13520bfe6814855a564f5c11381878d5f22a94ba08933c6",
@@ -139,9 +163,20 @@ GOLDENS = {
     "terminal-b3-H0.5": "0606b727d286ba46bd5752194ce54352fa15f9aaa81a41e3bcff13b332a82c38",
     "terminal-b3-H0.7": "976e98bd63d40ec24472b684074dad7c2d5257d7bcf5c274f6f921056aa9039e",
     "terminal-b3-sym": "f604c6a7f7ca030fad0d5de0eaebf5d8974b7f5f9c59ce5634a83089939cc207",
+    "trend-b2-H0.3": "1b5773f7bbe36e19be65454a0f243db041a8aa4740933e678622e7d134f6d36f",
+    "trend-b2-H0.5": "ba0e50bb72ea4469205de3a37359f792466fb7f80f2d44245798d309667768a0",
+    "trend-b2-sym": "16bf6bf392c70d61102c0e71f3a2cc1265863e18a32c06f0906734cfca7c9078",
+    "zlog-b2-H0.3-n60-q16": "d9b1b22e317eab3a4736d0ec848e2c6cb042b3180a808a9d7285161ba949ab44",
+    "zlog-b2-H0.5-n60-q16": "987cfdba3618f04169342408491a5ab1c3d7d4ba2352128f89f4ab8e930d0b68",
     "zlog-b2-H0.7": "7c3953582dd78b972b9898715931bc4e22e40042d34b1091e995b69a196a8221",
+    "zlog-b2-H0.7-n40-q4": "7ed15f036266d2c49feb7c957dbcf97174e1aa58b63eacb3bdcd6fb803e38c9f",
+    "zlog-b2-H0.7-n60-q16": "1c90532f79a2ba43dd7ffb689621704263f0ac0298a55842c7c8d1c44495e589",
     "zlog-b2-sym": "ba7fd0ae8dd1df52a032cdcc78eda76c7f1c9324258b15040a831b7f3a38b1f4",
+    "zlog-b2-sym-n60-q16": "3a22f88a9817d4e0f6cc032aa30a73debccce1159c0391d13ae77bdb686d2dd4",
     "zlog-b3-H0.3": "78bb6c277209c4255c1d64db45568feb669b49029a559480f4fc9ec17466939b",
+    "zlog-b3-H0.7-n60-q10": "1695ebe76766cb43e0c6b883b0b176f721226aa59a1e27abd5ba93102e02f162",
+    "zlog-b5-H0.3-n60-q10": "c600768b966a7c8f4b16bd776c4e25bc8095d7fce039c5896e50f29fdc7c98e1",
+    "zlog-b5-H0.7-n60-q10": "81758c76ea82d35bdc5b9c0e10af8ab3a0e42236e83baa6f1f1639509bae2f75",
 }
 
 
