@@ -41,6 +41,7 @@ from .core import (
     regime_of,
     sample_branch_signs,
     sample_terminal,
+    sample_terminal_depths,
     sample_terminal_pair,
     sigma,
     verify_self_similarity,
@@ -126,6 +127,7 @@ __all__ = [
     "residual_clt_test",
     "sample_branch_signs",
     "sample_terminal",
+    "sample_terminal_depths",
     "sample_terminal_pair",
     "sigma",
     "tilde_moment_solver",

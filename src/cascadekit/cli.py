@@ -260,6 +260,11 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser,
                     raise ValueError(f"config key '{key}' takes true or "
                                      f"false, got {value!r}")
                 value = value.lower() == "true"
+            # argparse checks ``choices`` on flags only, never on defaults
+            # (every option with choices takes plain strings)
+            elif action.choices is not None and value not in action.choices:
+                raise ValueError(f"config key '{key}' takes one of "
+                                 f"{', '.join(action.choices)}, got {value!r}")
             defaults[action.dest] = value
         sub.set_defaults(**defaults)
     return parser.parse_args(argv)

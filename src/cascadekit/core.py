@@ -622,30 +622,38 @@ def _count_chain(params: CascadeParams, depths: Sequence[int], reps: int,
     return out
 
 
-def sample_terminal(params: CascadeParams, n: int, reps: int) -> np.ndarray:
-    """Independent draws of the terminal mass Z_n = B_n(1).
+def sample_terminal_depths(params: CascadeParams, depths: Sequence[int],
+                           reps: int) -> tuple[np.ndarray, ...]:
+    """Joint draws of Z_n for every n in ``depths``, one array per entry.
 
     Uses the population-count chain over generations instead of explicit
     trees, which reproduces the law of Z_n exactly at O(n) cost per
-    replica.  Deterministic given (params.seed, n, reps); replicas are
-    generated in fixed-size chunks on disjoint PCG64 streams, and the
-    chunks run concurrently on a few threads without changing a bit.
+    replica; the chain runs once, to the deepest depth, and records each
+    depth on the way, so the arrays have the exact joint law of the
+    martingale at those times.  Depths may come in any order and repeat.
+    Deterministic given (params.seed, reps): each array is the one a run
+    to its depth alone would give.  Replicas are generated in fixed-size
+    chunks on disjoint PCG64 streams, and the chunks run concurrently on
+    a few threads without changing a bit.
 
     Symmetric params return the raw signed leaf count (unit increments);
     finite H returns b^(-n*H) times the signed count.
     """
-    return _count_chain(params, (n,), reps)[0]
+    return _count_chain(params, depths, reps)
+
+
+def sample_terminal(params: CascadeParams, n: int, reps: int) -> np.ndarray:
+    """Independent draws of the terminal mass Z_n = B_n(1); see
+    :func:`sample_terminal_depths`."""
+    return sample_terminal_depths(params, (n,), reps)[0]
 
 
 def sample_terminal_pair(params: CascadeParams, n: int, m: int,
                          reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint draws of (Z_n, Z_{n+m}) along one cascade realization.
-
-    Same count chain as :func:`sample_terminal`, recorded at two depths,
-    so the pair has the exact joint law of the martingale at times n and
-    n+m.  Needed by the residual convergence test.
-    """
-    return _count_chain(params, (n, n + m), reps)
+    """Joint draws of (Z_n, Z_{n+m}) along one cascade realization, as
+    needed by the residual convergence test; see
+    :func:`sample_terminal_depths`."""
+    return sample_terminal_depths(params, (n, n + m), reps)
 
 
 def sample_branch_signs(params: CascadeParams, depth: int,

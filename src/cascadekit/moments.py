@@ -41,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (CapacityError, CascadeParams, Regime, regime_of,
                    require_regime, sigma)
@@ -147,6 +146,39 @@ def _compositions(base: int, q: int) -> tuple[tuple[float, tuple[int, ...]], ...
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _composition_arrays(base: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_compositions` as arrays: the log multinomial coefficients
+    (length C) and the parts as a (base, C) index matrix."""
+    comps = _compositions(base, q)
+    log_coef = np.array([log_coef for log_coef, _ in comps])
+    parts = np.array([parts for _, parts in comps], dtype=np.intp).T
+    return log_coef, parts
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D float64 array, with the bits of scipy
+    1.17.1's ``scipy.special.logsumexp``.
+
+    The max-split form (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41(4), 2021): the m elements equal to the max M leave the sum, which
+    becomes log1p(sum(exp(rest - M)) / m) + log(m) + M.  Where that is not
+    finite (every element -inf, or an inf or nan), the plain log of the
+    sum of exponentials is returned instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        m = float(np.count_nonzero(top))
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
+
+
 def _eps_moments(params: CascadeParams, q_max: int) -> list[float]:
     """E(eps^k) for k = 0..q_max."""
     return [1.0] + [epsilon_moment(k, params) for k in range(1, q_max + 1)]
@@ -224,19 +256,17 @@ def z_moment_recursion(params: CascadeParams, n_max: int,
 
     log_vals = np.zeros((n_max + 1, q_max + 1))
     for n in range(n_max):
-        row = log_vals[n]
+        v = log_eps + log_vals[n]
         nxt = log_vals[n + 1]
         for q in range(1, q_max + 1):
             if q == 1 and not params.is_symmetric:
                 nxt[1] = 0.0  # exact martingale normalization
                 continue
-            terms = []
-            for log_coef, parts in _compositions(b, q):
-                t = log_coef + q * prefactor
-                for k in parts:
-                    t += log_eps[k] + row[k]
-                terms.append(t)
-            nxt[q] = logsumexp(terms)
+            log_coef, parts = _composition_arrays(b, q)
+            terms = log_coef + q * prefactor
+            for part in parts:  # one add per part, in composition order
+                terms += v[part]
+            nxt[q] = _logsumexp(terms)
     return _finalize_table(params, "raw", log_vals)
 
 

@@ -34,6 +34,7 @@ from .core import (
     require_regime,
     sample_branch_signs,
     sample_terminal,
+    sample_terminal_depths,
     sample_terminal_pair,
     sigma,
 )
@@ -151,21 +152,13 @@ def _terminal_divisor(params: CascadeParams, n: int, reps: int) -> float:
     return regime_divisor(params, n)
 
 
-def clt_terminal_test(params: CascadeParams, n: int, reps: int,
-                      *, d_threshold: float | None = None) -> StatReport:
-    """KS and first-four-moment check of X_n(1) against its normal limit.
-
-    Draws X_n(1) = Z_n / divisor, reports the KS distance to N(0,1)
-    plus z-scores of the first four sample moments against the exact
-    normalized-moment table at this n (so the moment gates test the
-    sampler against finite-n truth, not against the limit).
-    """
-    divisor = _terminal_divisor(params, n, reps)
+def _terminal_report(params: CascadeParams, n: int, x: np.ndarray,
+                     d_threshold: float | None) -> StatReport:
+    """The terminal CLT report of the normalized draws x of X_n(1)."""
     if d_threshold is None:
         d_threshold = (D_THRESHOLD_CRITICAL
                        if regime_of(params) is Regime.CRITICAL
                        else D_THRESHOLD_FAST)
-    x = sample_terminal(params, n, reps) / divisor
     d = ks_statistic(x)
 
     table = normalized_moment_recursion(params, max(n, 1), 8)
@@ -176,16 +169,41 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
         stats[f"moment{q}_z"] = _z_score(x**q, exact)
         stats[f"moment{q}_exact"] = float(exact)
         thresholds[f"moment{q}_z"] = Z_BAND
-    return StatReport(test="clt_terminal", params=params, sample_size=reps,
+    return StatReport(test="clt_terminal", params=params, sample_size=x.size,
                       statistics=stats, thresholds=thresholds)
+
+
+def clt_terminal_test(params: CascadeParams, n: int, reps: int,
+                      *, d_threshold: float | None = None) -> StatReport:
+    """KS and first-four-moment check of X_n(1) against its normal limit.
+
+    Draws X_n(1) = Z_n / divisor, reports the KS distance to N(0,1)
+    plus z-scores of the first four sample moments against the exact
+    normalized-moment table at this n (so the moment gates test the
+    sampler against finite-n truth, not against the limit).
+    """
+    divisor = _terminal_divisor(params, n, reps)
+    return _terminal_report(params, n,
+                            sample_terminal(params, n, reps) / divisor,
+                            d_threshold)
 
 
 def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
                        reps: int) -> tuple[list[StatReport], bool]:
-    """clt_terminal_test at several depths; also report strict D decrease."""
-    for n in depths:  # every depth is checked before the first draw
-        _terminal_divisor(params, n, reps)
-    reports = [clt_terminal_test(params, n, reps) for n in depths]
+    """clt_terminal_test at several depths; also report strict D decrease.
+
+    Every depth is drawn from one realization of the count chain
+    (:func:`~cascadekit.core.sample_terminal_depths`), run once to the
+    deepest depth.  That is the realization the separate per-depth runs
+    of :func:`clt_terminal_test` draw as well, since their replica chunks
+    use the same streams, so each report equals that function's report
+    at its depth.
+    """
+    # every depth is checked before the first draw
+    divisors = [_terminal_divisor(params, n, reps) for n in depths]
+    columns = sample_terminal_depths(params, depths, reps)
+    reports = [_terminal_report(params, n, z / divisor, None)
+               for n, z, divisor in zip(depths, columns, divisors)]
     ds = [r.statistics["ks_distance"] for r in reports]
     decreasing = all(b < a for a, b in zip(ds, ds[1:]))
     return reports, decreasing

@@ -172,6 +172,24 @@ def test_config_file_booleans(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_config_file_value_outside_choices(tmp_path, capsys):
+    """A config value outside the option's choices is a usage error naming
+    the key and the allowed values, and nothing is written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("test = bogus\nreps = 100\n")
+    outdir = tmp_path / "out"
+    assert main(["clt", "--config", str(cfg),
+                 "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: config key 'test' takes one of ")
+    assert "terminal, smallh, increments, residual, moments" in err[0]
+    assert not outdir.exists()
+    cfg.write_text("test = smallh\nreps = 100\nn = 4\n")
+    assert main(["clt", "--config", str(cfg), "--outdir", str(outdir)]) == 0
+    assert (outdir / "clt_smallh_b2_H0.7.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["clt", "--H", "0.3", "--n", ""],
     ["simulate", "--depths", ""],

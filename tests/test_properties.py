@@ -1,7 +1,8 @@
 """Property tests of the determinism contracts of the node streams, the
 sign fields and the count-chain samplers (whatever the number of worker
-threads), and of the exactness of the fractal estimators' block
-extrema."""
+threads or the set of depths recorded), of the terminal CLT trend drawn
+from one chain, of the moment recursion's log-sum-exp, and of the
+exactness of the fractal estimators' block extrema."""
 
 import sys
 import threading
@@ -9,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import logsumexp
 
 from cascadekit import core, streams
 from cascadekit.fractal import (
@@ -24,8 +26,11 @@ from cascadekit.core import (
     _map_threads,
     generate_leaf_signs,
     sample_terminal,
+    sample_terminal_depths,
     sample_terminal_pair,
 )
+from cascadekit.moments import _logsumexp
+from cascadekit.stats import clt_terminal_test, clt_terminal_trend
 
 #: Replica chunk size of the samplers.
 CHUNK = 8192
@@ -49,6 +54,58 @@ def test_pair_matches_single_depth_draws(params, n, m, reps):
     z_n, z_nm = sample_terminal_pair(params, n, m, reps)
     assert np.array_equal(z_n, sample_terminal(params, n, reps))
     assert np.array_equal(z_nm, sample_terminal(params, n + m, reps))
+
+
+@PROPERTY
+@given(params=params_st,
+       depths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+       reps=st.integers(1, 2 * CHUNK + 100))
+@example(params=CascadeParams(base=3, hurst=0.3, seed=5),
+         depths=[9, 2, 9, 0, 5], reps=CHUNK + 1)
+def test_depths_match_single_depth_draws(params, depths, reps):
+    """Every column of one chain, for depths in any order and repeated,
+    is the draw of sample_terminal at its depth."""
+    columns = sample_terminal_depths(params, depths, reps)
+    assert len(columns) == len(depths)
+    for n, z in zip(depths, columns):
+        assert np.array_equal(z, sample_terminal(params, n, reps))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(params=st.builds(CascadeParams, base=st.sampled_from([2, 3]),
+                        hurst=st.sampled_from([None, 0.3, 0.5]),
+                        seed=st.integers(0, 2**64 - 1)),
+       depths=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+       reps=st.integers(2, CHUNK + 100))
+def test_trend_reports_equal_single_depth_tests(params, depths, reps):
+    """The trend's reports, drawn from one chain, are the reports of
+    clt_terminal_test at each depth, field for field."""
+    reports, _ = clt_terminal_trend(params, tuple(depths), reps)
+    assert reports == [clt_terminal_test(params, n, reps) for n in depths]
+
+
+#: Log-magnitudes as the moment recursion sums them: finite values close
+#: enough for many terms to count, far-off ones, -inf (log 0) and, by a
+#: repeated draw, ties for the max.
+_log_terms = st.lists(
+    st.one_of(st.floats(-5, 5), st.floats(-1e3, 1e3), st.just(-np.inf)),
+    min_size=1, max_size=40)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(terms=_log_terms, data=st.data())
+@example(terms=[-np.inf] * 7, data=None)
+@example(terms=[3.0], data=None)
+@example(terms=[-np.inf], data=None)
+def test_logsumexp_matches_scipy_bits(terms, data):
+    """The local log-sum-exp gives scipy's bits, also on ties for the max,
+    on -inf entries and on vectors that are -inf throughout."""
+    a = np.array(terms)
+    if data is not None:
+        ties = data.draw(st.lists(st.integers(0, a.size - 1), max_size=4))
+        a[ties] = a.max()
+    got = np.float64(_logsumexp(a))
+    assert got.tobytes() == np.float64(logsumexp(a)).tobytes()
 
 
 @PROPERTY
