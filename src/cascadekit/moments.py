@@ -29,6 +29,8 @@ every sign assignment, used to validate the recursion independently.
 Numeric ranges: divergent-regime raw moments grow like b^{nq(1/2-H)} and
 overflow float64 quickly, so the recursion runs on log-magnitudes (all
 recursion terms are nonnegative) and overflowing entries are flagged.
+Its log-domain sums use the local :func:`_logsumexp`, so the bits of the
+tables are fixed by this module and do not depend on the scipy version.
 """
 
 from __future__ import annotations
@@ -243,7 +245,10 @@ def z_moment_recursion(params: CascadeParams, n_max: int,
 
     Symmetric params drop the b^(-qH) prefactor (raw signed counts) and
     kill every term with an odd part.  Carried in log space; the q = 1
-    column is pinned to 1 exactly (martingale).
+    column is pinned to 1 exactly (martingale).  Each entry is the local
+    :func:`_logsumexp` of its composition terms, each term summed part by
+    part in composition order, so the table's bits do not depend on the
+    scipy version.
     """
     _check_qmax(params.base, q_max)
     if n_max < 0:
