@@ -172,9 +172,7 @@ def _logsumexp(a: np.ndarray) -> float:
         a_max = a.max()
         top = a == a_max
         m = float(np.count_nonzero(top))
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-        if s != 0:
-            s = s / m
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
         out = np.log1p(s) + np.log(m) + a_max
         if not np.isfinite(out):
             out = np.log(np.exp(a).sum())
