@@ -1,6 +1,6 @@
 """Bit-level goldens for the sign fields, the paths, the samplers, the
-moment tables, the path normalization, the fractal estimates and the
-CLI's CSV and SVG artifacts.
+moment tables, the path normalization, the fractal estimates, the box
+counts and the CLI's CSV and SVG artifacts.
 
 Each golden is the sha256 of the result as little-endian float64 bytes,
 except the packed sign fields and the raw sign-bit windows, which are
@@ -113,9 +113,12 @@ def _path_cases():
             raw = build_path(generate_leaf_signs(params, 10), params)
             return normalize_path(raw, params).values
         yield f"normalized-path-b2-{tag}", run
+    # n = 23 spans two 2^22-leaf blocks of build_path's block-sum loop
     for name, b, h, depth, max_points in (
             ("path-b3-H0.6-n9-full", 3, 0.6, 9, 3**9),
-            ("path-b2-H0.7-n20-decimated", 2, 0.7, 20, 2**10)):
+            ("path-b2-H0.7-n20-decimated", 2, 0.7, 20, 2**10),
+            ("path-b2-H0.7-n23-full", 2, 0.7, 23, 2**23),
+            ("path-b5-H0.8-n8-full", 5, 0.8, 8, 5**8)):
         def run(b=b, h=h, depth=depth, max_points=max_points):
             params = CascadeParams(base=b, hurst=h, seed=SEED)
             return build_path(generate_leaf_signs(params, depth), params,
@@ -154,7 +157,9 @@ GOLDENS = {
     "pair-b3-H0.7": "2abb76f9837fdf72d5b282bee297414a74e89d76d7ea9c662d633ecdd0bfc09d",
     "pair-b3-sym": "09121367a01b532a63811b16ca7c0830f2edc41352f622e781bd32b74451cc67",
     "path-b2-H0.7-n20-decimated": "459f124d9be2e3f6fde17559bfb517dc915db5915801dda1d75dcedf5ed1d91c",
+    "path-b2-H0.7-n23-full": "dddb827c55cbe078a2a46d068c2ebbbac6130e1456209d7dd0607cddc605a9e5",
     "path-b3-H0.6-n9-full": "cd285e9aba3e94e21a58a7dea58b44868ee02d82ee483159fea354e86976ac8b",
+    "path-b5-H0.8-n8-full": "a093a33b01b9933c5e7bdd3ed1352c3c4c5db58eff7f8d96e48fe68b21697302",
     "terminal-b2-H0.3": "28f7e751cd982217593198668e8f8185bc5f4f2819b9218380809c3db62526c4",
     "terminal-b2-H0.5": "526eb9544233ac2912a28fba95bd339b53f6d51021893050af983ff5f928b80b",
     "terminal-b2-H0.7": "559562f56ae192e86c4364b38b04c5591f6989b33df396872da57c9ecf6d4ec0",
@@ -328,3 +333,38 @@ def test_fractal_estimate_bits(name):
     profile = pointwise_holder_profile(path, j_range=prof_range)
     assert (_digest(box.log_values, box.estimate), _digest(profile)) \
         == ESTIMATE_GOLDENS[name]
+
+
+#: (b, H, depth, j_range) of the box-count goldens.  Each base has a range
+#: from j = 1, whose columns (b^(depth - 1) samples) are wider than the
+#: 2^16-sample slices box counting streams over, to j = depth - 2, and a
+#: range whose columns are all narrower than one slice (for b = 3 and 5
+#: the last slice is then ragged).
+BOX_COUNTS = {
+    "b2-H0.7-n18-j1-16": (2, 0.7, 18, (1, 16)),
+    "b2-H0.95-n20-j4-18": (2, 0.95, 20, (4, 18)),
+    "b3-H0.6-n12-j1-10": (3, 0.6, 12, (1, 10)),
+    "b3-H0.6-n12-j5-9": (3, 0.6, 12, (5, 9)),
+    "b5-H0.8-n8-j1-6": (5, 0.8, 8, (1, 6)),
+    "b5-H0.8-n8-j3-6": (5, 0.8, 8, (3, 6)),
+}
+
+BOX_COUNT_GOLDENS = {
+    "b2-H0.7-n18-j1-16": "9a01b982171d6eb2a6b2f6e51fbb96cd9611824e1ddda5de5807c7cd1b34885d",
+    "b2-H0.95-n20-j4-18": "e260693bbca86a0b362ec494ebab8c8e13e5e35a3d57e7e8b710d468a87446c2",
+    "b3-H0.6-n12-j1-10": "06ad0dd85c595ad517ad27a3fe4a1b39cdebe4bcdd76221860824e982c05b7b3",
+    "b3-H0.6-n12-j5-9": "b50e3eb835d4fd83183528d4e0332d5036c8d6b85c16399b97e1ac7a5cd44913",
+    "b5-H0.8-n8-j1-6": "737911c35d8cae22575b74b96e609a08aec53cd956cde1b75998a42eed120e03",
+    "b5-H0.8-n8-j3-6": "92fe6b0ce703b13d2135b30fc999b786011ed3285b0253d263e53bf55e468c9e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_COUNTS))
+def test_box_count_bits(name):
+    """Box-count log values, bit for bit, across slice boundaries."""
+    b, h, depth, j_range = BOX_COUNTS[name]
+    params = CascadeParams(base=b, hurst=h, seed=SEED)
+    path = build_path(generate_leaf_signs(params, depth), params,
+                      max_points=b**depth)
+    assert _digest(box_dimension(path, j_range).log_values) \
+        == BOX_COUNT_GOLDENS[name]
