@@ -54,7 +54,9 @@ from . import streams
 #: are decimated by an integer stride (values stay exact, never resampled).
 DEFAULT_MAX_POINTS = 2**16
 
-#: Memory guard for sign-field generation (one byte per leaf transient).
+#: Memory guard for sign-field generation.  Expanding the last level
+#: holds b^(n-1) + b^n bytes (parents and children, one byte per leaf)
+#: plus one _CHUNK of repeated parents; the packed field is b^n / 8 bytes.
 DEFAULT_MAX_LEAVES = 2**27
 
 #: Leaf chunk size for level expansion at deep levels.
@@ -290,7 +292,10 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     matter how the tree is traversed.  In particular the generation-p
     branch products of a deeper field are the leaves of the depth-p
     field.  Expansion is level by level with two ping-pong bit arrays,
-    chunked at deep levels.
+    chunked at deep levels: each chunk's fresh bits are hashed straight
+    into the child array and the repeated parents XORed in place, so the
+    last level holds b^(n-1) + b^n bytes plus one chunk of repeated
+    parents.
 
     Parameters
     ----------
@@ -311,10 +316,9 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
         child = np.empty(count, dtype=np.uint8)
         for lo in range(0, count, _CHUNK):
             hi = min(lo + _CHUNK, count)
-            fresh = streams.sign_bits(seed_state, b, level, lo, hi - lo,
-                                      threshold)
-            parents = bold[lo // b: (hi + b - 1) // b]
-            child[lo:hi] = np.repeat(parents, b)[: hi - lo] ^ fresh
+            part = streams.sign_bits(seed_state, b, level, lo, hi - lo,
+                                     threshold, out=child[lo:hi])
+            part ^= np.repeat(bold[lo // b: (hi + b - 1) // b], b)[: hi - lo]
         bold = child
     return LeafSignField(base=b, depth=depth, packed=np.packbits(bold))
 
@@ -355,9 +359,12 @@ def build_path(signs: LeafSignField, params: CascadeParams, *,
     """Assemble B_n from a leaf sign field.
 
     Grid value k is b^(-n*H) times the k-term cumulative sum of leaf
-    signs (value 0 at t=0).  The cumulative sum is carried in int64 and
-    scaled once, so grid values are correctly rounded products and every
-    increment magnitude matches b^(-n*H) to machine precision.
+    signs (value 0 at t=0).  The cumulative sum is built in the float64
+    array that becomes the path and scaled once in place: every partial
+    sum is an integer of magnitude at most b^n <= 2^53, which float64
+    holds exactly, so grid values are correctly rounded products and
+    every increment magnitude matches b^(-n*H) to machine precision.
+    The only full-size array is the result.
 
     The cumulative sum is evaluated every ``stride`` leaves via exact
     integer block sums.  ``stride`` is the smallest power of b that
@@ -376,19 +383,20 @@ def build_path(signs: LeafSignField, params: CascadeParams, *,
     while n_leaves // stride > max_points:
         stride *= b
     n_blocks = n_leaves // stride
-    csum = np.empty(n_blocks + 1, dtype=np.int64)
-    csum[0] = 0
+    values = np.empty(n_blocks + 1, dtype=np.float64)
+    values[0] = 0.0
     # minus-sign count per stride block, then block sum = stride - 2 * count
     blk_step = max(1, _CHUNK // stride)
     for blk_lo in range(0, n_blocks, blk_step):
         blk_hi = min(blk_lo + blk_step, n_blocks)
         bits = signs.leaf_bits(blk_lo * stride, blk_hi * stride)
         np.sum(bits.reshape(blk_hi - blk_lo, stride), axis=1,
-               out=csum[blk_lo + 1: blk_hi + 1])
-    csum[1:] *= -2
-    csum[1:] += stride
-    np.cumsum(csum[1:], out=csum[1:])
-    return SamplePath(params=params, depth=n, values=scale * csum,
+               out=values[blk_lo + 1: blk_hi + 1])
+    values[1:] *= -2.0
+    values[1:] += stride
+    np.cumsum(values[1:], out=values[1:])
+    values *= scale
+    return SamplePath(params=params, depth=n, values=values,
                       kind=PathKind.RAW, stride=stride)
 
 
@@ -399,7 +407,7 @@ def evaluate(path: SamplePath, t) -> np.ndarray | float:
     average.  Scalar in, scalar out.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # NaN fails both
         raise ValueError("t must lie in [0, 1]")
     # position in units of stored cells
     pos = t_arr * (path.params.base**path.depth / path.stride)

@@ -22,6 +22,12 @@ inputs, with no rounding), so they can be regrouped freely: the min of
 block mins is the min of the window, bit for bit, and the estimates are
 the same as those of a raw scan.
 
+Box counting streams the path in slices of about 2^16 samples, each a
+whole number of its coarsest columns (at least one), and runs the
+pyramid per slice; the per-scale counts are integers summed exactly in
+Python ints, so its memory above the path does not grow with the depth
+and the counts are those of one pass over the whole path.
+
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
 use j at most n - 6 (exponent) or n - 2 (boxes) to keep within-window
@@ -44,6 +50,9 @@ HOLDER_J_RANGE = (2, 12)
 
 #: Samples per block of the pointwise extrema table.
 _BLOCK = 4096
+
+#: Target samples per box-counting slice (rounded to whole columns).
+_SLICE = 2**16
 
 #: Per fit kind: the range's name, its lowest start and the margin its
 #: end keeps below the depth (see the module docstring).
@@ -139,28 +148,37 @@ def increment_scaling_exponent(path: SamplePath,
                         estimate=-slope, zero_increments=zeros)
 
 
+def _coarsen(mins: np.ndarray, maxs: np.ndarray, width: int):
+    """Elementwise min of the ``width`` interleaved slices of ``mins``
+    and max of those of ``maxs`` (width >= 2), as new arrays."""
+    lo = np.minimum(mins[0::width], mins[1::width])
+    hi = np.maximum(maxs[0::width], maxs[1::width])
+    for i in range(2, width):
+        np.minimum(lo, mins[i::width], out=lo)
+        np.maximum(hi, maxs[i::width], out=hi)
+    return lo, hi
+
+
 def _level_extrema(v: np.ndarray, b: int, n: int, j_hi: int, j_lo: int):
     """Yield (j, mins, maxs) for j = j_hi down to j_lo (j_hi < n): the
     extrema of v over the half-open blocks [k s, (k + 1) s), s = b^(n - j),
-    of the first b^n samples.
+    of its whole blocks at j_lo (the first b^n samples of a path).
 
-    A b-adic pyramid: the first level, j = max(j_hi, n - 2), takes the
-    elementwise min (max) of the s interleaved slices of v; each coarser
-    level does the same with the b interleaved slices of the one below,
-    in place, and only the current level is held.
+    A b-adic pyramid: the first level, j = max(j_hi, n - 2), reduces the
+    b^(n - j) interleaved slices of v; each coarser level reduces the b
+    interleaved slices of the one below.  A level's arrays are new (never
+    views of v, as j < n) and the next coarser level is computed before
+    they are yielded, so the caller may overwrite them.
     """
     level = max(j_hi, n - 2)
-    mins = maxs = v[:b**n]
-    width = b**(n - level)
+    whole = v.size // b**(n - j_lo) * b**(n - j_lo)
+    mins, maxs = _coarsen(v[:whole], v[:whole], b**(n - level))
     for j in range(level, j_lo - 1, -1):
-        lo = np.minimum(mins[0::width], mins[1::width])
-        hi = np.maximum(maxs[0::width], maxs[1::width])
-        for i in range(2, width):
-            np.minimum(lo, mins[i::width], out=lo)
-            np.maximum(hi, maxs[i::width], out=hi)
-        mins, maxs, width = lo, hi, b
+        current = mins, maxs
+        if j > j_lo:
+            mins, maxs = _coarsen(mins, maxs, b)
         if j <= j_hi:
-            yield j, mins, maxs
+            yield (j, *current)
 
 
 def box_dimension(path: SamplePath,
@@ -174,6 +192,11 @@ def box_dimension(path: SamplePath,
     closed column [k s, (k + 1) s] is a pyramid block plus its right
     edge sample.  Fits ln N_j against j ln b; the slope is the
     dimension estimate.
+
+    The path is counted in slices of whole width-b^-j_lo columns, about
+    :data:`_SLICE` samples each; every column count is an integer below
+    2^53, so the per-slice float sums and their Python-int totals are
+    exact and N_j does not depend on the slicing.
     """
     _require_full_resolution(path)
     b = path.params.base
@@ -181,24 +204,27 @@ def box_dimension(path: SamplePath,
     check_scale_range("box_dimension", n, j_range)
     j_lo, j_hi = j_range
     v = path.values
-    js, log_counts = [], []
-    for j, mins, maxs in _level_extrema(v, b, n, j_hi, j_lo):
-        step = b**(n - j)
-        right = v[step::step]
-        delta = float(b) ** (-j)
-        top = np.maximum(maxs, right)
-        top /= delta
-        np.floor(top, out=top)
-        bottom = np.minimum(mins, right)
-        bottom /= delta
-        np.floor(bottom, out=bottom)
-        top -= bottom
-        top += 1.0  # per-column box counts
-        js.append(j)
-        log_counts.append(math.log(float(top.sum())))
-    js.reverse()  # fit in ascending j, as the pyramid runs descending
+    column = b**(n - j_lo)
+    width = max(1, _SLICE // column) * column
+    totals = [0] * (j_hi - j_lo + 1)
+    for start in range(0, b**n, width):
+        seg = v[start:start + width + 1]  # with the last right edge
+        for j, mins, maxs in _level_extrema(seg, b, n, j_hi, j_lo):
+            step = b**(n - j)
+            right = seg[step::step]
+            delta = float(b) ** (-j)
+            np.maximum(maxs, right, out=maxs)
+            maxs /= delta
+            np.floor(maxs, out=maxs)
+            np.minimum(mins, right, out=mins)
+            mins /= delta
+            np.floor(mins, out=mins)
+            maxs -= mins
+            maxs += 1.0  # per-column box counts
+            totals[j - j_lo] += int(maxs.sum())
+    js = list(range(j_lo, j_hi + 1))
     x = np.array(js, dtype=float) * math.log(b)
-    y = np.array(log_counts[::-1])
+    y = np.array([math.log(float(total)) for total in totals])
     slope, intercept, r2 = _ols(x, y)
     return DimensionFit(kind="box_dimension", scales=np.array(js),
                         log_values=y, slope=slope, intercept=intercept,

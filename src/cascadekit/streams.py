@@ -101,7 +101,8 @@ def sign_threshold(p_plus: float) -> int:
 
 
 def sign_bits(seed_state: np.uint64, base: int, level: int, start: int,
-              count: int, threshold: int) -> np.ndarray:
+              count: int, threshold: int, *,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Sign bits (0 = +1, 1 = -1) for a contiguous run of level nodes.
 
     ``start`` is the in-level index of the first node; ``threshold``
@@ -109,12 +110,22 @@ def sign_bits(seed_state: np.uint64, base: int, level: int, start: int,
     ``_BLOCK`` words that reuse the same cache-resident buffers, so the
     scratch memory is bounded whatever ``count`` is; the words are those
     of :func:`node_words`, block by block.
+
+    The bits go into ``out`` when given, a 1-D uint8 array of ``count``
+    entries, which is returned; a wrong buffer raises ``ValueError``
+    before anything is hashed.  Otherwise a new array is returned.
     """
+    if out is None:
+        out = np.empty(count, dtype=np.uint8)
+    elif out.dtype != np.uint8 or out.shape != (count,):
+        raise ValueError(f"out must be a uint8 array of shape ({count},), "
+                         f"got {out.dtype} {out.shape}")
     if threshold >= _TWO64:
-        return np.zeros(count, dtype=np.uint8)
+        out[...] = 0
+        return out
     if threshold <= 0:
-        return np.ones(count, dtype=np.uint8)
-    result = np.empty(count, dtype=np.uint8)
+        out[...] = 1
+        return out
     size = min(count, _BLOCK)
     # (i + 1) * GOLDEN + seed_state for consecutive node indices i is an
     # arithmetic progression mod 2^64: each block adds its first counter,
@@ -130,5 +141,5 @@ def sign_bits(seed_state: np.uint64, base: int, level: int, start: int,
         ctr = ((first + lo) * int(GOLDEN) + int(seed_state)) % _TWO64
         np.add(ladder[:n], np.uint64(ctr), out=z[:n])
         _mix64_inplace(z[:n], tmp[:n])
-        np.greater_equal(z[:n], limit, out=result[lo:lo + n].view(np.bool_))
-    return result
+        np.greater_equal(z[:n], limit, out=out[lo:lo + n].view(np.bool_))
+    return out

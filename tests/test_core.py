@@ -142,6 +142,16 @@ def test_evaluate_grid_and_midpoints():
         evaluate(path, 1.5)
 
 
+@pytest.mark.parametrize("t", [float("nan"), np.nan, [0.5, float("nan")],
+                               np.array([[0.0, np.nan]])])
+def test_evaluate_rejects_nan(t):
+    """NaN lies outside [0, 1]: the documented error, not an IndexError."""
+    params = CascadeParams(base=2, hurst=0.7, seed=SEED)
+    path = build_path(generate_leaf_signs(params, 4), params)
+    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+        evaluate(path, t)
+
+
 def test_normalize_path_kinds_and_divisors():
     n = 6
     raw_vals = {}

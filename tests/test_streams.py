@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cascadekit import streams
 from cascadekit.streams import (
     level_offset,
     mix64,
@@ -95,3 +96,30 @@ def test_sign_bits_frequency():
     bits = sign_bits(state, 2, 20, 0, 2**18, thr)
     frac = bits.mean()
     assert 0.09 < frac < 0.11
+
+
+@pytest.mark.parametrize("threshold", [2**64, 0, sign_threshold(0.7)])
+def test_sign_bits_into_buffer(threshold):
+    """``out=`` fills and returns the caller's buffer with the bits of the
+    allocating call, on every threshold branch."""
+    state = premix_seed(5)
+    want = sign_bits(state, 2, 19, 321, 2**17 + 3, threshold)
+    buf = np.full(2**17 + 3, 7, dtype=np.uint8)
+    got = sign_bits(state, 2, 19, 321, 2**17 + 3, threshold, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("buf", [np.empty(99, dtype=np.uint8),
+                                 np.empty(101, dtype=np.uint8),
+                                 np.empty(100, dtype=np.int8),
+                                 np.empty(100, dtype=np.uint64),
+                                 np.empty((10, 10), dtype=np.uint8)])
+def test_sign_bits_rejects_a_wrong_buffer_before_hashing(buf, monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("hashed before checking the buffer")
+
+    state = premix_seed(5)
+    monkeypatch.setattr(streams, "_mix64_inplace", no_hashing)
+    with pytest.raises(ValueError, match="out"):
+        sign_bits(state, 2, 10, 0, 100, sign_threshold(0.7), out=buf)
