@@ -2,9 +2,9 @@
 
 Numpy registers its data buffers with ``tracemalloc``, so the peak of a
 call counts every array it allocates, its result included.  Each bound
-is the arrays the result needs plus one fixed-size working chunk and a
-stated slack for interpreter objects and ufunc buffers; none grows
-with the depth beyond the result itself.
+is the arrays the stage needs to build its result, plus one fixed-size
+working chunk and a stated slack for interpreter objects and ufunc
+buffers.
 """
 
 import tracemalloc
