@@ -1,6 +1,6 @@
 """Bit-level goldens for the sign fields, the paths, the samplers, the
 moment tables, the path normalization, the fractal estimates, the box
-counts and the CLI's CSV and SVG artifacts.
+counts and the CLI's CSV, SVG and JSON artifacts.
 
 Each golden is the sha256 of the result as little-endian float64 bytes,
 except the packed sign fields and the raw sign-bit windows, which are
@@ -274,12 +274,26 @@ ARTIFACTS = {
     "density-b2-H0.7": (
         ["density", "--b", "2", "--H", "0.7"],
         ("density_b2_H0.7.csv", "charfn_b2_H0.7.csv")),
+    "fractal-b2-H0.7-n16-profile": (
+        ["fractal", "--profile", "--b", "2", "--n", "16", "--p-range",
+         "4,10", "--j-range", "1,14", "--seed", "1"],
+        ("fractal_b2_H0.7_n16.json", "fractal_b2_H0.7_n16.csv")),
+    "fractal-b3-H0.7-n12-profile": (
+        ["fractal", "--profile", "--b", "3", "--n", "12", "--p-range",
+         "2,6", "--j-range", "1,10", "--seed", "1"],
+        ("fractal_b3_H0.7_n12.json", "fractal_b3_H0.7_n12.csv")),
 }
 
 ARTIFACT_GOLDENS = {
     "density-b2-H0.7": (
         "0e6fba336cf31c94de0ea1fa8a9fddf149adefd9f56a0f6852c8118bc85427be",
         "8b2be21a350eb1930481e26ba1b7fc8be3f8198fa089d29229b402fcf0c8e266"),
+    "fractal-b2-H0.7-n16-profile": (
+        "1cdac816698f62f0616e4d0b09e0d584207e735b71214469aa2731c300d8e75b",
+        "17e8e7a5b57e09bd8f35efa1a2601fd88b0fa1d62952b3f8a155d6e7d8fe278f"),
+    "fractal-b3-H0.7-n12-profile": (
+        "f4e8c9b58b09d5c8317e36d3fe44b79644e71c8b25b33ae42cc797806c2dc7ab",
+        "2c477fbd016b30bc320f010afa8cc82f10f43a1df996a93fe41e810295647b8d"),
     "simulate-b2-H0.5-n12-norm": (
         "09fb45b50c1615e66e969a91f7199f0ec25fb69936a083b2d5ec50d357edd04d",
         "1684a1cbad7b9c6aa35693f2eaaca4cf441d060fcb7dfebca57cc5339640ca9e"),
