@@ -48,10 +48,12 @@ from .core import (
 )
 from .fractal import (
     DimensionFit,
+    FractalSummary,
     box_dimension,
     increment_scaling_exponent,
     pointwise_holder,
     pointwise_holder_profile,
+    summarize_field,
 )
 from .moments import (
     MomentTable,
@@ -86,6 +88,7 @@ __all__ = [
     "DecayFit",
     "DensityResult",
     "DimensionFit",
+    "FractalSummary",
     "LeafSignField",
     "MomentTable",
     "PathKind",
@@ -130,6 +133,7 @@ __all__ = [
     "sample_terminal_depths",
     "sample_terminal_pair",
     "sigma",
+    "summarize_field",
     "tilde_moment_solver",
     "verify_self_similarity",
     "z_moment_recursion",

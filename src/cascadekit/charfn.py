@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CascadeParams, require_regime
+from .core import CapacityError, CascadeParams, require_regime
 from .moments import limit_z_moments
 
 DEFAULT_DEPTH = 48
@@ -49,6 +49,9 @@ CAUCHY_TOL = 1e-10
 TAIL_TOL = 1e-12
 T_CAP = float(2**20)
 MIN_X_POINTS = 4096
+#: Budget of the inversion's t-grid: each point costs 16 bytes per x in a
+#: block of 512, twice over, so 2^14 points take 256 MiB at the peak.
+MAX_T_POINTS = 2**14
 
 
 def _deviation_step(g: np.ndarray, p_plus: float, base: int) -> np.ndarray:
@@ -222,7 +225,9 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     aliasing period equals the window; t_max defaults to doubling until
     the tail |phi(T)| < 1e-12.  A non-negligible tail at t_max is
     reported via a warning and the ``tail_magnitude`` field, not raised.
-    ``x_points`` below :data:`MIN_X_POINTS` raises ``ValueError``.
+    ``x_points`` below :data:`MIN_X_POINTS` raises ``ValueError``; a
+    t-grid above :data:`MAX_T_POINTS` raises :class:`CapacityError`
+    before the grid is allocated.
     """
     if x_points < MIN_X_POINTS:
         raise ValueError(f"x_points must be at least MIN_X_POINTS = "
@@ -240,6 +245,11 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     if t_max is None:
         t_max, _ = _auto_t_max(params, depth)
     n_t = max(2, int(math.ceil(t_max / dt)) + 1)
+    if n_t > MAX_T_POINTS:
+        raise CapacityError(
+            f"the inversion's t-grid of {n_t} points (T = {t_max:g}, "
+            f"dt = {dt:.3g}) exceeds the budget of {MAX_T_POINTS} points; "
+            "at a shallow ladder depth |phi| decays too slowly to invert")
     t = np.linspace(0.0, t_max, n_t)
     phi, depth_used = _phi(params, t, depth)
     tail = float(abs(phi[-1]))

@@ -51,10 +51,12 @@ from .core import (
 )
 from .fractal import (
     HOLDER_J_RANGE,
+    PROFILE_POINTS,
     box_dimension,
     check_scale_range,
     increment_scaling_exponent,
     pointwise_holder_profile,
+    summarize_field,
 )
 from .moments import (
     gaussian_even_moments,
@@ -219,8 +221,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p_fra.add_argument("--j-range", type=_parse_scale_range, default=(4, 12),
                        help="scale range for box counting")
     p_fra.add_argument("--profile", action="store_true",
-                       help="also estimate pointwise exponents at 64 "
-                            "positions")
+                       help="also estimate pointwise exponents at "
+                            f"{PROFILE_POINTS} positions")
     p_fra.add_argument("--dim-tol", type=float, default=0.1,
                        help="pass band around 2-H for the dimension")
     p_fra.add_argument("--exp-tol", type=float, default=0.05,
@@ -413,15 +415,17 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
             raise ValueError(f"{flag}: {exc}") from None
     config = _effective_config(ns)
     tag = hurst_tag(params.hurst)
-    signs = generate_leaf_signs(params, ns.n)
-    path = build_path(signs, params,
-                      max_points=params.base**ns.n)
-    exp_fit = increment_scaling_exponent(path, ns.p_range)
-    box_fit = box_dimension(path, ns.j_range)
+    # one pass over the path rebuilt slice by slice from the packed
+    # field; the full-resolution path is never held
+    summary = summarize_field(generate_leaf_signs(params, ns.n), params,
+                              p_range=ns.p_range, j_range=ns.j_range,
+                              profile_points=PROFILE_POINTS if ns.profile else 0)
+    exp_fit = increment_scaling_exponent(summary, ns.p_range)
+    box_fit = box_dimension(summary, ns.j_range)
     payload = {"increment_exponent": dimension_fit_payload(exp_fit),
                "box_dimension": dimension_fit_payload(box_fit)}
     if ns.profile:
-        prof = pointwise_holder_profile(path)
+        prof = pointwise_holder_profile(summary)
         payload["pointwise_profile"] = {
             "median": float(np.median(prof)),
             "spread": float(prof.std(ddof=1)),

@@ -55,8 +55,9 @@ from . import streams
 DEFAULT_MAX_POINTS = 2**16
 
 #: Memory guard for sign-field generation.  Expanding the last level
-#: holds b^(n-1) + b^n bytes (parents and children, one byte per leaf)
-#: plus one _CHUNK of repeated parents; the packed field is b^n / 8 bytes.
+#: holds its b^(n-1) parents at one byte per leaf, two _CHUNKs (the
+#: hashing buffer and the repeated parents) and the packed field, b^n / 8
+#: bytes; the fractal pass then reads the packed field slice by slice.
 DEFAULT_MAX_LEAVES = 2**27
 
 #: Leaf chunk size for level expansion at deep levels.
@@ -293,9 +294,13 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     branch products of a deeper field are the leaves of the depth-p
     field.  Expansion is level by level with two ping-pong bit arrays,
     chunked at deep levels: each chunk's fresh bits are hashed straight
-    into the child array and the repeated parents XORed in place, so the
-    last level holds b^(n-1) + b^n bytes plus one chunk of repeated
-    parents.
+    into the child array and the repeated parents XORed in place.  The
+    last level is never unpacked whole: each chunk goes through one
+    reused 2^22-byte buffer and is packed into the result, so it holds
+    b^(n-1) parent bytes, two chunks (the buffer and the repeated
+    parents) and the b^n / 8 packed bytes.  The level before holds
+    b^(n-2) + b^(n-1) bytes plus one chunk, the larger of the two only
+    for b = 2 past depth 25.
 
     Parameters
     ----------
@@ -311,16 +316,27 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     threshold = streams.sign_threshold(params.p_plus)
 
     bold = np.zeros(1, dtype=np.uint8)  # generation 0: empty product = +1
+    packed = np.packbits(bold)
     for level in range(1, depth + 1):
         count = b**level
-        child = np.empty(count, dtype=np.uint8)
+        last = level == depth
+        # the last level goes chunk by chunk through one reused buffer
+        # into the packed result (chunk starts are multiples of 2^22,
+        # hence of 8)
+        child = np.empty(min(count, _CHUNK) if last else count,
+                         dtype=np.uint8)
+        if last:
+            packed = np.empty((count + 7) // 8, dtype=np.uint8)
         for lo in range(0, count, _CHUNK):
             hi = min(lo + _CHUNK, count)
-            part = streams.sign_bits(seed_state, b, level, lo, hi - lo,
-                                     threshold, out=child[lo:hi])
+            part = streams.sign_bits(
+                seed_state, b, level, lo, hi - lo, threshold,
+                out=child[: hi - lo] if last else child[lo:hi])
             part ^= np.repeat(bold[lo // b: (hi + b - 1) // b], b)[: hi - lo]
+            if last:
+                packed[lo // 8: (hi + 7) // 8] = np.packbits(part)
         bold = child
-    return LeafSignField(base=b, depth=depth, packed=np.packbits(bold))
+    return LeafSignField(base=b, depth=depth, packed=packed)
 
 
 @dataclass(frozen=True)

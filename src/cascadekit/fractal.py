@@ -8,30 +8,42 @@ squares over a documented range of dyadic scales (dyadic in the cascade
 base b), which is why every estimate travels with its scales, residual,
 and the transform that produced it (:class:`DimensionFit`).
 
-All three estimators require a full-resolution path (stride 1): the
-oscillation of the stored piecewise-linear interpolant is attained at
-grid points, so window extrema are exact, but a decimated path hides
-sub-stride oscillation and silently flattens the estimates.
+All three estimators read the full-resolution grid values of B_n (the
+oscillation of the piecewise-linear interpolant is attained at grid
+points, so window extrema are exact; a decimated path hides sub-stride
+oscillation and silently flattens the estimates), but none of them holds
+the whole path.  They read a :class:`FractalSummary` made in one pass
+over consecutive slices of the largest power of b <= 2^16 samples (plus
+the next slice's first sample as right edge):
 
-Window extrema come from precomputed block extrema rather than a scan
-of every sample: box counting coarsens a b-adic min/max pyramid one
-level per scale, and the pointwise balls read a table of per-block
-extrema over blocks of 4,096 samples plus the raw samples at either
-ragged end.  Min and max of floats are exact (the result is one of the
-inputs, with no rounding), so they can be regrouped freely: the min of
-block mins is the min of the window, bit for bit, and the estimates are
-the same as those of a raw scan.
+* the samples at the finest increment generation, copied out;
+* the box counts per scale: a b-adic min/max pyramid per slice for the
+  columns no wider than a slice, and a running min and max carried
+  across slices for the wider ones, with integer totals summed exactly
+  in Python ints;
+* a table of per-block extrema over blocks of the largest power of
+  b <= 4096 samples, and the raw extrema of each pointwise ball's ragged
+  ends (each inside one block), which together give every ball's
+  oscillation.
 
-Box counting streams the path in slices of about 2^16 samples, each a
-whole number of its coarsest columns (at least one), and runs the
-pyramid per slice; the per-scale counts are integers summed exactly in
-Python ints, so its memory above the path does not grow with the depth
-and the counts are those of one pass over the whole path.
+Min and max of floats are exact (the result is one of the inputs, with no
+rounding), so they can be regrouped freely: the min of block mins is the
+min of the window, bit for bit, and no estimate depends on the slicing.
+
+The pass has two sources.  Given a full-resolution :class:`SamplePath`,
+each estimator summarizes views of ``path.values``.  Given a packed
+:class:`LeafSignField`, :func:`summarize_field` rebuilds each slice with
+the arithmetic of :func:`build_path` (the integer running sum carried
+across slices, exact in float64, times the one weight scale), so every
+sample has the bits of the full-resolution path, which is never built.
+Above the field, the pass holds one slice and the summary: about
+8 b^p + b^n / 256 bytes for the increments up to generation p and the
+block table.
 
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
 use j at most n - 6 (exponent) or n - 2 (boxes) to keep within-window
-structure resolved.
+structure resolved; every fit needs at least 4 scales.
 """
 
 from __future__ import annotations
@@ -41,18 +53,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamplePath
+from .core import CascadeParams, LeafSignField, SamplePath
 
 
 #: Scale range of the pointwise exponent fits (the CLI's --profile
 #: uses it as is).
 HOLDER_J_RANGE = (2, 12)
 
-#: Samples per block of the pointwise extrema table.
+#: Evaluation points of the pointwise profile (the CLI's --profile).
+PROFILE_POINTS = 64
+
+#: Samples per block of the pointwise extrema table: the largest power
+#: of b at most this.
 _BLOCK = 4096
 
-#: Target samples per box-counting slice (rounded to whole columns).
+#: Samples per slice of the pass: the largest power of b at most this
+#: (at most the whole path).
 _SLICE = 2**16
+
+#: Fewest scales a fit takes.
+_MIN_SCALES = 4
 
 #: Per fit kind: the range's name, its lowest start and the margin its
 #: end keeps below the depth (see the module docstring).
@@ -81,9 +101,30 @@ class DimensionFit:
     zero_increments: int = 0
 
 
+@dataclass(frozen=True)
+class FractalSummary:
+    """What the estimators read of one depth-``depth`` path.
+
+    ``increments`` holds the path at the multiples of b^(depth - p_top)
+    (None when no increment fit was asked for); ``box_counts`` maps each
+    summarized scale j to N_j; ``block_mins``/``block_maxs`` are the
+    extrema of the whole blocks of ``block`` samples, and ``edges`` maps
+    each raw piece (lo, hi) of a summarized ball, sample indices with hi
+    exclusive, to its (min, max).
+    """
+
+    params: CascadeParams
+    depth: int
+    p_top: int | None
+    increments: np.ndarray | None
+    box_counts: dict[int, int]
+    block: int
+    block_mins: np.ndarray
+    block_maxs: np.ndarray
+    edges: dict[tuple[int, int], tuple[float, float]]
+
+
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    if x.size < 4:
-        raise ValueError("need at least 4 scales for a fit")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -102,6 +143,9 @@ def check_scale_range(kind: str, depth: int,
         top = f"depth - {margin}" if margin else "depth"
         raise ValueError(f"{name} must sit within [{lo_min}, {top}]; got "
                          f"{lo},{hi} at depth {depth}")
+    if hi - lo + 1 < _MIN_SCALES:
+        raise ValueError(f"{name} needs at least {_MIN_SCALES} scales for "
+                         f"a fit; got {lo},{hi}")
 
 
 def _require_full_resolution(path: SamplePath) -> None:
@@ -110,42 +154,37 @@ def _require_full_resolution(path: SamplePath) -> None:
                          "rebuild with max_points >= base**depth")
 
 
-def increment_scaling_exponent(path: SamplePath,
-                               p_range: tuple[int, int] = (4, 12)
-                               ) -> DimensionFit:
-    """Hölder exponent from the decay of generation-p increment sizes.
+def _power_at_most(b: int, limit: int) -> int:
+    """The largest power of b that is at most ``limit`` (>= 1)."""
+    power = 1
+    while power * b <= limit:
+        power *= b
+    return power
 
-    The generation-p increment over one b-adic cell factors into
-    b^(-pH) times an O(1) subtree mass, so the across-cells mean of
-    log_b |increment| falls like -pH + O(1); the fit's negated slope
-    estimates H.  Zero increments (possible at finite depth: a subtree
-    mass can vanish exactly) are excluded from the mean and counted in
-    ``zero_increments``.
-    """
-    _require_full_resolution(path)
-    b = path.params.base
-    n = path.depth
-    check_scale_range("increment_exponent", n, p_range)
-    p_lo, p_hi = p_range
-    v = path.values
-    log_b = math.log(b)
-    ps, means = [], []
-    zeros = 0
-    for p in range(p_lo, p_hi + 1):
-        step = b ** (n - p)
-        incr = v[step::step] - v[:-step:step]
-        mags = np.abs(incr)
-        nz = mags > 0.0
-        zeros += int(mags.size - nz.sum())
-        if nz.sum() == 0:
-            raise ValueError(f"all generation-{p} increments are zero")
-        ps.append(p)
-        means.append(float(np.mean(np.log(mags[nz]) / log_b)))
-    slope, intercept, r2 = _ols(np.array(ps, dtype=float), np.array(means))
-    return DimensionFit(kind="increment_exponent",
-                        scales=np.array(ps), log_values=np.array(means),
-                        slope=slope, intercept=intercept, r_squared=r2,
-                        estimate=-slope, zero_increments=zeros)
+
+def _ball(b: int, depth: int, t: float, j: int) -> tuple[int, int]:
+    """First and last sample index of the ball |s - t| <= b^-j, clipped
+    to [0, 1] and snapped outward to the grid."""
+    m = b**depth
+    r = float(b) ** (-j)
+    lo = max(0.0, t - r)
+    hi = min(1.0, t + r)
+    return int(math.floor(lo * m)), int(math.ceil(hi * m))
+
+
+def _split(i_lo: int, i_hi: int, block: int):
+    """(first, stop, pieces): samples i_lo..i_hi are the whole blocks
+    first..stop-1 plus the raw pieces (lo, hi), each inside one block or
+    ending at the last sample of the path."""
+    first = -(-i_lo // block)
+    stop = (i_hi + 1) // block
+    if stop <= first:  # no whole block: cut at the one block edge inside
+        cut = min(first * block, i_hi + 1)
+        first = stop = 0
+        pieces = ((i_lo, cut), (cut, i_hi + 1))
+    else:
+        pieces = ((i_lo, first * block), (stop * block, i_hi + 1))
+    return first, stop, [p for p in pieces if p[0] < p[1]]
 
 
 def _coarsen(mins: np.ndarray, maxs: np.ndarray, width: int):
@@ -162,7 +201,7 @@ def _coarsen(mins: np.ndarray, maxs: np.ndarray, width: int):
 def _level_extrema(v: np.ndarray, b: int, n: int, j_hi: int, j_lo: int):
     """Yield (j, mins, maxs) for j = j_hi down to j_lo (j_hi < n): the
     extrema of v over the half-open blocks [k s, (k + 1) s), s = b^(n - j),
-    of its whole blocks at j_lo (the first b^n samples of a path).
+    of its whole blocks at j_lo (a slice of a depth-n path).
 
     A b-adic pyramid: the first level, j = max(j_hi, n - 2), reduces the
     b^(n - j) interleaved slices of v; each coarser level reduces the b
@@ -181,7 +220,232 @@ def _level_extrema(v: np.ndarray, b: int, n: int, j_hi: int, j_lo: int):
             yield (j, *current)
 
 
-def box_dimension(path: SamplePath,
+def _column_boxes(mins: np.ndarray, maxs: np.ndarray, right: np.ndarray,
+                  b: int, j: int) -> int:
+    """Boxes of side b^-j over the closed columns whose half-open extrema
+    are ``mins``/``maxs`` and whose right edge samples are ``right``:
+    floor(max/delta) - floor(min/delta) + 1 per column, delta = b^-j.
+    Overwrites ``mins`` and ``maxs``; every column count is an integer
+    below 2^53, so the float sum is exact."""
+    delta = float(b) ** (-j)
+    np.maximum(maxs, right, out=maxs)
+    maxs /= delta
+    np.floor(maxs, out=maxs)
+    np.minimum(mins, right, out=mins)
+    mins /= delta
+    np.floor(mins, out=mins)
+    maxs -= mins
+    maxs += 1.0
+    return int(maxs.sum())
+
+
+def _path_slices(values: np.ndarray, width: int):
+    """Views of ``values`` over samples [s, s + width] for s = 0, width, ..."""
+    for start in range(0, values.size - 1, width):
+        yield values[start:start + width + 1]
+
+
+def _field_slices(field: LeafSignField, params: CascadeParams, width: int):
+    """B_n over samples [s, s + width] for s = 0, width, ..., rebuilt from
+    the packed field into one reused buffer (overwritten by the next
+    slice).
+
+    Each sample is the running sum of leaf signs, an integer of magnitude
+    at most b^n <= 2^53 held exactly in float64 and carried across
+    slices, times ``params.weight_scale(n)``: the arithmetic of
+    :func:`build_path`, so every sample has its bits.
+    """
+    scale = params.weight_scale(field.depth)
+    seg = np.empty(width + 1, dtype=np.float64)
+    total = 0.0
+    for start in range(0, field.n_leaves, width):
+        seg[0] = total
+        np.multiply(field.leaf_bits(start, start + width), -2.0,
+                    out=seg[1:])
+        seg[1:] += 1.0
+        np.cumsum(seg, out=seg)
+        total = seg[-1]
+        seg *= scale
+        yield seg
+
+
+def _summarize(params: CascadeParams, depth: int, slices_of, *,
+               p_top: int | None = None,
+               j_range: tuple[int, int] | None = None,
+               windows=()) -> FractalSummary:
+    """One pass over the slices ``slices_of(width)`` yields (see
+    :func:`_path_slices`): the samples at the multiples of
+    b^(depth - p_top), the box counts for every j in ``j_range``, and the
+    block table and raw piece extrema of every window (i_lo, i_hi) in
+    ``windows``.  The ranges are already checked."""
+    b = params.base
+    m = b**depth
+    width = min(_power_at_most(b, _SLICE), m)
+    block = _power_at_most(b, _BLOCK)
+    n_slices = m // width
+
+    increments = None
+    if p_top is not None:
+        step = b**(depth - p_top)
+        increments = np.empty(b**p_top + 1, dtype=np.float64)
+
+    totals: dict[int, int] = {}
+    narrow, wide, running = [], [], {}
+    if j_range is not None:
+        totals = dict.fromkeys(range(j_range[0], j_range[1] + 1), 0)
+        for j in totals:
+            (narrow if b**(depth - j) <= width else wide).append(j)
+
+    n_blocks = m // block if windows else 0
+    block_mins = np.empty(n_blocks, dtype=np.float64)
+    block_maxs = np.empty(n_blocks, dtype=np.float64)
+    pieces_by_slice: dict[int, set] = {}
+    for i_lo, i_hi in windows:
+        for piece in _split(i_lo, i_hi, block)[2]:
+            k = min(piece[0] // width, n_slices - 1)
+            pieces_by_slice.setdefault(k, set()).add(piece)
+    edges = {}
+
+    for k, seg in enumerate(slices_of(width)):
+        start = k * width
+        body = seg[:width]
+        if increments is not None and start % step == 0:
+            part = body[::step]
+            increments[start // step:start // step + part.size] = part
+        if n_blocks:
+            rows = body.reshape(-1, block)
+            first = start // block
+            np.min(rows, axis=1, out=block_mins[first:first + rows.shape[0]])
+            np.max(rows, axis=1, out=block_maxs[first:first + rows.shape[0]])
+        for lo, hi in pieces_by_slice.get(k, ()):
+            piece = seg[lo - start:hi - start]
+            edges[lo, hi] = (piece.min(), piece.max())
+        if narrow:
+            for j, mins, maxs in _level_extrema(seg, b, depth, narrow[-1],
+                                                narrow[0]):
+                step_j = b**(depth - j)
+                totals[j] += _column_boxes(mins, maxs, seg[step_j::step_j],
+                                           b, j)
+        if wide:
+            lo_s, hi_s = body.min(), body.max()
+            for j in wide:
+                column = b**(depth - j)
+                if start % column:
+                    lo_c, hi_c = running[j]
+                    running[j] = min(lo_c, lo_s), max(hi_c, hi_s)
+                else:
+                    running[j] = lo_s, hi_s
+                if (start + width) % column == 0:
+                    lo_c, hi_c = running[j]
+                    totals[j] += _column_boxes(np.array([lo_c]),
+                                               np.array([hi_c]), seg[-1:],
+                                               b, j)
+    if increments is not None:
+        increments[-1] = seg[-1]
+    return FractalSummary(params=params, depth=depth, p_top=p_top,
+                          increments=increments, box_counts=totals,
+                          block=block, block_mins=block_mins,
+                          block_maxs=block_maxs, edges=edges)
+
+
+def _profile_points(n_points: int) -> np.ndarray:
+    return (np.arange(n_points) + 0.5) / n_points
+
+
+def _balls(b: int, depth: int, ts, j_range: tuple[int, int]):
+    return [_ball(b, depth, float(t), j)
+            for t in ts for j in range(j_range[0], j_range[1] + 1)]
+
+
+def summarize_field(field: LeafSignField, params: CascadeParams, *,
+                    p_range: tuple[int, int] | None = None,
+                    j_range: tuple[int, int] | None = None,
+                    profile_points: int = 0,
+                    holder_j_range: tuple[int, int] = HOLDER_J_RANGE
+                    ) -> FractalSummary:
+    """Summarize B_n for the estimators straight from its packed field.
+
+    One pass over slices of the path rebuilt from ``field`` (see the
+    module docstring), keeping what :func:`increment_scaling_exponent`
+    needs for ``p_range``, :func:`box_dimension` for ``j_range`` and
+    :func:`pointwise_holder_profile` for ``profile_points`` points over
+    ``holder_j_range`` (a range of None, or no points, skips that fit).
+    The fits on the summary are those on ``build_path(field, params,
+    max_points=b**n)``, bit for bit, and the full-resolution path is
+    never built.
+    """
+    if field.base != params.base:
+        raise ValueError("sign field and params disagree on base")
+    n = field.depth
+    if p_range is not None:
+        check_scale_range("increment_exponent", n, p_range)
+    if j_range is not None:
+        check_scale_range("box_dimension", n, j_range)
+    windows = ()
+    if profile_points:
+        check_scale_range("pointwise_holder", n, holder_j_range)
+        windows = _balls(params.base, n, _profile_points(profile_points),
+                         holder_j_range)
+    return _summarize(params, n,
+                      lambda width: _field_slices(field, params, width),
+                      p_top=None if p_range is None else p_range[1],
+                      j_range=j_range, windows=windows)
+
+
+def _summary_of(source: SamplePath | FractalSummary,
+                **request) -> FractalSummary:
+    """``source`` itself, or the summary of the full-resolution path
+    ``source`` for ``request`` (see :func:`_summarize`)."""
+    if isinstance(source, FractalSummary):
+        return source
+    _require_full_resolution(source)
+    return _summarize(source.params, source.depth,
+                      lambda width: _path_slices(source.values, width),
+                      **request)
+
+
+def increment_scaling_exponent(path: SamplePath | FractalSummary,
+                               p_range: tuple[int, int] = (4, 12)
+                               ) -> DimensionFit:
+    """Hölder exponent from the decay of generation-p increment sizes.
+
+    The generation-p increment over one b-adic cell factors into
+    b^(-pH) times an O(1) subtree mass, so the across-cells mean of
+    log_b |increment| falls like -pH + O(1); the fit's negated slope
+    estimates H.  Zero increments (possible at finite depth: a subtree
+    mass can vanish exactly) are excluded from the mean and counted in
+    ``zero_increments``.  ``path`` is a full-resolution path or a
+    summary holding the increments to generation p_range[1] or finer.
+    """
+    check_scale_range("increment_exponent", path.depth, p_range)
+    p_lo, p_hi = p_range
+    summary = _summary_of(path, p_top=p_hi)
+    if summary.p_top is None or summary.p_top < p_hi:
+        raise ValueError(f"the summary holds no generation-{p_hi} "
+                         "increments; summarize with p_range reaching it")
+    b = summary.params.base
+    v = summary.increments
+    log_b = math.log(b)
+    ps, means = [], []
+    zeros = 0
+    for p in range(p_lo, p_hi + 1):
+        step = b ** (summary.p_top - p)
+        incr = v[step::step] - v[:-step:step]
+        mags = np.abs(incr)
+        nz = mags > 0.0
+        zeros += int(mags.size - nz.sum())
+        if nz.sum() == 0:
+            raise ValueError(f"all generation-{p} increments are zero")
+        ps.append(p)
+        means.append(float(np.mean(np.log(mags[nz]) / log_b)))
+    slope, intercept, r2 = _ols(np.array(ps, dtype=float), np.array(means))
+    return DimensionFit(kind="increment_exponent",
+                        scales=np.array(ps), log_values=np.array(means),
+                        slope=slope, intercept=intercept, r_squared=r2,
+                        estimate=-slope, zero_increments=zeros)
+
+
+def box_dimension(path: SamplePath | FractalSummary,
                   j_range: tuple[int, int] = (4, 12)) -> DimensionFit:
     """Graph box dimension by column counting at sides b^-j.
 
@@ -189,97 +453,57 @@ def box_dimension(path: SamplePath,
     count over one width-b^-j column is floor(max/delta) -
     floor(min/delta) + 1 with delta = b^-j (the vertical run of boxes
     the column's range touches), using exact window extrema: each
-    closed column [k s, (k + 1) s] is a pyramid block plus its right
-    edge sample.  Fits ln N_j against j ln b; the slope is the
-    dimension estimate.
-
-    The path is counted in slices of whole width-b^-j_lo columns, about
-    :data:`_SLICE` samples each; every column count is an integer below
-    2^53, so the per-slice float sums and their Python-int totals are
-    exact and N_j does not depend on the slicing.
+    closed column [k s, (k + 1) s] is a block of half-open extrema plus
+    its right edge sample.  Fits ln N_j against j ln b; the slope is the
+    dimension estimate.  ``path`` is a full-resolution path or a summary
+    holding the counts of every scale in ``j_range``.
     """
-    _require_full_resolution(path)
-    b = path.params.base
-    n = path.depth
-    check_scale_range("box_dimension", n, j_range)
+    check_scale_range("box_dimension", path.depth, j_range)
     j_lo, j_hi = j_range
-    v = path.values
-    column = b**(n - j_lo)
-    width = max(1, _SLICE // column) * column
-    totals = [0] * (j_hi - j_lo + 1)
-    for start in range(0, b**n, width):
-        seg = v[start:start + width + 1]  # with the last right edge
-        for j, mins, maxs in _level_extrema(seg, b, n, j_hi, j_lo):
-            step = b**(n - j)
-            right = seg[step::step]
-            delta = float(b) ** (-j)
-            np.maximum(maxs, right, out=maxs)
-            maxs /= delta
-            np.floor(maxs, out=maxs)
-            np.minimum(mins, right, out=mins)
-            mins /= delta
-            np.floor(mins, out=mins)
-            maxs -= mins
-            maxs += 1.0  # per-column box counts
-            totals[j - j_lo] += int(maxs.sum())
+    counts = _summary_of(path, j_range=j_range).box_counts
     js = list(range(j_lo, j_hi + 1))
-    x = np.array(js, dtype=float) * math.log(b)
-    y = np.array([math.log(float(total)) for total in totals])
+    if any(j not in counts for j in js):
+        raise ValueError(f"the summary holds no box counts for j_range "
+                         f"{j_lo},{j_hi}; summarize with that range")
+    x = np.array(js, dtype=float) * math.log(path.params.base)
+    y = np.array([math.log(float(counts[j])) for j in js])
     slope, intercept, r2 = _ols(x, y)
     return DimensionFit(kind="box_dimension", scales=np.array(js),
                         log_values=y, slope=slope, intercept=intercept,
                         r_squared=r2, estimate=slope)
 
 
-def box_counts(path: SamplePath, j_range: tuple[int, int] = (4, 12)
-               ) -> list[tuple[int, int]]:
+def box_counts(path: SamplePath | FractalSummary,
+               j_range: tuple[int, int] = (4, 12)) -> list[tuple[int, int]]:
     """(j, N_j) pairs as used by :func:`box_dimension`, for serialization."""
     fit = box_dimension(path, j_range)
     return [(int(j), int(round(math.exp(y))))
             for j, y in zip(fit.scales, fit.log_values)]
 
 
-def _extrema_table(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block (min, max) of v over its whole blocks of _BLOCK samples."""
-    blocks = v[:v.size // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
-    return blocks.min(axis=1), blocks.max(axis=1)
+def _oscillation(summary: FractalSummary, i_lo: int, i_hi: int) -> float:
+    """max - min of the path over samples i_lo..i_hi: its whole blocks
+    from the block table, its ragged ends from the raw piece extrema."""
+    first, stop, pieces = _split(i_lo, i_hi, summary.block)
+    try:
+        extrema = [summary.edges[piece] for piece in pieces]
+    except KeyError:
+        raise ValueError(f"the summary holds no extrema for samples "
+                         f"{i_lo}..{i_hi}; summarize with that ball") from None
+    if stop > first:
+        extrema.append((summary.block_mins[first:stop].min(),
+                        summary.block_maxs[first:stop].max()))
+    return float(max(hi for _, hi in extrema) - min(lo for lo, _ in extrema))
 
 
-def _oscillation(v: np.ndarray, table: tuple[np.ndarray, np.ndarray],
-                 i_lo: int, i_hi: int) -> float:
-    """max - min of v[i_lo:i_hi + 1]: the whole blocks inside the window
-    come from ``table`` (see _extrema_table), the ragged ends from v."""
-    first = -(-i_lo // _BLOCK)
-    stop = (i_hi + 1) // _BLOCK
-    if stop <= first:
-        window = v[i_lo:i_hi + 1]
-        return float(window.max() - window.min())
-    mins, maxs = table
-    lo, hi = mins[first:stop].min(), maxs[first:stop].max()
-    for edge in (v[i_lo:first * _BLOCK], v[stop * _BLOCK:i_hi + 1]):
-        if edge.size:
-            lo = np.minimum(lo, edge.min())
-            hi = np.maximum(hi, edge.max())
-    return float(hi - lo)
-
-
-def _holder_fit(path: SamplePath, t: float, j_range: tuple[int, int],
-                table: tuple[np.ndarray, np.ndarray]) -> DimensionFit:
-    """The fit of :func:`pointwise_holder` at t, given the path's block
-    extrema table; the path and the range are already checked."""
-    b = path.params.base
-    m = b**path.depth
-    v = path.values
+def _holder_fit(summary: FractalSummary, t: float,
+                j_range: tuple[int, int]) -> DimensionFit:
+    """The fit of :func:`pointwise_holder` at t; the range is checked."""
+    b = summary.params.base
     log_b = math.log(b)
-    j_lo, j_hi = j_range
     js, log_osc = [], []
-    for j in range(j_lo, j_hi + 1):
-        r = float(b) ** (-j)
-        lo = max(0.0, t - r)
-        hi = min(1.0, t + r)
-        i_lo = int(math.floor(lo * m))
-        i_hi = int(math.ceil(hi * m))
-        osc = _oscillation(v, table, i_lo, i_hi)
+    for j in range(j_range[0], j_range[1] + 1):
+        osc = _oscillation(summary, *_ball(b, summary.depth, t, j))
         if osc <= 0.0:
             raise ValueError(f"zero oscillation at scale j={j}; "
                              "path is flat near t")
@@ -293,7 +517,7 @@ def _holder_fit(path: SamplePath, t: float, j_range: tuple[int, int],
                         estimate=-slope)
 
 
-def pointwise_holder(path: SamplePath, t: float,
+def pointwise_holder(path: SamplePath | FractalSummary, t: float,
                      j_range: tuple[int, int] = HOLDER_J_RANGE
                      ) -> DimensionFit:
     """Pointwise Hölder exponent at t from shrinking-ball oscillations.
@@ -304,26 +528,28 @@ def pointwise_holder(path: SamplePath, t: float,
     grid points, so the oscillation is that of the stored interpolant
     over a slightly enlarged ball, a conservative choice at these scales.
     """
-    _require_full_resolution(path)
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     check_scale_range("pointwise_holder", path.depth, j_range)
-    return _holder_fit(path, t, j_range, _extrema_table(path.values))
+    summary = _summary_of(
+        path, windows=_balls(path.params.base, path.depth, [t], j_range))
+    return _holder_fit(summary, t, j_range)
 
 
-def pointwise_holder_profile(path: SamplePath, n_points: int = 64,
+def pointwise_holder_profile(path: SamplePath | FractalSummary,
+                             n_points: int = PROFILE_POINTS,
                              j_range: tuple[int, int] = HOLDER_J_RANGE
                              ) -> np.ndarray:
     """Pointwise exponent estimates at n_points mid-cell positions.
 
     Evaluation points (k + 1/2)/n_points avoid 0 and 1; monofractality
     predicts a tight spread around H (the profile's spread, not each
-    individual point, is the stable statistic at finite depth).  The
-    block extrema table is built once and shared by every point.
+    individual point, is the stable statistic at finite depth).  One
+    summary serves every point.
     """
-    _require_full_resolution(path)
     check_scale_range("pointwise_holder", path.depth, j_range)
-    table = _extrema_table(path.values)
-    ts = (np.arange(n_points) + 0.5) / n_points
-    return np.array([_holder_fit(path, float(t), j_range, table).estimate
+    ts = _profile_points(n_points)
+    summary = _summary_of(
+        path, windows=_balls(path.params.base, path.depth, ts, j_range))
+    return np.array([_holder_fit(summary, float(t), j_range).estimate
                      for t in ts])

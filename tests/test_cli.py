@@ -313,6 +313,24 @@ def test_fractal_ranges_checked_before_hashing(tmp_path, capsys,
     assert not outdir.exists()
 
 
+def test_fractal_range_below_four_scales_is_refused_before_hashing(
+        tmp_path, capsys, monkeypatch):
+    """A range inside the depth's bounds but with fewer than the 4 scales
+    a fit takes is a usage error naming its option, before hashing."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("the sign field was generated")
+
+    monkeypatch.setattr("cascadekit.cli.generate_leaf_signs", no_field)
+    outdir = tmp_path / "out"
+    code = main(["fractal", "--n", "8", "--p-range", "2,2", "--j-range",
+                 "1,6", "--outdir", str(outdir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --p-range: p_range needs at least 4 "
+                          "scales for a fit; got 2,2")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("args, code", [
     (["--depths", "26", "--max-points", "0"], 2),
     (["--depths", "4,-1"], 2),
@@ -377,6 +395,26 @@ def test_density_rejects_grid_below_floor(tmp_path, capsys):
     assert main(["density", "--H", "0.7", "--x-points", "1",
                  "--outdir", str(outdir)]) == 2
     assert "at least MIN_X_POINTS = 4096, got 1" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "1", "2", "3", "5"])
+def test_density_shallow_ladder_hits_the_grid_budget(tmp_path, capsys,
+                                                     monkeypatch, depth):
+    """At a shallow ladder |phi| never meets the tail tolerance, so the
+    t-grid would reach millions of points: a capacity error (exit 1, one
+    line) raised before the grid is allocated."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the t-grid was allocated")
+
+    monkeypatch.setattr("cascadekit.charfn.np.linspace", no_grid)
+    outdir = tmp_path / "out"
+    assert main(["density", "--H", "0.7", "--depth", depth,
+                 "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: capacity: the inversion's t-grid of ")
+    assert "exceeds the budget of 16384 points" in err
     assert not outdir.exists()
 
 

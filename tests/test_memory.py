@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+from cascadekit.cli import main
 from cascadekit.core import (
     _CHUNK,
     CascadeParams,
@@ -58,12 +59,45 @@ def test_box_counting_memory_does_not_grow_with_depth():
     assert peaks[1] <= peaks[0] + 16 * 1024
 
 
+def test_box_counting_memory_does_not_grow_with_column_width():
+    """Columns wider than a slice carry a running min and max across
+    slices, so counting from j = 1 peaks as counting from j = 8."""
+    params = CascadeParams(base=2, hurst=0.7, seed=3)
+    path = build_path(generate_leaf_signs(params, 20), params,
+                      max_points=2**20)
+    _, wide = _peak(box_dimension, path, (1, 18))
+    _, narrow = _peak(box_dimension, path, (8, 18))
+    assert abs(wide - narrow) <= 16 * 1024
+
+
+def _expansion_bound(b, n):
+    """Parents at one byte per leaf, the hashing buffer and one chunk of
+    repeated parents, and the packed field."""
+    return b**(n - 1) + 2 * _CHUNK + (b**n + 7) // 8
+
+
 @pytest.mark.parametrize("b, n", [(2, 23), (3, 14)])
 def test_leaf_expansion_holds_two_levels_and_one_chunk(b, n):
-    """Parents and children as one byte per leaf, one expansion chunk of
-    repeated parents, and the packed field: no per-chunk copies of the
-    fresh bits or of their XOR."""
+    """The last level is hashed chunk by chunk into one reused buffer and
+    packed into the result: no unpacked b^n-byte level, and no per-chunk
+    copies of the fresh bits or of their XOR."""
     params = CascadeParams(base=b, hurst=0.7, seed=3)
     field, peak = _peak(generate_leaf_signs, params, n)
     assert field.packed.nbytes == (b**n + 7) // 8
-    assert peak <= b**(n - 1) + b**n + _CHUNK + field.packed.nbytes + SLACK
+    assert peak <= _expansion_bound(b, n) + SLACK
+
+
+@pytest.mark.parametrize("b, n, ranges", [
+    (2, 22, ["--p-range", "4,16", "--j-range", "1,20"]),
+    (3, 14, ["--p-range", "4,8", "--j-range", "1,12"]),
+])
+def test_fractal_command_never_holds_the_path(b, n, ranges, tmp_path):
+    """``fractal --profile`` reads its fits from one pass over the packed
+    field: its peak is that of drawing the field, far below the
+    8·(b^n + 1) bytes of a full-resolution path."""
+    code, peak = _peak(main, ["fractal", "--profile", "--b", str(b),
+                              "--n", str(n), "--H", "0.7", *ranges,
+                              "--outdir", str(tmp_path)])
+    assert code in (0, 1)
+    assert peak <= _expansion_bound(b, n) + SLACK
+    assert peak < 8 * b**n / 3

@@ -1,8 +1,9 @@
 """Property tests of the determinism contracts of the node streams, the
 sign fields and the count-chain samplers (whatever the number of worker
 threads or the set of depths recorded), of the terminal CLT trend drawn
-from one chain, of the moment recursion's log-sum-exp, and of the
-exactness of the fractal estimators' block extrema."""
+from one chain, of the moment recursion's log-sum-exp, of the
+exactness of the fractal estimators' block extrema, and of the fractal
+fits read straight from the packed field."""
 
 import sys
 import threading
@@ -15,15 +16,21 @@ from scipy.special import logsumexp
 from cascadekit import core, streams
 from cascadekit.fractal import (
     _BLOCK,
-    _extrema_table,
     _level_extrema,
     _oscillation,
+    _path_slices,
+    _summarize,
+    box_dimension,
+    increment_scaling_exponent,
+    pointwise_holder_profile,
+    summarize_field,
 )
 from cascadekit.core import (
     CapacityError,
     CascadeParams,
     _count_chain,
     _map_threads,
+    build_path,
     generate_leaf_signs,
     sample_terminal,
     sample_terminal_depths,
@@ -287,8 +294,10 @@ def test_block_oscillation_is_the_window_range(seed, n, data):
     if end is not None:
         v[end] = v.max() + 1.0 if data.draw(st.booleans()) else v.min() - 1.0
     window = v[i:j + 1]
-    assert _oscillation(v, _extrema_table(v), i, j) \
-        == window.max() - window.min()
+    summary = _summarize(CascadeParams(base=2), n,
+                         lambda width: _path_slices(v, width),
+                         windows=[(i, j)])
+    assert _oscillation(summary, i, j) == window.max() - window.min()
 
 
 @PROPERTY
@@ -307,3 +316,64 @@ def test_pyramid_levels_match_reduceat(seed, b, data):
         starts = np.arange(0, m, b**(n - j))
         assert np.array_equal(mins, np.minimum.reduceat(v[:m], starts))
         assert np.array_equal(maxs, np.maximum.reduceat(v[:m], starts))
+
+
+@st.composite
+def fit_cases(draw):
+    """(params, depth, p_range, j_range, profile points, holder j_range):
+    box ranges from j = 1, whose columns are wider than one slice of the
+    pass, and increment ranges ending at depth - 6 (None where the depth
+    leaves fewer than 4 generations, as at b = 5)."""
+    params = draw(st.builds(CascadeParams, base=st.sampled_from([2, 3, 5]),
+                            hurst=st.sampled_from([None, 0.55, 0.7, 1.0]),
+                            seed=st.integers(0, 2**64 - 1)))
+    n = draw(st.integers(*{2: (10, 18), 3: (10, 12), 5: (8, 9)}[
+        params.base]))
+    p_range = (draw(st.integers(2, n - 9)), n - 6) if n >= 11 else None
+    j_lo = draw(st.sampled_from([1, 2, n - 5]))
+    j_range = (j_lo, draw(st.integers(j_lo + 3, n - 2)))
+    h_lo = draw(st.integers(1, n - 3))
+    holder = (h_lo, draw(st.integers(h_lo + 3, n)))
+    return params, n, p_range, j_range, draw(st.integers(1, 16)), holder
+
+
+def _outcome(fit, *args):
+    """The bits of a fit (every DimensionFit field, or the profile
+    array), or the message of the ValueError it raised."""
+    try:
+        result = fit(*args)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    return (result.scales.tobytes(), result.log_values.tobytes(),
+            result.slope, result.intercept, result.r_squared,
+            result.estimate, result.zero_increments)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(case=fit_cases())
+@example(case=(CascadeParams(base=3, hurst=0.7, seed=1), 14, (4, 8),
+               (1, 12), 64, (2, 12)))
+@example(case=(CascadeParams(base=2, hurst=0.7, seed=2), 18, (2, 12),
+               (1, 16), 64, (2, 12)))
+@example(case=(CascadeParams(base=3, hurst=0.95, seed=3), 12, (2, 6),
+               (1, 10), 16, (1, 12)))
+@example(case=(CascadeParams(base=5, hurst=0.55, seed=4), 9, None,
+               (1, 7), 16, (1, 9)))
+def test_field_summary_fits_equal_path_fits(case):
+    """Fits read from the summary of the packed field are the fits on the
+    full-resolution path, bit for bit (3^14 leaves cross the 2^22-leaf
+    expansion chunk)."""
+    params, n, p_range, j_range, points, holder = case
+    field = generate_leaf_signs(params, n)
+    summary = summarize_field(field, params, p_range=p_range,
+                              j_range=j_range, profile_points=points,
+                              holder_j_range=holder)
+    path = build_path(field, params, max_points=params.base**n)
+    fits = [(box_dimension, j_range),
+            (pointwise_holder_profile, points, holder)]
+    if p_range is not None:
+        fits.append((increment_scaling_exponent, p_range))
+    for fit, *args in fits:
+        assert _outcome(fit, summary, *args) == _outcome(fit, path, *args)
