@@ -48,12 +48,10 @@ from .core import (
 )
 from .fractal import (
     DimensionFit,
-    FractalSummary,
     box_dimension,
     increment_scaling_exponent,
     pointwise_holder,
     pointwise_holder_profile,
-    summarize_field,
 )
 from .moments import (
     MomentTable,
@@ -88,7 +86,6 @@ __all__ = [
     "DecayFit",
     "DensityResult",
     "DimensionFit",
-    "FractalSummary",
     "LeafSignField",
     "MomentTable",
     "PathKind",
@@ -133,7 +130,6 @@ __all__ = [
     "sample_terminal_depths",
     "sample_terminal_pair",
     "sigma",
-    "summarize_field",
     "tilde_moment_solver",
     "verify_self_similarity",
     "z_moment_recursion",

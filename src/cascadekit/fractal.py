@@ -36,9 +36,9 @@ each estimator summarizes views of ``path.values``.  Given a packed
 the arithmetic of :func:`build_path` (the integer running sum carried
 across slices, exact in float64, times the one weight scale), so every
 sample has the bits of the full-resolution path, which is never built.
-Above the field, the pass holds one slice and the summary: about
-8 b^p + b^n / 256 bytes for the increments up to generation p and the
-block table.
+Above the field, the pass holds one slice and the summary: 8 bytes per
+increment sample (b^p + 1 of them, for generation p), 16 per block of
+the table and a few scalars per scale and ball.
 
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
