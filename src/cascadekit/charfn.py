@@ -49,9 +49,14 @@ CAUCHY_TOL = 1e-10
 TAIL_TOL = 1e-12
 T_CAP = float(2**20)
 MIN_X_POINTS = 4096
-#: Budget of the inversion's t-grid: each point costs 16 bytes per x in a
-#: block of 512, twice over, so 2^14 points take 256 MiB at the peak.
-MAX_T_POINTS = 2**14
+#: Budget of the inversion's working memory.  Its kernel runs over blocks
+#: of _X_BLOCK x-points, and each point of the t-grid costs
+#: _KERNEL_BYTES per x of a block at the peak (the float phase, the complex
+#: kernel and one complex temporary; tracemalloc reads 48.1), so 1 GiB
+#: admits t-grids of up to 43,690 points.
+MAX_INVERSION_BYTES = 2**30
+_X_BLOCK = 512
+_KERNEL_BYTES = 48
 
 
 def _deviation_step(g: np.ndarray, p_plus: float, base: int) -> np.ndarray:
@@ -226,8 +231,8 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     the tail |phi(T)| < 1e-12.  A non-negligible tail at t_max is
     reported via a warning and the ``tail_magnitude`` field, not raised.
     ``x_points`` below :data:`MIN_X_POINTS` raises ``ValueError``; a
-    t-grid above :data:`MAX_T_POINTS` raises :class:`CapacityError`
-    before the grid is allocated.
+    t-grid whose kernel would need more than :data:`MAX_INVERSION_BYTES`
+    raises :class:`CapacityError` before the grid is allocated.
     """
     if x_points < MIN_X_POINTS:
         raise ValueError(f"x_points must be at least MIN_X_POINTS = "
@@ -245,11 +250,13 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     if t_max is None:
         t_max, _ = _auto_t_max(params, depth)
     n_t = max(2, int(math.ceil(t_max / dt)) + 1)
-    if n_t > MAX_T_POINTS:
+    need = n_t * _X_BLOCK * _KERNEL_BYTES
+    if need > MAX_INVERSION_BYTES:
         raise CapacityError(
             f"the inversion's t-grid of {n_t} points (T = {t_max:g}, "
-            f"dt = {dt:.3g}) exceeds the budget of {MAX_T_POINTS} points; "
-            "at a shallow ladder depth |phi| decays too slowly to invert")
+            f"dt = {dt:.3g}) needs {need / 2**30:.3g} GiB, above the "
+            f"budget of {MAX_INVERSION_BYTES / 2**30:g} GiB; at a shallow "
+            "ladder depth |phi| decays too slowly to invert")
     t = np.linspace(0.0, t_max, n_t)
     phi, depth_used = _phi(params, t, depth)
     tail = float(abs(phi[-1]))
@@ -263,11 +270,10 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     weights[0] *= 0.5
     weights[-1] *= 0.5
     f = np.empty_like(x)
-    block = 512
-    for i in range(0, x.size, block):
-        xb = x[i:i + block]
+    for i in range(0, x.size, _X_BLOCK):
+        xb = x[i:i + _X_BLOCK]
         kernel = np.exp(-1j * np.outer(t, xb))
-        f[i:i + block] = (weights * phi.real) @ kernel.real \
+        f[i:i + _X_BLOCK] = (weights * phi.real) @ kernel.real \
             - (weights * phi.imag) @ kernel.imag
     f /= math.pi
     return DensityResult(params=params, x=x, density=f, t_max=t_max,

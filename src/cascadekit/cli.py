@@ -419,8 +419,7 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
     # field; the full-resolution path is never held
     summary = summarize_field(
         generate_leaf_signs(params, ns.n), params, p_range=ns.p_range,
-        j_range=ns.j_range,
-        profile_points=PROFILE_POINTS if ns.profile else 0)
+        j_range=ns.j_range, profile=ns.profile)
     exp_fit = increment_scaling_exponent(summary, ns.p_range)
     box_fit = box_dimension(summary, ns.j_range)
     payload = {"increment_exponent": dimension_fit_payload(exp_fit),

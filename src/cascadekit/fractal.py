@@ -360,19 +360,17 @@ def _balls(b: int, depth: int, ts, j_range: tuple[int, int]):
 def summarize_field(field: LeafSignField, params: CascadeParams, *,
                     p_range: tuple[int, int] | None = None,
                     j_range: tuple[int, int] | None = None,
-                    profile_points: int = 0,
-                    holder_j_range: tuple[int, int] = HOLDER_J_RANGE
-                    ) -> FractalSummary:
+                    profile: bool = False) -> FractalSummary:
     """Summarize B_n for the estimators straight from its packed field.
 
     One pass over slices of the path rebuilt from ``field`` (see the
     module docstring), keeping what :func:`increment_scaling_exponent`
-    needs for ``p_range``, :func:`box_dimension` for ``j_range`` and
-    :func:`pointwise_holder_profile` for ``profile_points`` points over
-    ``holder_j_range`` (a range of None, or no points, skips that fit).
-    The fits on the summary are those on ``build_path(field, params,
-    max_points=b**n)``, bit for bit, and the full-resolution path is
-    never built.
+    needs for ``p_range``, :func:`box_dimension` for ``j_range`` and,
+    with ``profile``, :func:`pointwise_holder_profile` at its defaults
+    (:data:`PROFILE_POINTS` points over :data:`HOLDER_J_RANGE`); a range
+    of None skips that fit.  The fits on the summary are those on
+    ``build_path(field, params, max_points=b**n)``, bit for bit, and the
+    full-resolution path is never built.
     """
     if field.base != params.base:
         raise ValueError("sign field and params disagree on base")
@@ -382,10 +380,10 @@ def summarize_field(field: LeafSignField, params: CascadeParams, *,
     if j_range is not None:
         check_scale_range("box_dimension", n, j_range)
     windows = ()
-    if profile_points:
-        check_scale_range("pointwise_holder", n, holder_j_range)
-        windows = _balls(params.base, n, _profile_points(profile_points),
-                         holder_j_range)
+    if profile:
+        check_scale_range("pointwise_holder", n, HOLDER_J_RANGE)
+        windows = _balls(params.base, n, _profile_points(PROFILE_POINTS),
+                         HOLDER_J_RANGE)
     return _summarize(params, n,
                       lambda width: _field_slices(field, params, width),
                       p_top=None if p_range is None else p_range[1],
@@ -485,11 +483,11 @@ def _oscillation(summary: FractalSummary, i_lo: int, i_hi: int) -> float:
     """max - min of the path over samples i_lo..i_hi: its whole blocks
     from the block table, its ragged ends from the raw piece extrema."""
     first, stop, pieces = _split(i_lo, i_hi, summary.block)
-    try:
-        extrema = [summary.edges[piece] for piece in pieces]
-    except KeyError:
+    if (any(piece not in summary.edges for piece in pieces)
+            or stop > first and not summary.block_mins.size):
         raise ValueError(f"the summary holds no extrema for samples "
-                         f"{i_lo}..{i_hi}; summarize with that ball") from None
+                         f"{i_lo}..{i_hi}; summarize with that ball")
+    extrema = [summary.edges[piece] for piece in pieces]
     if stop > first:
         extrema.append((summary.block_mins[first:stop].min(),
                         summary.block_maxs[first:stop].max()))

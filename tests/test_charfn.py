@@ -17,7 +17,7 @@ from cascadekit.charfn import (
     decay_fit,
     density_of_z,
 )
-from cascadekit.core import CascadeParams
+from cascadekit.core import CapacityError, CascadeParams
 from cascadekit.moments import limit_z_moments
 from cascadekit.stats import ks_statistic
 from cascadekit.core import sample_terminal
@@ -153,6 +153,23 @@ def test_density_regime_guards():
         density_of_z(CascadeParams(base=2, hurst=1.0))
     with pytest.raises(ValueError):
         density_of_z(CascadeParams(base=2, hurst=0.5))
+
+
+def test_density_grid_budget_is_its_working_memory(monkeypatch):
+    """The t-grid budget is the kernel's 1 GiB of working memory: 43,690
+    points pass the guard (and reach the grid's allocation), one more is
+    a CapacityError."""
+    class Allocated(Exception):
+        pass
+
+    def no_grid(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr("cascadekit.charfn.np.linspace", no_grid)
+    with pytest.raises(Allocated):
+        density_of_z(P07, t_max=43689.0, dt=1.0, depth=192)
+    with pytest.raises(CapacityError, match="t-grid of 43691 points"):
+        density_of_z(P07, t_max=43690.0, dt=1.0, depth=192)
 
 
 def test_density_tail_warning():

@@ -398,12 +398,14 @@ def test_density_rejects_grid_below_floor(tmp_path, capsys):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("depth", ["0", "1", "2", "3", "5"])
+@pytest.mark.parametrize("depth", ["0", "1", "2", "3", "4", "5", "6"])
 def test_density_shallow_ladder_hits_the_grid_budget(tmp_path, capsys,
                                                      monkeypatch, depth):
-    """At a shallow ladder |phi| never meets the tail tolerance, so the
-    t-grid would reach millions of points: a capacity error (exit 1, one
-    line) raised before the grid is allocated."""
+    """At a ladder depth of 6 or less (b = 2, H = 0.7) |phi| never meets
+    the tail tolerance, so the t-grid reaches T_CAP, 4.8 million points
+    and 110 GiB of kernel: a capacity error (exit 1, one line) raised
+    before the grid is allocated.  From depth 7 on the tail is met at
+    T = 32, a grid of 149 points."""
     def no_grid(*args, **kwargs):
         raise AssertionError("the t-grid was allocated")
 
@@ -413,8 +415,9 @@ def test_density_shallow_ladder_hits_the_grid_budget(tmp_path, capsys,
                  "--outdir", str(outdir)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: capacity: the inversion's t-grid of ")
-    assert "exceeds the budget of 16384 points" in err
+    assert err.startswith("error: capacity: the inversion's t-grid of "
+                          "4822075 points ")
+    assert "above the budget of 1 GiB" in err
     assert not outdir.exists()
 
 

@@ -10,6 +10,7 @@ from cascadekit.fractal import (
     increment_scaling_exponent,
     pointwise_holder,
     pointwise_holder_profile,
+    summarize_field,
 )
 
 DEPTH = 18
@@ -121,6 +122,29 @@ def test_estimators_reject_decimated_paths():
         pointwise_holder(thin, 0.5)
     with pytest.raises(ValueError):
         pointwise_holder_profile(thin)
+
+
+def test_summary_without_the_asked_scales_is_refused():
+    """A summary answers only the ranges it was made for; any other
+    range is a ValueError naming what it lacks."""
+    params = CascadeParams(base=2, hurst=0.7, seed=0)
+    summary = summarize_field(generate_leaf_signs(params, 14), params,
+                              p_range=(2, 7), j_range=(2, 8))
+    with pytest.raises(ValueError, match="no generation-8 increments"):
+        increment_scaling_exponent(summary, p_range=(2, 8))
+    with pytest.raises(ValueError, match="no box counts for j_range 2,9"):
+        box_dimension(summary, j_range=(2, 9))
+    with pytest.raises(ValueError, match="no extrema for samples"):
+        pointwise_holder(summary, 0.37)
+    with pytest.raises(ValueError, match="no extrema for samples"):
+        pointwise_holder_profile(summary)
+    # the j = 2 ball at t = 4095/2^14 is samples 0..8191, two whole
+    # blocks of 4096 and no raw piece: the absent block table refuses it
+    with pytest.raises(ValueError, match="no extrema for samples 0..8191"):
+        pointwise_holder(summary, 4095 / 2**14, j_range=(2, 5))
+    bare = summarize_field(generate_leaf_signs(params, 14), params)
+    with pytest.raises(ValueError, match="no generation-5 increments"):
+        increment_scaling_exponent(bare, p_range=(2, 5))
 
 
 def test_range_preconditions():
