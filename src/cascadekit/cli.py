@@ -8,6 +8,10 @@ Subcommands map one-to-one onto the library layers:
   fractal    box dimension and Hölder estimates -> CSV + JSON
   density    characteristic function and inverted density -> CSVs
 
+Only ``clt`` loads scipy, for the standard normal CDF of its KS
+distances (see :func:`cascadekit.stats.ks_statistic`); importing this
+module and every other subcommand load numpy and nothing heavier.
+
 Configuration can come from flags or from a ``key = value`` file passed
 with --config (on/off keys take true or false); explicit flags always win
 over file values.  The default output directory is $CASCADEKIT_OUTDIR,
@@ -304,6 +308,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         raise ValueError(f"unknown format(s) {sorted(bad)}")
     # every depth is checked before the first field is hashed
     for depth in ns.depths:
+        if ns.depths.count(depth) > 1:
+            raise ValueError(f"--depths: depth {depth} is given more than "
+                             "once")
         check_leaf_budget(params.base, depth)
         if ns.normalize:
             regime_divisor(params, depth)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     CascadeParams,
@@ -85,16 +84,19 @@ class StatReport:
 def ks_statistic(samples: np.ndarray, reference_cdf=None) -> float:
     """Sup distance between the empirical CDF and a reference CDF.
 
-    ``reference_cdf=None`` means the standard normal CDF, evaluated via
-    the complementary-error-function routine (absolute error well below
-    1e-10).  Uses the two-sided order-statistic form
+    ``reference_cdf=None`` means the standard normal CDF,
+    ``scipy.special.ndtr`` (absolute error well below 1e-10).  It is the
+    package's one scipy import, made on the first such call, so that
+    importing the package and every command but ``clt`` loads numpy and
+    nothing heavier.  Uses the two-sided order-statistic form
     max_i max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N).
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     if xs.size == 0:
         raise ValueError("samples must be nonempty")
-    cdf = ndtr if reference_cdf is None else reference_cdf
-    f = cdf(xs)
+    if reference_cdf is None:
+        from scipy.special import ndtr as reference_cdf
+    f = reference_cdf(xs)
     n = xs.size
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
@@ -197,10 +199,14 @@ def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
     deepest depth.  That is the realization the separate per-depth runs
     of :func:`clt_terminal_test` draw as well, since their replica chunks
     use the same streams, so each report equals that function's report
-    at its depth.
+    at its depth.  The depths must strictly increase, so that the last
+    report is the deepest run and the trend reads along growing n.
     """
     # every depth is checked before the first draw
     divisors = [_terminal_divisor(params, n, reps) for n in depths]
+    if any(b <= a for a, b in zip(depths, depths[1:])):
+        raise ValueError("--n: the terminal trend takes strictly increasing "
+                         f"depths; got {','.join(map(str, depths))}")
     columns = sample_terminal_depths(params, depths, reps)
     reports = [_terminal_report(params, n, z / divisor, None)
                for n, z, divisor in zip(depths, columns, divisors)]

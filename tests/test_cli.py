@@ -266,6 +266,26 @@ def test_clt_smallh_names_the_offending_h(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("depths", ["16,8", "8,8", "8,16,12"])
+def test_clt_terminal_depths_must_increase(tmp_path, capsys, monkeypatch,
+                                           depths):
+    """The terminal trend gates on its last depth and reads D along the
+    list, so unordered or repeated depths are a usage error naming --n,
+    before any draw."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replicas were drawn")
+
+    monkeypatch.setattr("cascadekit.stats.sample_terminal_depths", no_draws)
+    outdir = tmp_path / "out"
+    code = main(["clt", "--test", "terminal", "--H", "0.3", "--n", depths,
+                 "--reps", "200", "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --n: the terminal trend takes strictly increasing depths; "
+        f"got {depths}\n")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("test,hurst", [
     ("terminal", "0.3"), ("smallh", "0.7"), ("increments", "0.3"),
     ("residual", "0.7"), ("moments", "0.7")])
@@ -348,6 +368,22 @@ def test_simulate_checks_every_depth_before_hashing(tmp_path, capsys,
     outdir = tmp_path / "out"
     assert main(["simulate", *args, "--outdir", str(outdir)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+    assert not outdir.exists()
+
+
+def test_simulate_repeated_depth_is_a_usage_error(tmp_path, capsys,
+                                                  monkeypatch):
+    """A depth given twice would hash the same field twice and write the
+    same files twice: a usage error naming --depths, before hashing."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("the sign field was generated")
+
+    monkeypatch.setattr("cascadekit.cli.generate_leaf_signs", no_field)
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--depths", "4,8,4",
+                 "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --depths: depth 4 is given more than once\n")
     assert not outdir.exists()
 
 

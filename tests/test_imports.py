@@ -1,0 +1,78 @@
+"""The import contract: scipy is loaded only where the normal CDF is
+evaluated.
+
+``import cascadekit`` and every subcommand but ``clt`` load numpy and
+nothing heavier; ``clt`` imports ``scipy.special.ndtr`` at its first KS
+distance.  The check runs in a fresh interpreter, since other test
+modules import scipy into this one.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cascadekit
+
+SRC = str(Path(cascadekit.__file__).resolve().parents[1])
+
+SCRIPT = r"""
+import json
+import sys
+
+import numpy as np
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+
+import cascadekit
+import cascadekit.cli as cli
+
+cli.build_parser()
+state = {"import": scipy_modules()}
+outdir = sys.argv[1]
+for argv in (["simulate", "--depths", "8"],
+             ["fractal", "--n", "14", "--p-range", "2,8", "--j-range", "2,8",
+              "--profile"],
+             ["moments", "--n", "6", "--q", "4"],
+             ["density"]):
+    cli.main(argv + ["--outdir", outdir])
+state["commands"] = scipy_modules()
+cli.main(["clt", "--test", "terminal", "--H", "0.3", "--n", "8",
+          "--reps", "200", "--outdir", outdir])
+state["clt"] = scipy_modules()
+
+import scipy.special
+
+x = np.random.default_rng(20240611).standard_normal(1001)
+state["ks"] = [cascadekit.ks_statistic(x).hex(),
+               cascadekit.ks_statistic(x, scipy.special.ndtr).hex()]
+print(json.dumps(state))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_normal_cdf(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+                         env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    state = json.loads(out.stdout.splitlines()[-1])
+    assert state["import"] == []
+    # every non-clt command ran to its files without loading scipy
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "charfn_b2_H0.7.csv", "clt_terminal_b2_H0.3.json",
+        "density_b2_H0.7.csv", "fractal_b2_H0.7_n14.csv",
+        "fractal_b2_H0.7_n14.json", "limit_moments_b2_H0.7.csv",
+        "moment_table_b2_H0.7.csv", "path_b2_H0.7_n8.csv",
+        "path_b2_H0.7_n8.svg"]
+    assert state["commands"] == []
+    assert "scipy.special" in state["clt"]
+    # the default CDF is scipy's ndtr, bit for bit
+    default, explicit = state["ks"]
+    assert default == explicit

@@ -93,8 +93,8 @@ def test_fewer_than_two_replicas_rejected_before_sampling(monkeypatch,
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the replica guard")
 
-    for name in ("sample_terminal", "sample_terminal_pair",
-                 "sample_branch_signs"):
+    for name in ("sample_terminal", "sample_terminal_depths",
+                 "sample_terminal_pair", "sample_branch_signs"):
         monkeypatch.setattr(f"cascadekit.stats.{name}", no_sampling)
     with pytest.raises(ValueError, match=r"reps >= 2"):
         SE_CHECKS[check](reps)
@@ -233,7 +233,8 @@ def test_residual_clt():
 
 
 #: Bad arguments that a check meets only after a valid draw would have
-#: been made: q_max past the table's cap, or a bad depth after a good one.
+#: been made: q_max past the table's cap, a bad depth after a good one, or
+#: trend depths that do not strictly increase.
 LATE_BAD_ARGS = {
     "moments-q99": (ValueError,
                     lambda: empirical_vs_exact_moments(H07, 8, 100, 99)),
@@ -241,6 +242,10 @@ LATE_BAD_ARGS = {
                       lambda: clt_terminal_trend(H03, (8, 70), 100)),
     "trend-critical-depth0": (ValueError, lambda: clt_terminal_trend(
         CascadeParams(base=2, hurst=0.5), (8, 0), 100)),
+    "trend-unordered": (ValueError, lambda: clt_terminal_trend(
+        H03, (12, 8), 100)),
+    "trend-repeated": (ValueError, lambda: clt_terminal_trend(
+        H03, (8, 8), 100)),
     "increments-depth70": (CapacityError,
                            lambda: increments_gaussianity(H03, 2, 70, 100)),
 }
@@ -252,8 +257,8 @@ def test_sampler_guards_run_before_the_first_draw(monkeypatch, case):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the guard")
 
-    for name in ("sample_terminal", "sample_terminal_pair",
-                 "sample_branch_signs"):
+    for name in ("sample_terminal", "sample_terminal_depths",
+                 "sample_terminal_pair", "sample_branch_signs"):
         monkeypatch.setattr(f"cascadekit.stats.{name}", no_sampling)
     error, check = LATE_BAD_ARGS[case]
     with pytest.raises(error):
