@@ -271,9 +271,25 @@ ARTIFACTS = {
         ["simulate", "--H", "0.5", "--depths", "12", "--normalize",
          "--seed", "1"],
         ("path_b2_H0.5_n12_norm.csv", "path_b2_H0.5_n12_norm.svg")),
+    # integer-valued cells up to about 2^12
+    "simulate-b2-Hsym-n12": (
+        ["simulate", "--H", "sym", "--depths", "12", "--seed", "1"],
+        ("path_b2_Hsym_n12.csv", "path_b2_Hsym_n12.svg")),
+    "simulate-b5-H0.7-n6": (
+        ["simulate", "--b", "5", "--H", "0.7", "--depths", "6", "--seed",
+         "1"],
+        ("path_b5_H0.7_n6.csv", "path_b5_H0.7_n6.svg")),
+    "simulate-b2-H-2-n12-norm": (
+        ["simulate", "--H", "-2", "--depths", "12", "--normalize",
+         "--seed", "1"],
+        ("path_b2_H-2_n12_norm.csv", "path_b2_H-2_n12_norm.svg")),
     "density-b2-H0.7": (
         ["density", "--b", "2", "--H", "0.7"],
         ("density_b2_H0.7.csv", "charfn_b2_H0.7.csv")),
+    # density tails printed in e-XX notation
+    "density-b3-H0.6": (
+        ["density", "--b", "3", "--H", "0.6"],
+        ("density_b3_H0.6.csv", "charfn_b3_H0.6.csv")),
     "fractal-b2-H0.7-n16-profile": (
         ["fractal", "--profile", "--b", "2", "--n", "16", "--p-range",
          "4,10", "--j-range", "1,14", "--seed", "1"],
@@ -288,6 +304,9 @@ ARTIFACT_GOLDENS = {
     "density-b2-H0.7": (
         "0e6fba336cf31c94de0ea1fa8a9fddf149adefd9f56a0f6852c8118bc85427be",
         "8b2be21a350eb1930481e26ba1b7fc8be3f8198fa089d29229b402fcf0c8e266"),
+    "density-b3-H0.6": (
+        "99bf0868ffdcb91d1fbf3f2632a4f21b62d1db926e5b2faac0422633c0561087",
+        "19801ae3d66897119cf6a5d900bcd252ab339059cf1e280a988b0578bc5eb4b6"),
     "fractal-b2-H0.7-n16-profile": (
         "1cdac816698f62f0616e4d0b09e0d584207e735b71214469aa2731c300d8e75b",
         "17e8e7a5b57e09bd8f35efa1a2601fd88b0fa1d62952b3f8a155d6e7d8fe278f"),
@@ -297,15 +316,24 @@ ARTIFACT_GOLDENS = {
     "simulate-b2-H0.5-n12-norm": (
         "09fb45b50c1615e66e969a91f7199f0ec25fb69936a083b2d5ec50d357edd04d",
         "1684a1cbad7b9c6aa35693f2eaaca4cf441d060fcb7dfebca57cc5339640ca9e"),
+    "simulate-b2-H-2-n12-norm": (
+        "104604d890ab1eb85e09b68b747af9e53b860db67383ab9a6969cb8233bc35a0",
+        "657e43811ef60f3582924b35c668abe1220193b2ab7b67d7f71fa585d728c7bd"),
     "simulate-b2-H0.7-n12": (
         "24eab5ddc8aa087e1ec25d5d43e6acc3f6a5e28ea510c2bf81802d96d4838315",
         "553318a9061657ac9f6b453b63a3c3a3166c514cb631e7025dc3028edeb9c9af"),
     "simulate-b2-H0.7-n18-decimated": (
         "274df629f54bbfa163dac6d32ade777c78e1c55d13f4929c86d12a34bb0cdd68",
         "02db38b5541384537e74c7b1a1d0b238dfb98312ac01374aa89ebe40c81a324c"),
+    "simulate-b2-Hsym-n12": (
+        "a16259d2a219e8615270dcc735290751421b6775f6ac1e6b2183b51f12e67a42",
+        "2730a3798337c9b9511e366cd65b77c89d47b1f44198a2d004771de62a5ce1e9"),
     "simulate-b3-H0.7-n9": (
         "1340dff043dd51b79fb2cebe9e7f3522abee7c9389630f57ce1be9cc5602f122",
         "a08d04a8bfa832ea90bc87690278b75266844f6b61f80bdd9d3e3397dd09866a"),
+    "simulate-b5-H0.7-n6": (
+        "40bfa6117989a55d0e10fc511ec2a9a1064a499eca3833bfdf28eb218f4e8494",
+        "f4521fd638bc3d2e6dfffcfd8ac30d7d9aa55d11bc712eff615e2473b0e0fb06"),
 }
 
 
