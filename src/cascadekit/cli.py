@@ -199,9 +199,10 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                        choices=("terminal", "smallh", "increments",
                                 "residual", "moments"),
                        help="which check to run (default terminal)")
-    p_clt.add_argument("--n", type=_parse_int_list, default=(8, 12, 16),
-                       help="depth or comma list of depths "
-                            "(default 8,12,16)")
+    p_clt.add_argument("--n", type=_parse_int_list, default=None,
+                       help="depth; --test terminal takes a comma list "
+                            "of depths (default 8,12,16 for terminal, "
+                            "16 otherwise)")
     p_clt.add_argument("--reps", type=int, default=4000,
                        help="replicas per depth, at least 2 (default 4000)")
     p_clt.add_argument("--h-values", type=_parse_float_list,
@@ -367,7 +368,18 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Default --n of ``clt``: the terminal trend reads D along several
+#: depths, every other check runs at one.
+CLT_DEPTHS = {"terminal": (8, 12, 16)}
+CLT_DEPTH = (16,)
+
+
 def cmd_clt(ns: argparse.Namespace) -> int:
+    if ns.n is None:
+        ns.n = CLT_DEPTHS.get(ns.test, CLT_DEPTH)
+    elif ns.test != "terminal" and len(ns.n) > 1:
+        raise ValueError(f"--n: --test {ns.test} takes one depth; got "
+                         f"{','.join(map(str, ns.n))}")
     params = _params(ns)
     config = _effective_config(ns)
     tag = hurst_tag(params.hurst)
@@ -380,7 +392,7 @@ def cmd_clt(ns: argparse.Namespace) -> int:
         # the converged one the thresholds were calibrated for
         passed = reports[-1].passed
     elif ns.test == "smallh":
-        reports = clt_small_h_test(ns.h_values, max(ns.n), ns.reps,
+        reports = clt_small_h_test(ns.h_values, ns.n[0], ns.reps,
                                    base=params.base, seed=params.seed)
         ds = [r.statistics["ks_distance"] for r in reports]
         payload = {"reports": [stat_report_payload(r) for r in reports],
@@ -388,12 +400,12 @@ def cmd_clt(ns: argparse.Namespace) -> int:
         passed = all(r.passed for r in reports)
     else:  # the single-report checks
         if ns.test == "increments":
-            report = increments_gaussianity(params, ns.p, max(ns.n), ns.reps)
+            report = increments_gaussianity(params, ns.p, ns.n[0], ns.reps)
         elif ns.test == "residual":
-            report = residual_clt_test(params, max(ns.n), ns.reps,
+            report = residual_clt_test(params, ns.n[0], ns.reps,
                                        proxy_levels=ns.proxy_levels)
         else:  # moments
-            report = empirical_vs_exact_moments(params, max(ns.n), ns.reps,
+            report = empirical_vs_exact_moments(params, ns.n[0], ns.reps,
                                                 ns.q)
         payload = {"reports": [stat_report_payload(report)]}
         passed = report.passed

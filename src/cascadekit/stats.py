@@ -229,7 +229,8 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     Reports per H: KS distance to N(0,1) (informational here; the
     decreasing trend along the sequence is the theorem's content, gated
     by the caller), mean z-score against the exact scaled mean, and
-    second-moment z-score against 1.
+    second-moment z-score against 1.  The H values must strictly
+    decrease, so that the trend reads along H falling toward 1/2.
     """
     _require_replicas(reps)
     runs = [CascadeParams(base=base, hurst=float(h), seed=seed)
@@ -237,6 +238,10 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     for params in runs:
         require_regime(params, "the H-to-1/2 limit check", convergent=True,
                        why="for every H of the sequence")
+    hs = [params.hurst for params in runs]
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("--h-values: the small-H check takes strictly "
+                         f"decreasing H values; got {','.join(map(str, hs))}")
     out = []
     for params in runs:
         m2_n = closed_form_second_moment(params, n)

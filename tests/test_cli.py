@@ -286,6 +286,62 @@ def test_clt_terminal_depths_must_increase(tmp_path, capsys, monkeypatch,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("h_values", ["0.55,0.8", "0.8,0.8",
+                                      "0.8,0.55,0.65"])
+def test_clt_smallh_h_values_must_decrease(tmp_path, capsys, monkeypatch,
+                                           h_values):
+    """The small-H check reads D along H falling toward 1/2, so H values
+    that do not strictly decrease are a usage error naming --h-values,
+    before any draw."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replicas were drawn")
+
+    monkeypatch.setattr("cascadekit.stats.sample_terminal", no_draws)
+    outdir = tmp_path / "out"
+    code = main(["clt", "--test", "smallh", "--h-values", h_values,
+                 "--n", "8", "--reps", "200", "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --h-values: the small-H check takes strictly decreasing "
+        f"H values; got {h_values}\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("test,hurst", [
+    ("smallh", "0.7"), ("increments", "0.3"), ("residual", "0.7"),
+    ("moments", "0.7")])
+def test_clt_single_depth_checks_refuse_a_depth_list(tmp_path, capsys,
+                                                     monkeypatch, test,
+                                                     hurst):
+    """Every check but the terminal trend runs at one depth, so a list
+    is a usage error naming --n and the test, before any draw."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replicas were drawn")
+
+    for name in ("sample_terminal", "sample_terminal_pair",
+                 "sample_branch_signs"):
+        monkeypatch.setattr(f"cascadekit.stats.{name}", no_draws)
+    outdir = tmp_path / "out"
+    code = main(["clt", "--test", test, "--H", hurst, "--n", "8,40",
+                 "--reps", "200", "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --n: --test {test} takes one depth; got 8,40\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("test,hurst,depths", [
+    ("terminal", "0.3", "8,12,16"), ("moments", "0.7", "16")])
+def test_clt_default_depths_per_test(tmp_path, test, hurst, depths):
+    """Without --n the terminal trend runs at 8,12,16 and the other
+    checks at 16, and the metadata records the depths that ran."""
+    main(["clt", "--test", test, "--H", hurst, "--reps", "200",
+          "--outdir", str(tmp_path)])
+    payload = json.loads(next(tmp_path.glob("clt_*.json")).read_text())
+    assert payload["meta"]["n"] == depths
+    assert len(payload["reports"]) == len(depths.split(","))
+
+
 @pytest.mark.parametrize("test,hurst", [
     ("terminal", "0.3"), ("smallh", "0.7"), ("increments", "0.3"),
     ("residual", "0.7"), ("moments", "0.7")])
