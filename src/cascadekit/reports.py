@@ -7,16 +7,34 @@ header.  CSV metadata lines are ``# key = value`` comments; JSON carries
 the same pairs under a ``"meta"`` object; SVG carries them in a leading
 XML comment.
 
-Numbers in CSV bodies are written with 17 significant digits ('.'
-decimal, no grouping), enough to round-trip float64 exactly.  Float
-tables (paths, densities, characteristic functions) travel as 2-D
-float64 arrays and are formatted a block of rows at a time with one
-``%``-template, which yields the same text as formatting cell by cell.
+Numbers in CSV bodies are ``%.17g`` text ('.' decimal, no grouping),
+enough to round-trip float64 exactly; SVG points are ``%.2f`` text.
+Float tables (paths, densities, characteristic functions, SVG points)
+travel as 2-D float64 arrays, and numpy builds their text a block of
+rows at a time, byte for byte the text ``%`` writes:
+
+* ``%.17g``: the 17-digit significand D = round(|x|·10^(16-E)) comes
+  from Dekker's exact two-product of |x| with a double-double 10^(16-E)
+  built from exact integers, so the scaled value carries a relative
+  error below 2^-100, under 1e-13 in absolute terms.  E is chosen on the
+  unrounded product, and D = 10^17 after rounding carries into E + 1.
+  ``%g``'s layout follows: fixed notation for -4 <= E < 17, else
+  ``d.ddde±XX``, with trailing zeros and a bare point dropped.
+* ``%.2f``: 100·x = p + e exactly (Dekker), and the rounding to cents,
+  ties to even, is decided exactly from (p - floor p) - 1/2 against -e.
+
+``%`` itself writes the cells the error bound cannot decide or the
+kernel does not cover: ``%.17g`` cells whose scaled fraction lies within
+1e-6 of 1/2, zeros, non-finite values and |x| outside [1e-290, 1e290];
+``%.2f`` cells that are negative or -0.0, non-finite, or at least 1e9.
+Metadata values and mixed-type rows (moment tables, fractal fits) go
+through ``%`` cell by cell.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,35 +42,258 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 
 #: Rows per formatting block of a float table: large enough to amortize
-#: the template, small enough to keep each block's text in cache.
-_BLOCK_ROWS = 2**14
+#: the per-block numpy calls, small enough that each float temporary
+#: (64 KiB) reuses freed heap memory; at 2^14 rows each block of a
+#: 65,537-row column page-faulted about 300 fresh pages.
+_BLOCK_ROWS = 2**13
+
+#: Veltkamp's splitter 2^27 + 1: ``c = _SPLIT * a; c - (c - a)`` is the
+#: top 26 bits of a, as Dekker's exact product needs.
+_SPLIT = 134217729.0
+
+#: Character slots of one ``%.17g`` cell: the sign, the ``0.000`` lead of
+#: fixed notation below 1, the 17 digits with one slot for the point, and
+#: the exponent ``e±ddd``.
+_G_LEAD, _G_BODY, _G_EXP = 1, 6, 24
+_G_WIDTH = 29
+#: Character slots of one ``%.2f`` cell: ten integer digits, the point
+#: and two decimals.
+_F_WIDTH = 13
+
+#: Byte that stands in the text for a cell whose text ``%`` writes.
+_MARK = 1
 
 
 def format_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _format_blocks(table: np.ndarray, row_fmt: str,
-                   sep: str = "") -> list[str]:
-    """Text of a 2-D table, one string per block of rows.
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a and hi the top 26 bits of a (Veltkamp)."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
 
-    Each block is ``sep.join([row_fmt] * k) % cells`` over the block's
-    k rows, with the cells taken from one ``.tolist()`` of the table, so
-    every number goes through the same ``%`` conversion as a per-cell
-    loop would and the text is the same.
+
+def _pow10(k_lo: int, k_hi: int) -> np.ndarray:
+    """Rows hi, hi's split (hh, hl) and lo, for each k in k_lo..k_hi.
+
+    hi + lo is 10^k truncated to 106 bits, from exact integers, so its
+    relative error is below 2^-105; hi = hh + hl splits as ``_split``
+    would, done before scaling so that no product overflows.
     """
-    cols = table.shape[1]
-    cells = table.ravel().tolist()
-    step = _BLOCK_ROWS * cols
-    full = sep.join([row_fmt] * _BLOCK_ROWS)
-    blocks = []
-    for lo in range(0, len(cells), step):
-        chunk = cells[lo:lo + step]
-        rows = len(chunk) // cols
-        template = full if rows == _BLOCK_ROWS else sep.join([row_fmt]
-                                                            * rows)
-        blocks.append(template % tuple(chunk))
-    return blocks
+    rows = []
+    for k in range(k_lo, k_hi + 1):
+        # 10^k ~ big·2^(f - 106), big in [2^106, 2^107)
+        if k >= 0:
+            f = (10**k).bit_length() - 1
+            big = 10**k << 106 >> f if f <= 106 else 10**k >> (f - 106)
+        else:
+            f = -(10**-k).bit_length()
+            big = (1 << (106 - f)) // 10**-k
+        hi = float(big)
+        hh, hl = _split(hi)
+        rows.append([math.ldexp(v, f - 106)
+                     for v in (hi, hh, hl, float(big - int(hi)))])
+    return np.array(rows).T
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a·10^k as (s, t): s = fl(a·10^k), t the rest, |t| <= ulp(s)/2.
+
+    a·hi is exact as Dekker's two-product p + err, a·lo adds the rest of
+    10^k; the relative error of s + t is below 2^-100.  Every partial
+    product is near a·10^k ~ 1e16, so none underflows.
+    """
+    k_lo = int(k.min())
+    idx = k - k_lo
+    hi, hh, hl, lo = (np.take(row, idx)
+                      for row in _pow10(k_lo, int(k.max())))
+    p = a * hi
+    ah, al = _split(a)
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    t += a * lo
+    s = p + t
+    t -= s - p
+    return s, t
+
+
+def _put_digits(groups: np.ndarray, rows: np.ndarray) -> None:
+    """Decimal digits of 4-digit groups: digit i of group j into row
+    4j + i, as digit values (add 48 for ASCII)."""
+    for i in range(3, 0, -1):
+        q = groups // 10
+        np.subtract(groups, q * 10, out=rows[i::4], casting="unsafe")
+        groups = q
+    rows[::4] = groups
+
+
+def _g17_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Write the ``%.17g`` text of each x into its column of ``slots``.
+
+    Returns the cells left to ``%`` (their column holds one _MARK).
+    """
+    a = np.abs(x)
+    done = (a >= 1e-290) & (a <= 1e290)
+    a[~done] = 1.0
+    # E on the unrounded a·10^(16-E) in [1e16, 1e17); a product less
+    # than 0.01 below 1e16 prints as 1e16 from either exponent
+    E = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, 16 - E)
+    while True:
+        low = (s < 1e16) | ((s == 1e16) & (t < -0.01))
+        high = (s > 1e17) | ((s == 1e17) & (t >= 0))
+        moved = low | high
+        if not moved.any():
+            break
+        E += high
+        E -= low
+        s[moved], t[moved] = _scaled(a[moved], 16 - E[moved])
+    # D = round(s + t): s is an integer here, t holds the fraction
+    ft = np.floor(t)
+    t -= ft
+    done &= np.abs(t - 0.5) >= 1e-6
+    D = s.astype(np.int64)
+    D += ft.astype(np.int64)
+    D += t > 0.5
+    carry = D == 10**17
+    D[carry] = 10**16
+    E += carry
+
+    # the 17 digits: d0, then four groups of four
+    n = x.size
+    top = D // 10**8
+    bottom = (D - top * 10**8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    groups = np.empty((4, n), np.uint32)
+    head = top // 10**4
+    groups[1] = top - head * 10**4
+    groups[0] = head % 10**4
+    groups[2] = bottom // 10**4
+    groups[3] = bottom - groups[2] * 10**4
+    dig = np.empty((17, n), np.uint8)
+    dig[0] = head // 10**4
+    _put_digits(groups, dig[1:])
+    rank = np.arange(18, dtype=np.int8)[:, None]
+    last = (rank[1:17] * (dig[1:] != 0)).max(axis=0)  # last nonzero digit
+    dig += 48
+
+    fixed = (E >= -4) & (E < 17)
+    below_one = fixed & (E < 0)
+    # the last digit before the point, and the slot of the point
+    point = np.where(fixed & (E >= 0), E, 0).astype(np.int8)
+    pos = np.where(below_one, 17, point + 1).astype(np.int8)
+
+    np.multiply(x < 0, ord("-"), out=slots[0], casting="unsafe")
+    lead = slots[_G_LEAD:_G_BODY]
+    lead[:] = 0
+    if below_one.any():
+        lead[0][below_one] = ord("0")
+        lead[1][below_one] = ord(".")
+        for i in range(3):
+            lead[2 + i][below_one & (E < -1 - i)] = ord("0")
+    # digits up to the last kept one, one slot right past the point
+    dig *= rank[:17] <= np.maximum(last, point)
+    body = slots[_G_BODY:_G_EXP]
+    np.multiply(dig, rank[:17] < pos, out=body[:17])
+    body[17] = 0
+    body[1:] += dig * (rank[1:] > pos)
+    body += (rank == pos) * np.where((last > point) & ~below_one,
+                                     np.uint8(ord(".")), np.uint8(0))
+
+    exp = slots[_G_EXP:]
+    exp[:] = 0
+    sci = ~fixed
+    if sci.any():
+        mag = np.abs(E[sci])
+        exp[0][sci] = ord("e")
+        exp[1][sci] = np.where(E[sci] < 0, ord("-"), ord("+"))
+        exp[2][sci] = np.where(mag >= 100, 48 + mag // 100, 0)
+        exp[3][sci] = 48 + mag // 10 % 10
+        exp[4][sci] = 48 + mag % 10
+    left = ~done
+    slots[:, left] = 0
+    slots[0, left] = _MARK
+    return left
+
+
+def _f2_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Write the ``%.2f`` text of each x into its column of ``slots``.
+
+    Returns the cells left to ``%`` (their column holds one _MARK).
+    """
+    done = ~np.signbit(x) & (x < 1e9)
+    v = np.where(done, x, 0.0)
+    # 100·v = p + err exactly (Dekker's two-product; 100 has 7 bits)
+    p = 100.0 * v
+    vh, vl = _split(v)
+    err = (100.0 * vh - p) + 100.0 * vl
+    f = np.floor(p)
+    half = (p - f) - 0.5  # exact: p < 2^37
+    N = f.astype(np.int64)
+    N += (half > -err) | ((half == -err) & (N % 2 == 1))
+    whole = N // 100
+    n = x.size
+    groups = np.empty((4, n), np.uint32)
+    groups[3] = N - whole * 100
+    groups[0] = whole // 10**8
+    whole -= groups[0].astype(np.int64) * 10**8
+    groups[1] = whole // 10**4
+    groups[2] = whole - groups[1].astype(np.int64) * 10**4
+    # whole's ten digits are rows 2..11 of the group digits (its top
+    # group has two), the cents rows 14..15
+    digits = np.empty((16, n), np.uint8)
+    _put_digits(groups, digits)
+    slots[:10] = digits[2:12]
+    slots[11:13] = digits[14:16]
+    slots[:13] += np.uint8(48)
+    # leading zeros of the whole part, all but its units digit
+    ndig = np.searchsorted(10**np.arange(1, 10), N // 100, side="right")
+    slots[:9] *= np.arange(9)[:, None] >= 9 - ndig
+    slots[10] = ord(".")
+    left = ~done
+    slots[:, left] = 0
+    slots[0, left] = _MARK
+    return left
+
+
+def _table_text(table: np.ndarray, fmt: str, row_end: str,
+                last_end: str | None = None):
+    """Text of a float table as ASCII bytes, one block of rows at a time.
+
+    Each cell's text is ``fmt % cell`` (``%.17g`` or ``%.2f``); cells
+    are joined by ``,`` and every row ends with ``row_end``, the last
+    with ``last_end`` if given.  A block is built as one uint8 row per
+    character slot, zero where a cell has no character, plus one row per
+    separator; one transpose puts the slots in text order and deleting
+    the zero bytes leaves the text.  Cells the kernel leaves to ``%`` are
+    spliced in at their marks.
+    """
+    cells, width = ((_g17_cells, _G_WIDTH) if fmt == FLOAT_FMT
+                    else (_f2_cells, _F_WIDTH))
+    rows, cols = table.shape
+    blk = max(1, min(rows, _BLOCK_ROWS))
+    stride = width + 1
+    slots = np.empty((cols * stride, blk), np.uint8)
+    for j in range(cols):
+        slots[j * stride + width] = ord("," if j < cols - 1 else row_end)
+    for lo in range(0, rows, blk):
+        block = table[lo:lo + blk]
+        k = len(block)
+        if lo + k == rows and last_end is not None:
+            slots[-1, k - 1] = ord(last_end) if last_end else 0
+        left = np.empty((k, cols), bool)
+        for j in range(cols):
+            left[:, j] = cells(block[:, j],
+                               slots[j * stride:j * stride + width, :k])
+        data = slots[:, :k].T.tobytes().translate(None, b"\0")
+        if left.any():
+            parts = data.split(bytes([_MARK]))
+            spliced = [parts[0]]
+            for value, part in zip(block[left].tolist(), parts[1:]):
+                spliced += [(fmt % value).encode(), part]
+            data = b"".join(spliced)
+        yield data
 
 
 def metadata_items(config: Mapping[str, object]) -> list[tuple[str, str]]:
@@ -86,8 +327,8 @@ def write_csv(path, header: list[str],
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             table = np.asarray(rows, dtype=np.float64)
-            row_fmt = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
-            fh.writelines(_format_blocks(table, row_fmt))
+            fh.flush()
+            fh.buffer.writelines(_table_text(table, FLOAT_FMT, "\n"))
         else:
             for row in rows:
                 cells = [format_float(c)
@@ -189,8 +430,6 @@ def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,
     px = margin + (xs - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
     py = height - margin - (ys - y_lo) / (y_hi - y_lo) * (height
                                                           - 2 * margin)
-    points = " ".join(_format_blocks(np.column_stack((px, py)),
-                                     "%.2f,%.2f", " "))
     meta = "\n".join(f"{k} = {v}" for k, v in metadata_items(config))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
@@ -200,6 +439,9 @@ def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,
                  f'viewBox="0 0 {width} {height}">\n')
         fh.write(f'<rect width="{width}" height="{height}" '
                  f'fill="white"/>\n')
-        fh.write(f'<polyline points="{points}" fill="none" '
-                 f'stroke="#20506e" stroke-width="0.8"/>\n')
+        fh.write('<polyline points="')
+        fh.flush()
+        fh.buffer.writelines(_table_text(np.column_stack((px, py)), "%.2f",
+                                         " ", last_end=""))
+        fh.write('" fill="none" stroke="#20506e" stroke-width="0.8"/>\n')
         fh.write("</svg>\n")

@@ -1,4 +1,5 @@
-"""Peak heap of the path-side stages, measured with ``tracemalloc``.
+"""Peak heap of the path-side stages and the writers, measured with
+``tracemalloc``.
 
 Numpy registers its data buffers with ``tracemalloc``, so the peak of a
 call counts every array it allocates, its result included.  Each bound
@@ -19,6 +20,12 @@ from cascadekit.core import (
     generate_leaf_signs,
 )
 from cascadekit.fractal import box_dimension
+from cascadekit.reports import (
+    _BLOCK_ROWS,
+    path_rows,
+    write_csv,
+    write_svg_polyline,
+)
 
 #: Interpreter objects, views and ufunc buffers on top of each bound.
 SLACK = 256 * 1024
@@ -101,3 +108,33 @@ def test_fractal_command_never_holds_the_path(b, n, ranges, tmp_path):
     assert code in (0, 1)
     assert peak <= _expansion_bound(b, n) + SLACK
     assert peak < 8 * b**n / 3
+
+
+@pytest.fixture(scope="module")
+def path_table():
+    """A 2^16 + 1-row path (t, value)."""
+    params = CascadeParams(base=2, hurst=0.7, seed=3)
+    return build_path(generate_leaf_signs(params, 16), params,
+                      max_points=2**16)
+
+
+def test_csv_writer_holds_one_block_of_text(path_table, tmp_path):
+    """The float table's text is built and written one block of rows at a
+    time: its character slots, their text and the working arrays of one
+    block, 320 bytes per block row for two columns, whatever the number
+    of rows (cell-by-cell ``%`` text peaked at 7.2 MiB here)."""
+    table = path_rows(path_table)
+    assert table.shape == (2**16 + 1, 2)
+    _, peak = _peak(write_csv, tmp_path / "p.csv", ["t", "value"], table,
+                    {"tool": "cascadekit"})
+    assert peak <= 320 * _BLOCK_ROWS + SLACK
+
+
+def test_svg_writer_holds_the_points_and_one_block(path_table, tmp_path):
+    """The SVG writer holds the scaled points, 32 bytes per row (x and y,
+    and their two-column table), plus one block of their text at 256
+    bytes per block row (cell-by-cell ``%`` text peaked at 7.5 MiB)."""
+    rows = path_table.values.size
+    _, peak = _peak(write_svg_polyline, tmp_path / "p.svg", path_table.grid,
+                    path_table.values, {"tool": "cascadekit"})
+    assert peak <= 32 * rows + 256 * _BLOCK_ROWS + SLACK

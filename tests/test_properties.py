@@ -2,11 +2,14 @@
 sign fields and the count-chain samplers (whatever the number of worker
 threads or the set of depths recorded), of the terminal CLT trend drawn
 from one chain, of the moment recursion's log-sum-exp, of the
-exactness of the fractal estimators' block extrema, and of the fractal
-fits read straight from the packed field."""
+exactness of the fractal estimators' block extrema, of the fractal
+fits read straight from the packed field, and of the float-table text
+kernel against Python's ``%``."""
 
+import struct
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from cascadekit.core import (
     sample_terminal_depths,
     sample_terminal_pair,
 )
+from cascadekit import reports
 from cascadekit.moments import _logsumexp
 from cascadekit.stats import clt_terminal_test, clt_terminal_trend
 
@@ -382,3 +386,63 @@ def test_field_summary_fits_equal_path_fits(case):
         fits.append((increment_scaling_exponent, p_range))
     for fit, *args in fits:
         assert _outcome(fit, summary, *args) == _outcome(fit, path, *args)
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Every float, nan and inf included, and raw 64-bit patterns (which
+#: reach subnormals, huge exponents and nan payloads evenly).
+any_float = st.floats() | st.integers(0, 2**64 - 1).map(_from_bits)
+
+#: Powers of ten and both neighbours; a tie at the 17th digit; ties and
+#: cents at %.2f; signed zeros, the extremes of the range; the edges of
+#: %.17g's fixed notation (E = 16, 17 and -4, -5).
+TEXT_EXAMPLES = [
+    v for k in range(-40, 41) for p in [float(f"1e{k}")]
+    for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))
+] + [1 + 2**-17, 0.125, 0.005, 0.0, -0.0, 5e-324, sys.float_info.max,
+     1e16, 1e17, 9.9999999999999999e16, 1e-4, 1e-5]
+
+
+def _examples(**values):
+    """One ``@example`` per value of each keyword."""
+    def add(fn):
+        for name, vals in values.items():
+            for v in reversed(vals):
+                fn = example(**{name: v})(fn)
+        return fn
+    return add
+
+
+def _kernel_text(table, fmt, row_end="\n", last_end=None):
+    return b"".join(reports._table_text(np.asarray(table, dtype=float), fmt,
+                                        row_end, last_end)).decode()
+
+
+@PROPERTY
+@given(x=any_float)
+@_examples(x=[float(v) for v in TEXT_EXAMPLES])
+def test_float_text_kernel_is_percent_text(x):
+    """One cell's text from the kernel is ``%.17g % x`` and ``%.2f % x``,
+    byte for byte."""
+    for fmt in ("%.17g", "%.2f"):
+        assert _kernel_text([[x]], fmt) == fmt % x + "\n"
+
+
+@PROPERTY
+@given(cells=st.lists(any_float, min_size=2, max_size=40),
+       cols=st.sampled_from([1, 2, 3]))
+def test_float_table_text_is_percent_rows(cells, cols):
+    """Tables of several 3-row blocks, with cells left to ``%`` spliced
+    at their places: CSV rows end in a newline, SVG points are joined by
+    spaces with no trailing separator."""
+    rows = len(cells) // cols
+    table = np.array(cells[:rows * cols]).reshape(rows, cols)
+    values = table.tolist()
+    with mock.patch.object(reports, "_BLOCK_ROWS", 3):
+        assert _kernel_text(table, "%.17g") == "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in values)
+        assert _kernel_text(table, "%.2f", " ", "") == " ".join(
+            ",".join("%.2f" % v for v in row) for row in values)
