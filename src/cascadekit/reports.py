@@ -232,24 +232,23 @@ def _f2_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     half = (p - f) - 0.5  # exact: p < 2^37
     N = f.astype(np.int64)
     N += (half > -err) | ((half == -err) & (N % 2 == 1))
-    whole = N // 100
-    n = x.size
-    groups = np.empty((4, n), np.uint32)
+    whole = N // 100  # below 2^32
+    high = whole // 10**4
+    groups = np.empty((4, x.size), np.uint32)
+    groups[0] = high // 10**4
+    groups[1] = high - groups[0] * 10**4
+    groups[2] = whole - high * 10**4
     groups[3] = N - whole * 100
-    groups[0] = whole // 10**8
-    whole -= groups[0].astype(np.int64) * 10**8
-    groups[1] = whole // 10**4
-    groups[2] = whole - groups[1].astype(np.int64) * 10**4
     # whole's ten digits are rows 2..11 of the group digits (its top
     # group has two), the cents rows 14..15
-    digits = np.empty((16, n), np.uint8)
+    digits = np.empty((16, x.size), np.uint8)
     _put_digits(groups, digits)
     slots[:10] = digits[2:12]
     slots[11:13] = digits[14:16]
     slots[:13] += np.uint8(48)
-    # leading zeros of the whole part, all but its units digit
-    ndig = np.searchsorted(10**np.arange(1, 10), N // 100, side="right")
-    slots[:9] *= np.arange(9)[:, None] >= 9 - ndig
+    # leading zeros of the whole part: it has 1 + ``more`` digits
+    more = np.searchsorted(10**np.arange(1, 10), whole, side="right")
+    slots[:9] *= np.arange(9)[:, None] >= 9 - more
     slots[10] = ord(".")
     left = ~done
     slots[:, left] = 0
@@ -327,7 +326,7 @@ def write_csv(path, header: list[str],
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             table = np.asarray(rows, dtype=np.float64)
-            fh.flush()
+            fh.flush()  # the table's ASCII text goes to the byte stream
             fh.buffer.writelines(_table_text(table, FLOAT_FMT, "\n"))
         else:
             for row in rows:
