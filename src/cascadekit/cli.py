@@ -368,15 +368,11 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Default --n of ``clt``: the terminal trend reads D along several
-#: depths, every other check runs at one.
-CLT_DEPTHS = {"terminal": (8, 12, 16)}
-CLT_DEPTH = (16,)
-
-
 def cmd_clt(ns: argparse.Namespace) -> int:
+    # the terminal trend reads D along several depths, every other check
+    # runs at one
     if ns.n is None:
-        ns.n = CLT_DEPTHS.get(ns.test, CLT_DEPTH)
+        ns.n = (8, 12, 16) if ns.test == "terminal" else (16,)
     elif ns.test != "terminal" and len(ns.n) > 1:
         raise ValueError(f"--n: --test {ns.test} takes one depth; got "
                          f"{','.join(map(str, ns.n))}")

@@ -122,7 +122,7 @@ def test_csv_writer_holds_one_block_of_text(path_table, tmp_path):
     """The float table's text is built and written one block of rows at a
     time: its character slots, their text and the working arrays of one
     block, 320 bytes per block row for two columns, whatever the number
-    of rows (cell-by-cell ``%`` text peaked at 7.2 MiB here)."""
+    of rows (``%`` cell by cell peaked at 7.2 MiB on this table)."""
     table = path_rows(path_table)
     assert table.shape == (2**16 + 1, 2)
     _, peak = _peak(write_csv, tmp_path / "p.csv", ["t", "value"], table,
@@ -133,7 +133,7 @@ def test_csv_writer_holds_one_block_of_text(path_table, tmp_path):
 def test_svg_writer_holds_the_points_and_one_block(path_table, tmp_path):
     """The SVG writer holds the scaled points, 32 bytes per row (x and y,
     and their two-column table), plus one block of their text at 256
-    bytes per block row (cell-by-cell ``%`` text peaked at 7.5 MiB)."""
+    bytes per block row (``%`` cell by cell peaked at 7.5 MiB)."""
     rows = path_table.values.size
     _, peak = _peak(write_svg_polyline, tmp_path / "p.svg", path_table.grid,
                     path_table.values, {"tool": "cascadekit"})
