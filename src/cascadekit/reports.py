@@ -320,13 +320,15 @@ def write_csv(path, header: list[str],
     or an iterable of tuples of mixed type.  Row cells that are floats
     are rendered at 17 significant digits; everything else via str().
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, text in metadata_items(config):
             fh.write(f"# {key} = {text}\n")
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             table = np.asarray(rows, dtype=np.float64)
-            fh.flush()  # the table's ASCII text goes to the byte stream
+            # the table's text goes to the byte stream, untranslated like
+            # the lines above (newline="\n")
+            fh.flush()
             fh.buffer.writelines(_table_text(table, FLOAT_FMT, "\n"))
         else:
             for row in rows:
@@ -430,7 +432,7 @@ def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,
     py = height - margin - (ys - y_lo) / (y_hi - y_lo) * (height
                                                           - 2 * margin)
     meta = "\n".join(f"{k} = {v}" for k, v in metadata_items(config))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
         fh.write(f"<!--\n{meta}\n-->\n")
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
