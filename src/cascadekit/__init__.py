@@ -61,7 +61,6 @@ from .moments import (
     gaussian_even_moments,
     limit_z_moments,
     normalized_moment_recursion,
-    tilde_moment_solver,
     z_moment_recursion,
 )
 from .stats import (
@@ -130,7 +129,6 @@ __all__ = [
     "sample_terminal_depths",
     "sample_terminal_pair",
     "sigma",
-    "tilde_moment_solver",
     "verify_self_similarity",
     "z_moment_recursion",
 ]

@@ -63,6 +63,9 @@ DEFAULT_MAX_LEAVES = 2**27
 #: Leaf chunk size for level expansion at deep levels.
 _CHUNK = 2**22
 
+#: Leaves per slice that :func:`build_path` copies into its result.
+_SLICE = 2**16
+
 #: Domain tags keeping independent sampler purposes on disjoint streams.
 _DOMAIN_TERMINAL = 0x7E51
 _DOMAIN_BRANCH = 0x55B7
@@ -254,9 +257,13 @@ class LeafSignField:
         return self.base**self.depth
 
     def leaf_bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Unpacked leaf bits (uint8 0/1) for indices [start, stop)."""
+        """Unpacked leaf bits (uint8 0/1) for indices [start, stop);
+        ValueError unless 0 <= start <= stop <= n_leaves."""
         if stop is None:
             stop = self.n_leaves
+        if not 0 <= start <= stop <= self.n_leaves:
+            raise ValueError(f"leaf range [{start}, {stop}) is not within "
+                             f"[0, {self.n_leaves}]")
         byte_lo, byte_hi = start // 8, (stop + 7) // 8
         bits = np.unpackbits(self.packed[byte_lo:byte_hi])
         return bits[start - 8 * byte_lo: stop - 8 * byte_lo]
@@ -370,49 +377,64 @@ class SamplePath:
         return self.stride != 1
 
 
+def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
+                stride: int = 1):
+    """Yield B_n sampled every ``stride`` leaves over samples [s, s + width]
+    for s = 0, width, ..., the last slice clipped to the path's end.
+
+    The one place where leaf bits become path values.  Sample k is
+    b^(-n*H) times the integer running sum of the first k * stride leaf
+    signs: each block of ``stride`` leaves adds stride - 2 * (its
+    minus-sign count), and the running sum, of magnitude at most
+    b^n <= 2^53, is carried across slices exactly in float64, so every
+    sample is a correctly rounded product, the same for any ``width``.
+    Each slice is a view of one reused buffer of width + 1 floats that
+    the next slice overwrites; it starts with the last sample of the
+    slice before.
+    """
+    if signs.base != params.base:
+        raise ValueError("sign field and params disagree on base")
+    scale = params.weight_scale(signs.depth)
+    n_samples = signs.n_leaves // stride
+    buf = np.empty(width + 1, dtype=np.float64)
+    total = 0.0
+    for lo in range(0, n_samples, width):
+        k = min(width, n_samples - lo)
+        seg = buf[:k + 1]
+        bits = signs.leaf_bits(lo * stride, (lo + k) * stride)
+        np.sum(bits.reshape(k, stride), axis=1, out=seg[1:])
+        seg[1:] *= -2.0
+        seg[1:] += stride
+        seg[0] = total
+        np.cumsum(seg, out=seg)
+        total = seg[-1]
+        seg *= scale
+        yield seg
+
+
 def build_path(signs: LeafSignField, params: CascadeParams, *,
                max_points: int = DEFAULT_MAX_POINTS) -> SamplePath:
     """Assemble B_n from a leaf sign field.
 
     Grid value k is b^(-n*H) times the k-term cumulative sum of leaf
-    signs (value 0 at t=0).  The cumulative sum is built in the float64
-    array that becomes the path and scaled once in place: every partial
-    sum is an integer of magnitude at most b^n <= 2^53, which float64
-    holds exactly, so grid values are correctly rounded products and
-    every increment magnitude matches b^(-n*H) to machine precision.
-    The only full-size array is the result.
-
-    The cumulative sum is evaluated every ``stride`` leaves via exact
-    integer block sums.  ``stride`` is the smallest power of b that
-    leaves at most ``max_points`` cells (>= 1), so fields wider than
-    ``max_points`` cells produce a decimated path.
+    signs (value 0 at t=0), evaluated every ``stride`` leaves, where
+    ``stride`` is the smallest power of b that leaves at most
+    ``max_points`` cells (>= 1), so fields wider than ``max_points``
+    cells produce a decimated path.  The values come from
+    :func:`path_slices`, copied into the result one slice of at most
+    2^16 leaves at a time: the result is the only full-size array.
     """
     if signs.base != params.base:
         raise ValueError("sign field and params disagree on base")
     check_max_points(max_points)
-    n = signs.depth
-    b = params.base
-    n_leaves = signs.n_leaves
-    scale = params.weight_scale(n)
-
     stride = 1
-    while n_leaves // stride > max_points:
-        stride *= b
-    n_blocks = n_leaves // stride
-    values = np.empty(n_blocks + 1, dtype=np.float64)
-    values[0] = 0.0
-    # minus-sign count per stride block, then block sum = stride - 2 * count
-    blk_step = max(1, _CHUNK // stride)
-    for blk_lo in range(0, n_blocks, blk_step):
-        blk_hi = min(blk_lo + blk_step, n_blocks)
-        bits = signs.leaf_bits(blk_lo * stride, blk_hi * stride)
-        np.sum(bits.reshape(blk_hi - blk_lo, stride), axis=1,
-               out=values[blk_lo + 1: blk_hi + 1])
-    values[1:] *= -2.0
-    values[1:] += stride
-    np.cumsum(values[1:], out=values[1:])
-    values *= scale
-    return SamplePath(params=params, depth=n, values=values,
+    while signs.n_leaves // stride > max_points:
+        stride *= params.base
+    values = np.empty(signs.n_leaves // stride + 1, dtype=np.float64)
+    width = max(1, _SLICE // stride)
+    for i, seg in enumerate(path_slices(signs, params, width, stride)):
+        values[i * width:i * width + seg.size] = seg
+    return SamplePath(params=params, depth=signs.depth, values=values,
                       kind=PathKind.RAW, stride=stride)
 
 

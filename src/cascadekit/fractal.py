@@ -17,14 +17,14 @@ over consecutive slices of the largest power of b <= 2^16 samples (plus
 the next slice's first sample as right edge):
 
 * the samples at the finest increment generation, copied out;
-* the box counts per scale: a b-adic min/max pyramid per slice for the
-  columns no wider than a slice, and a running min and max carried
-  across slices for the wider ones, with integer totals summed exactly
-  in Python ints;
 * a table of per-block extrema over blocks of the largest power of
-  b <= 4096 samples, and the raw extrema of each pointwise ball's ragged
-  ends (each inside one block), which together give every ball's
-  oscillation.
+  b <= 4096 samples (at most one slice), and the samples at the block
+  edges: each slice's b-adic min/max pyramid writes its rows;
+* the box counts per scale, with integer totals summed exactly in
+  Python ints: the slice pyramid counts the columns no wider than a
+  block, and a pyramid over the block table the wider ones;
+* the raw extrema of each pointwise ball's ragged ends (each inside one
+  block), which with the block table give every ball's oscillation.
 
 Min and max of floats are exact (the result is one of the inputs, with no
 rounding), so they can be regrouped freely: the min of block mins is the
@@ -33,12 +33,12 @@ min of the window, bit for bit, and no estimate depends on the slicing.
 The pass has two sources.  Given a full-resolution :class:`SamplePath`,
 each estimator summarizes views of ``path.values``.  Given a packed
 :class:`LeafSignField`, :func:`summarize_field` rebuilds each slice with
-the arithmetic of :func:`build_path` (the integer running sum carried
-across slices, exact in float64, times the one weight scale), so every
-sample has the bits of the full-resolution path, which is never built.
-Above the field, the pass holds one slice and the summary: 8 bytes per
-increment sample (b^p + 1 of them, for generation p), 16 per block of
-the table and a few scalars per scale and ball.
+:func:`~cascadekit.core.path_slices`, the code :func:`build_path` takes
+its values from, so every sample has the bits of the full-resolution
+path, which is never built.  Above the field, the pass holds one slice
+and the summary: 8 bytes per increment sample (b^p + 1 of them, for
+generation p), 24 per block of the table and a few scalars per scale
+and ball.
 
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CascadeParams, LeafSignField, SamplePath
+from .core import CascadeParams, LeafSignField, SamplePath, path_slices
 
 
 #: Scale range of the pointwise exponent fits (the CLI's --profile
@@ -63,8 +63,9 @@ HOLDER_J_RANGE = (2, 12)
 #: Evaluation points of the pointwise profile (the CLI's --profile).
 PROFILE_POINTS = 64
 
-#: Samples per block of the pointwise extrema table: the largest power
-#: of b at most this.
+#: Samples per block of the extrema table (the pointwise balls and the
+#: box columns wider than a block): the largest power of b at most this
+#: (at most one slice).
 _BLOCK = 4096
 
 #: Samples per slice of the pass: the largest power of b at most this
@@ -154,12 +155,13 @@ def _require_full_resolution(path: SamplePath) -> None:
                          "rebuild with max_points >= base**depth")
 
 
-def _power_at_most(b: int, limit: int) -> int:
-    """The largest power of b that is at most ``limit`` (>= 1)."""
-    power = 1
-    while power * b <= limit:
-        power *= b
-    return power
+def _log_at_most(b: int, limit: int) -> int:
+    """The exponent of the largest power of b that is at most ``limit``,
+    for ``limit`` >= 1."""
+    e, power = 0, b
+    while power <= limit:
+        e, power = e + 1, power * b
+    return e
 
 
 def _ball(b: int, depth: int, t: float, j: int) -> tuple[int, int]:
@@ -198,20 +200,23 @@ def _coarsen(mins: np.ndarray, maxs: np.ndarray, width: int):
     return lo, hi
 
 
-def _level_extrema(v: np.ndarray, b: int, n: int, j_hi: int, j_lo: int):
-    """Yield (j, mins, maxs) for j = j_hi down to j_lo (j_hi < n): the
-    extrema of v over the half-open blocks [k s, (k + 1) s), s = b^(n - j),
-    of its whole blocks at j_lo (a slice of a depth-n path).
+def _level_extrema(mins: np.ndarray, maxs: np.ndarray, b: int, n: int,
+                   j_hi: int, j_lo: int):
+    """Yield (j, mins_j, maxs_j) for j = j_hi down to j_lo (j_hi <= n):
+    the extrema over the half-open blocks [k s, (k + 1) s), s = b^(n - j),
+    where ``mins``/``maxs`` are the extrema at level n, a whole number of
+    level-j_lo blocks (raw samples of a depth-n path pass themselves
+    twice).
 
     A b-adic pyramid: the first level, j = max(j_hi, n - 2), reduces the
-    b^(n - j) interleaved slices of v; each coarser level reduces the b
-    interleaved slices of the one below.  A level's arrays are new (never
-    views of v, as j < n) and the next coarser level is computed before
-    they are yielded, so the caller may overwrite them.
+    b^(n - j) interleaved slices of the input; each coarser level reduces
+    the b interleaved slices of the one below.  The levels below n are
+    new arrays, and the next coarser level is computed before one is
+    yielded, so the caller may overwrite them; level n is the input.
     """
     level = max(j_hi, n - 2)
-    whole = v.size // b**(n - j_lo) * b**(n - j_lo)
-    mins, maxs = _coarsen(v[:whole], v[:whole], b**(n - level))
+    if level < n:
+        mins, maxs = _coarsen(mins, maxs, b**(n - level))
     for j in range(level, j_lo - 1, -1):
         current = mins, maxs
         if j > j_lo:
@@ -245,43 +250,25 @@ def _path_slices(values: np.ndarray, width: int):
         yield values[start:start + width + 1]
 
 
-def _field_slices(field: LeafSignField, params: CascadeParams, width: int):
-    """B_n over samples [s, s + width] for s = 0, width, ..., rebuilt from
-    the packed field into one reused buffer (overwritten by the next
-    slice).
-
-    Each sample is the running sum of leaf signs, an integer of magnitude
-    at most b^n <= 2^53 held exactly in float64 and carried across
-    slices, times ``params.weight_scale(n)``: the arithmetic of
-    :func:`build_path`, so every sample has its bits.
-    """
-    scale = params.weight_scale(field.depth)
-    seg = np.empty(width + 1, dtype=np.float64)
-    total = 0.0
-    for start in range(0, field.n_leaves, width):
-        seg[0] = total
-        np.multiply(field.leaf_bits(start, start + width), -2.0,
-                    out=seg[1:])
-        seg[1:] += 1.0
-        np.cumsum(seg, out=seg)
-        total = seg[-1]
-        seg *= scale
-        yield seg
-
-
 def _summarize(params: CascadeParams, depth: int, slices_of, *,
                p_top: int | None = None,
                j_range: tuple[int, int] | None = None,
                windows=()) -> FractalSummary:
     """One pass over the slices ``slices_of(width)`` yields (see
     :func:`_path_slices`): the samples at the multiples of
-    b^(depth - p_top), the box counts for every j in ``j_range``, and the
-    block table and raw piece extrema of every window (i_lo, i_hi) in
-    ``windows``.  The ranges are already checked."""
+    b^(depth - p_top), the box counts for every j in ``j_range``, the
+    block table and the raw piece extrema of every window (i_lo, i_hi)
+    in ``windows``.  The ranges are already checked.
+
+    Each slice's min/max pyramid runs down to the block level: it writes
+    the slice's rows of the table and counts the columns no wider than a
+    block.  The pyramid over the table then counts the wider columns,
+    whose right edges are the samples at block multiples."""
     b = params.base
     m = b**depth
-    width = min(_power_at_most(b, _SLICE), m)
-    block = _power_at_most(b, _BLOCK)
+    width_log = min(_log_at_most(b, _SLICE), depth)
+    block_log = min(_log_at_most(b, _BLOCK), width_log)
+    width, block, j_block = b**width_log, b**block_log, depth - block_log
     n_slices = m // width
 
     increments = None
@@ -290,15 +277,14 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
         increments = np.empty(b**p_top + 1, dtype=np.float64)
 
     totals: dict[int, int] = {}
-    narrow, wide, running = [], [], {}
     if j_range is not None:
         totals = dict.fromkeys(range(j_range[0], j_range[1] + 1), 0)
-        for j in totals:
-            (narrow if b**(depth - j) <= width else wide).append(j)
+    j_top = max([j_block, *totals])
 
-    n_blocks = m // block if windows else 0
+    n_blocks = m // block
     block_mins = np.empty(n_blocks, dtype=np.float64)
     block_maxs = np.empty(n_blocks, dtype=np.float64)
+    block_starts = np.empty(n_blocks + 1, dtype=np.float64)
     pieces_by_slice: dict[int, set] = {}
     for i_lo, i_hi in windows:
         for piece in _split(i_lo, i_hi, block)[2]:
@@ -312,34 +298,26 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
         if increments is not None and start % step == 0:
             part = body[::step]
             increments[start // step:start // step + part.size] = part
-        if n_blocks:
-            rows = body.reshape(-1, block)
-            first = start // block
-            np.min(rows, axis=1, out=block_mins[first:first + rows.shape[0]])
-            np.max(rows, axis=1, out=block_maxs[first:first + rows.shape[0]])
+        rows = slice(start // block, (start + width) // block)
+        block_starts[rows.start:rows.stop + 1] = seg[::block]
         for lo, hi in pieces_by_slice.get(k, ()):
             piece = seg[lo - start:hi - start]
             edges[lo, hi] = (piece.min(), piece.max())
-        if narrow:
-            for j, mins, maxs in _level_extrema(seg, b, depth, narrow[-1],
-                                                narrow[0]):
+        for j, mins, maxs in _level_extrema(body, body, b, depth, j_top,
+                                            j_block):
+            if j == j_block:
+                block_mins[rows] = mins
+                block_maxs[rows] = maxs
+            if j in totals:
                 step_j = b**(depth - j)
                 totals[j] += _column_boxes(mins, maxs, seg[step_j::step_j],
                                            b, j)
-        if wide:
-            lo_s, hi_s = body.min(), body.max()
-            for j in wide:
-                column = b**(depth - j)
-                if start % column:
-                    lo_c, hi_c = running[j]
-                    running[j] = min(lo_c, lo_s), max(hi_c, hi_s)
-                else:
-                    running[j] = lo_s, hi_s
-                if (start + width) % column == 0:
-                    lo_c, hi_c = running[j]
-                    totals[j] += _column_boxes(np.array([lo_c]),
-                                               np.array([hi_c]), seg[-1:],
-                                               b, j)
+    if totals and min(totals) < j_block:
+        for j, mins, maxs in _level_extrema(
+                block_mins, block_maxs, b, j_block,
+                min(max(totals), j_block - 1), min(totals)):
+            c = b**(j_block - j)
+            totals[j] += _column_boxes(mins, maxs, block_starts[c::c], b, j)
     if increments is not None:
         increments[-1] = seg[-1]
     return FractalSummary(params=params, depth=depth, p_top=p_top,
@@ -385,7 +363,7 @@ def summarize_field(field: LeafSignField, params: CascadeParams, *,
         windows = _balls(params.base, n, _profile_points(PROFILE_POINTS),
                          HOLDER_J_RANGE)
     return _summarize(params, n,
-                      lambda width: _field_slices(field, params, width),
+                      lambda width: path_slices(field, params, width),
                       p_top=None if p_range is None else p_range[1],
                       j_range=j_range, windows=windows)
 
@@ -471,20 +449,11 @@ def box_dimension(path: SamplePath | FractalSummary,
                         r_squared=r2, estimate=slope)
 
 
-def box_counts(path: SamplePath | FractalSummary,
-               j_range: tuple[int, int] = (4, 12)) -> list[tuple[int, int]]:
-    """(j, N_j) pairs as used by :func:`box_dimension`, for serialization."""
-    fit = box_dimension(path, j_range)
-    return [(int(j), int(round(math.exp(y))))
-            for j, y in zip(fit.scales, fit.log_values)]
-
-
 def _oscillation(summary: FractalSummary, i_lo: int, i_hi: int) -> float:
     """max - min of the path over samples i_lo..i_hi: its whole blocks
     from the block table, its ragged ends from the raw piece extrema."""
     first, stop, pieces = _split(i_lo, i_hi, summary.block)
-    if (any(piece not in summary.edges for piece in pieces)
-            or stop > first and not summary.block_mins.size):
+    if any(piece not in summary.edges for piece in pieces):
         raise ValueError(f"the summary holds no extrema for samples "
                          f"{i_lo}..{i_hi}; summarize with that ball")
     extrema = [summary.edges[piece] for piece in pieces]

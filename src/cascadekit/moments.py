@@ -11,15 +11,12 @@ recursion for E(Z_n^q) driven only by the sign moments
 
     E(eps^q) = b^(H-1) for odd q (0 in the symmetric case), 1 for even q.
 
-Four families of quantities are computed:
+Three families of quantities are computed:
 
   * raw moment tables E(Z_n^q)          (:func:`z_moment_recursion`),
   * their n -> infinity limits, H > 1/2 (:func:`limit_z_moments`),
   * normalized moments M_n^(q) = E(X_n(1)^q) for H <= 1/2
                                          (:func:`normalized_moment_recursion`),
-  * moments of the rescaled limit mass Z / sigma_H for H in (1/2, 1],
-    derived from the limit moments rather than solved separately
-                                         (:func:`tilde_moment_solver`).
 
 plus the even-moment induction characterizing the standard normal law
 (:func:`gaussian_even_moments`) and an exhaustive small-tree oracle
@@ -132,30 +129,22 @@ def _check_qmax(base: int, q_max: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _compositions(base: int, q: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    """Ordered compositions of q into ``base`` parts with log multinomials."""
-    out = []
+def _compositions(base: int, q: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ordered compositions of q into ``base`` parts, in lexicographic
+    order of their cut points: the multinomial coefficients (length C),
+    their logs, and the parts as a (base, C) index matrix.  Each log is
+    lgamma(q + 1) minus the lgammas of the parts, summed part by part,
+    and each coefficient is its ``math.exp``."""
+    log_coef, parts = [], []
     log_qfact = math.lgamma(q + 1)
     for cuts in itertools.combinations(range(q + base - 1), base - 1):
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(q + base - 2 - prev)
-        log_coef = log_qfact - sum(math.lgamma(k + 1) for k in parts)
-        out.append((log_coef, tuple(parts)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _composition_arrays(base: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_compositions` as arrays: the log multinomial coefficients
-    (length C) and the parts as a (base, C) index matrix."""
-    comps = _compositions(base, q)
-    log_coef = np.array([log_coef for log_coef, _ in comps])
-    parts = np.array([parts for _, parts in comps], dtype=np.intp).T
-    return log_coef, parts
+        edges = (-1, *cuts, q + base - 1)
+        comp = [hi - lo - 1 for lo, hi in zip(edges, edges[1:])]
+        log_coef.append(log_qfact - sum(math.lgamma(k + 1) for k in comp))
+        parts.append(comp)
+    coef = np.array([math.exp(x) for x in log_coef])
+    return coef, np.array(log_coef), np.array(parts, dtype=np.intp).T
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -179,29 +168,31 @@ def _logsumexp(a: np.ndarray) -> float:
     return out
 
 
-def _eps_moments(params: CascadeParams, q_max: int) -> list[float]:
+def _eps_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     """E(eps^k) for k = 0..q_max."""
-    return [1.0] + [epsilon_moment(k, params) for k in range(1, q_max + 1)]
+    return np.array([1.0] + [epsilon_moment(k, params)
+                             for k in range(1, q_max + 1)])
 
 
-def _composition_sum(base: int, q: int, m, *,
+def _composition_sum(base: int, q: int, m: np.ndarray, *,
                      off_diagonal: bool = False) -> float:
     """sum over compositions k of q into ``base`` parts of
     multinom(q; k) * prod_j m[k_j].
 
-    ``off_diagonal`` drops the compositions with a part equal to q.
-    Terms are accumulated one by one in composition order: a vectorized
-    or compensated sum would move the last bits of every moment table.
+    ``off_diagonal`` drops the compositions with a part equal to q.  Each
+    term is its coefficient times the parts' moments in part order, and
+    the terms are added one by one in composition order
+    (``np.add.accumulate``): a pairwise or compensated sum would move the
+    last bits of every moment table.
     """
-    acc = 0.0
-    for log_coef, parts in _compositions(base, q):
-        if off_diagonal and max(parts) == q:
-            continue
-        term = math.exp(log_coef)
-        for k in parts:
-            term *= m[k]
-        acc += term
-    return acc
+    coef, _, parts = _compositions(base, q)
+    if off_diagonal:
+        keep = parts.max(axis=0) < q
+        coef, parts = coef[keep], parts[:, keep]
+    terms = coef
+    for part in parts:
+        terms = terms * m[part]
+    return np.add.accumulate(terms)[-1]
 
 
 def _log_eps_moments(params: CascadeParams, q_max: int) -> np.ndarray:
@@ -265,7 +256,7 @@ def z_moment_recursion(params: CascadeParams, n_max: int,
             if q == 1 and not params.is_symmetric:
                 nxt[1] = 0.0  # exact martingale normalization
                 continue
-            log_coef, parts = _composition_arrays(b, q)
+            _, log_coef, parts = _compositions(b, q)
             terms = log_coef + q * prefactor
             for part in parts:  # one add per part, in composition order
                 terms += v[part]
@@ -293,7 +284,7 @@ def limit_z_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     out[0] = 1.0  # E(Z^0)
     out[1] = 1.0
     for q in range(2, q_max + 1):
-        m = [e * z for e, z in zip(eps, out[:q])]
+        m = eps[:q] * out[:q]
         cross = _composition_sum(b, q, m, off_diagonal=True)
         denom = 1.0 - float(b) ** (1.0 - q * h) * eps[q]
         out[q] = float(b) ** (-q * h) * cross / denom
@@ -356,7 +347,7 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
     def step(row: np.ndarray, r_n: float) -> np.ndarray:
         nxt = np.empty_like(row)
         nxt[0] = 1.0
-        m = [e * r for e, r in zip(eps, row)]
+        m = eps * row
         for q in range(1, q_max + 1):
             nxt[q] = _composition_sum(b, q, m) * (r_n / sqrt_b) ** q
         return nxt
@@ -385,19 +376,6 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
                        log_values=log_vals,
                        overflowed=np.zeros_like(undefined),
                        undefined=undefined)
-
-
-def tilde_moment_solver(params: CascadeParams, q_max: int) -> np.ndarray:
-    """Moments of the rescaled limit mass Z / sigma_H, H in (1/2, 1].
-
-    Derived from :func:`limit_z_moments` as E(Z^q) / sigma_H^q, so
-
-      M~(1) = 1 / sigma_H = sqrt((b - b^(2-2H)) / (b-1)),  M~(2) = 1.
-
-    Indexing: result[q-1] = E((Z/sigma_H)^q).
-    """
-    limits = limit_z_moments(params, q_max)
-    return limits / sigma(params) ** np.arange(1, q_max + 1)
 
 
 # ---------------------------------------------------------------------------

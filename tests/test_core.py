@@ -78,6 +78,21 @@ def test_field_determinism_and_shapes():
     assert set(np.unique(f1.leaf_signs())) <= {-1, 1}
 
 
+@pytest.mark.parametrize("start, stop", [(0, 40), (20, 30), (-5, 3),
+                                         (10, 9), (28, 28)])
+def test_leaf_range_outside_the_field_is_refused(start, stop):
+    """A 27-leaf field answers only 0 <= start <= stop <= 27: reading past
+    its end would return the packing's padding bits as +1 leaves."""
+    field = generate_leaf_signs(CascadeParams(base=3, hurst=0.6, seed=SEED),
+                                3)
+    with pytest.raises(ValueError, match="not within"):
+        field.leaf_bits(start, stop)
+    with pytest.raises(ValueError, match="not within"):
+        field.leaf_signs(start, stop)
+    assert field.leaf_bits(27, 27).size == 0
+    assert np.array_equal(field.leaf_bits(20, 27), field.leaf_bits()[20:])
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         generate_leaf_signs(CascadeParams(seed=0), 12, max_leaves=2**10)

@@ -5,7 +5,7 @@ import pytest
 
 from cascadekit.core import CascadeParams, build_path, generate_leaf_signs
 from cascadekit.fractal import (
-    box_counts,
+    _oscillation,
     box_dimension,
     increment_scaling_exponent,
     pointwise_holder,
@@ -63,13 +63,12 @@ def test_box_dimension_recovers_2_minus_h():
 
 def test_box_counts_monotone():
     params = CascadeParams(base=2, hurst=0.7, seed=35)
-    counts = box_counts(full_path(params))
-    js = [j for j, _ in counts]
-    ns = [n for _, n in counts]
-    assert js == list(range(4, 13))
+    fit = box_dimension(full_path(params))
+    ns = np.round(np.exp(fit.log_values))
+    assert fit.scales.tolist() == list(range(4, 13))
     assert all(b > a for a, b in zip(ns, ns[1:]))
-    # each count is at most b^j boxes per column times the value range
-    assert all(n >= 2**j for j, n in counts)
+    # at least one box per width-2^-j column
+    assert all(n >= 2**j for j, n in zip(fit.scales, ns))
 
 
 def test_zero_increments_are_counted():
@@ -138,13 +137,18 @@ def test_summary_without_the_asked_scales_is_refused():
         pointwise_holder(summary, 0.37)
     with pytest.raises(ValueError, match="no extrema for samples"):
         pointwise_holder_profile(summary)
-    # the j = 2 ball at t = 4095/2^14 is samples 0..8191, two whole
-    # blocks of 4096 and no raw piece: the absent block table refuses it
-    with pytest.raises(ValueError, match="no extrema for samples 0..8191"):
-        pointwise_holder(summary, 4095 / 2**14, j_range=(2, 5))
     bare = summarize_field(generate_leaf_signs(params, 14), params)
     with pytest.raises(ValueError, match="no generation-5 increments"):
         increment_scaling_exponent(bare, p_range=(2, 5))
+    # every summary holds the block table: the ball of samples 0..8191,
+    # two whole blocks of 4096 and no raw piece, is the window's range,
+    # but the ragged ball 2047..6143 needs raw pieces no summary was
+    # made for
+    values = full_path(params, 14).values
+    assert _oscillation(bare, 0, 8191) \
+        == values[:8192].max() - values[:8192].min()
+    with pytest.raises(ValueError, match="no extrema for samples 2047..6143"):
+        _oscillation(bare, 2047, 6143)
 
 
 def test_range_preconditions():

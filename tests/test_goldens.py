@@ -36,7 +36,12 @@ from cascadekit import (
     z_moment_recursion,
 )
 from cascadekit.cli import main
-from cascadekit.fractal import box_dimension, pointwise_holder_profile
+from cascadekit.fractal import (
+    box_dimension,
+    increment_scaling_exponent,
+    pointwise_holder_profile,
+    summarize_field,
+)
 
 SEED = 11
 #: Two replica chunks of the samplers (chunk size 8192).
@@ -381,20 +386,26 @@ def test_fractal_estimate_bits(name):
 #: from j = 1, whose columns (b^(depth - 1) samples) are wider than the
 #: 2^16-sample slices box counting streams over, to j = depth - 2, and a
 #: range whose columns are all narrower than one slice (for b = 3 and 5
-#: the last slice is then ragged).
+#: the last slice is then ragged).  For b = 2 and 3 one more range has
+#: every column wider than a block of the extrema table (4096 and 2187
+#: samples), so all its counts come from the table.
 BOX_COUNTS = {
     "b2-H0.7-n18-j1-16": (2, 0.7, 18, (1, 16)),
+    "b2-H0.7-n18-j1-5": (2, 0.7, 18, (1, 5)),
     "b2-H0.95-n20-j4-18": (2, 0.95, 20, (4, 18)),
     "b3-H0.6-n12-j1-10": (3, 0.6, 12, (1, 10)),
     "b3-H0.6-n12-j5-9": (3, 0.6, 12, (5, 9)),
+    "b3-H0.6-n12-j1-4": (3, 0.6, 12, (1, 4)),
     "b5-H0.8-n8-j1-6": (5, 0.8, 8, (1, 6)),
     "b5-H0.8-n8-j3-6": (5, 0.8, 8, (3, 6)),
 }
 
 BOX_COUNT_GOLDENS = {
     "b2-H0.7-n18-j1-16": "9a01b982171d6eb2a6b2f6e51fbb96cd9611824e1ddda5de5807c7cd1b34885d",
+    "b2-H0.7-n18-j1-5": "356b29bd7b2c631af69b2a22e48ab61414a2b267db1b71fd1361cd4031e5363d",
     "b2-H0.95-n20-j4-18": "e260693bbca86a0b362ec494ebab8c8e13e5e35a3d57e7e8b710d468a87446c2",
     "b3-H0.6-n12-j1-10": "06ad0dd85c595ad517ad27a3fe4a1b39cdebe4bcdd76221860824e982c05b7b3",
+    "b3-H0.6-n12-j1-4": "4546ec55f1e17a863e0ba1c1fdaac3c41bcb2ae65a78795c7fe7690d06f5dd87",
     "b3-H0.6-n12-j5-9": "b50e3eb835d4fd83183528d4e0332d5036c8d6b85c16399b97e1ac7a5cd44913",
     "b5-H0.8-n8-j1-6": "737911c35d8cae22575b74b96e609a08aec53cd956cde1b75998a42eed120e03",
     "b5-H0.8-n8-j3-6": "92fe6b0ce703b13d2135b30fc999b786011ed3285b0253d263e53bf55e468c9e",
@@ -410,3 +421,27 @@ def test_box_count_bits(name):
                       max_points=b**depth)
     assert _digest(box_dimension(path, j_range).log_values) \
         == BOX_COUNT_GOLDENS[name]
+
+
+#: (b, H, depth, p_range) of the increment fits read from a summary made
+#: for ``p_range`` alone, and their digests (log values and estimate).
+INCREMENT_SUMMARIES = {
+    "b2-H0.7-n18-p4-12": (
+        (2, 0.7, 18, (4, 12)),
+        "bc41d13cbc45ec8b041c061d1bab4e4c5ed368ce5dcb3f47b42d3fd00c9ef24b"),
+    "b3-H0.7-n12-p2-6": (
+        (3, 0.7, 12, (2, 6)),
+        "73a9b699c5f167fa17526acae25069ea4032f000eae99053216048d5148f0fd9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCREMENT_SUMMARIES))
+def test_increment_fit_from_a_p_range_summary_bits(name):
+    """The increment fit on a field summary that holds no box counts and
+    no balls, bit for bit."""
+    (b, h, depth, p_range), golden = INCREMENT_SUMMARIES[name]
+    params = CascadeParams(base=b, hurst=h, seed=SEED)
+    summary = summarize_field(generate_leaf_signs(params, depth), params,
+                              p_range=p_range)
+    fit = increment_scaling_exponent(summary, p_range)
+    assert _digest(fit.log_values, fit.estimate) == golden

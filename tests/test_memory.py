@@ -15,6 +15,7 @@ import pytest
 from cascadekit.cli import main
 from cascadekit.core import (
     _CHUNK,
+    _SLICE,
     CascadeParams,
     build_path,
     generate_leaf_signs,
@@ -42,15 +43,33 @@ def _peak(fn, *args, **kwargs):
     return result, peak
 
 
+def _path_bound(points, stride):
+    """The result's float64 values, and one slice of the running sum: its
+    width + 1 floats and the width * stride unpacked bits behind them."""
+    width = max(1, _SLICE // stride)
+    return 8 * (points + 1) + 8 * (width + 1) + width * stride
+
+
 @pytest.mark.parametrize("b, n", [(2, 22), (3, 13)])
 def test_full_resolution_path_holds_one_float_array(b, n):
-    """The b^n + 1 float64 values plus one 2^22-leaf chunk of unpacked
-    bits: the running sum is built in the result's own buffer."""
+    """The b^n + 1 float64 values plus one slice of 2^16 leaves, its
+    floats and its unpacked bits (9 * 2^16 + 8 bytes)."""
     params = CascadeParams(base=b, hurst=0.7, seed=3)
     field = generate_leaf_signs(params, n)
     path, peak = _peak(build_path, field, params, max_points=b**n)
     assert path.values.nbytes == 8 * (b**n + 1)
-    assert peak <= 8 * (b**n + 1) + _CHUNK + SLACK
+    assert peak <= _path_bound(b**n, 1) + SLACK
+
+
+def test_decimated_path_holds_its_points_and_one_slice():
+    """A depth-24 path decimated to 2^16 cells reads 2^16 leaves per
+    slice, so its peak is that of a full-resolution 2^16-cell path
+    (building the stride sums over 2^22-leaf chunks peaked at 8.5 MiB)."""
+    params = CascadeParams(base=2, hurst=0.7, seed=3)
+    field = generate_leaf_signs(params, 24)
+    path, peak = _peak(build_path, field, params)
+    assert path.stride == 2**8 and path.values.size == 2**16 + 1
+    assert peak <= _path_bound(2**16, 2**8) + SLACK
 
 
 def test_box_counting_memory_does_not_grow_with_depth():
@@ -67,8 +86,8 @@ def test_box_counting_memory_does_not_grow_with_depth():
 
 
 def test_box_counting_memory_does_not_grow_with_column_width():
-    """Columns wider than a slice carry a running min and max across
-    slices, so counting from j = 1 peaks as counting from j = 8."""
+    """Columns wider than a block are counted from the table of block
+    extrema, so counting from j = 1 peaks as counting from j = 8."""
     params = CascadeParams(base=2, hurst=0.7, seed=3)
     path = build_path(generate_leaf_signs(params, 20), params,
                       max_points=2**20)

@@ -15,7 +15,6 @@ from cascadekit.moments import (
     limit_z_moments,
     normalized_moment_recursion,
     sigma,
-    tilde_moment_solver,
     z_moment_recursion,
 )
 
@@ -221,18 +220,16 @@ def test_normalized_regime_guard():
 
 
 def test_tilde_moments_consistency():
-    """Tilde moments are the limit moments divided by sigma^q."""
+    """The moments of the rescaled limit mass Z / sigma_H are the limit
+    moments divided by sigma^q: M~(1) = 1 / sigma_H and M~(2) = 1."""
     params = CascadeParams(base=2, hurst=0.7)
     q_max = 8
-    tilde = tilde_moment_solver(params, q_max)
-    lims = limit_z_moments(params, q_max)
-    s = sigma(params)
-    for q in range(1, q_max + 1):
-        assert math.isclose(tilde[q - 1], lims[q - 1] / s**q, rel_tol=1e-10)
-    assert math.isclose(tilde[0], 1.0 / s, rel_tol=1e-15)
+    tilde = limit_z_moments(params, q_max) / sigma(params) ** np.arange(
+        1, q_max + 1)
+    assert math.isclose(tilde[0], 1.0 / SIGMA_H07, rel_tol=1e-14)
     assert math.isclose(tilde[1], 1.0, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        tilde_moment_solver(CascadeParams(base=2, hurst=0.4), 4)
+        limit_z_moments(CascadeParams(base=2, hurst=0.4), 4)
 
 
 @pytest.mark.parametrize("h,arith", [

@@ -2,9 +2,9 @@
 sign fields and the count-chain samplers (whatever the number of worker
 threads or the set of depths recorded), of the terminal CLT trend drawn
 from one chain, of the moment recursion's log-sum-exp, of the
-exactness of the fractal estimators' block extrema, of the fractal
-fits read straight from the packed field, and of the float-table text
-kernel against Python's ``%``."""
+exactness of the fractal estimators' block extrema, of the path's bits
+under any slice size, of the fractal fits read straight from the packed
+field, and of the float-table text kernel against Python's ``%``."""
 
 import struct
 import sys
@@ -311,18 +311,50 @@ def test_block_oscillation_is_the_window_range(seed, n, data):
 @given(seed=st.integers(0, 2**32), b=st.sampled_from([2, 3, 5]),
        data=st.data())
 def test_pyramid_levels_match_reduceat(seed, b, data):
-    """Each pyramid level holds the block extrema that reduceat gives."""
+    """Each pyramid level holds the block extrema that reduceat gives,
+    over raw samples (level n is the samples themselves) and, as the
+    wide box columns read them, over a table of level-j_lo extrema."""
     n = data.draw(st.integers(1, {2: 12, 3: 8, 5: 5}[b]))
-    j_hi = data.draw(st.integers(0, n - 1))
+    j_hi = data.draw(st.integers(0, n))
     j_lo = data.draw(st.integers(0, j_hi))
     m = b**n
-    v = _walk(seed, m + 1)
-    levels = list(_level_extrema(v, b, n, j_hi, j_lo))
-    assert [j for j, _, _ in levels] == list(range(j_hi, j_lo - 1, -1))
-    for j, mins, maxs in levels:
+    v = _walk(seed, m)
+
+    def reduceat(j):
         starts = np.arange(0, m, b**(n - j))
-        assert np.array_equal(mins, np.minimum.reduceat(v[:m], starts))
-        assert np.array_equal(maxs, np.maximum.reduceat(v[:m], starts))
+        return (np.minimum.reduceat(v, starts),
+                np.maximum.reduceat(v, starts))
+
+    levels = list(_level_extrema(v, v, b, n, j_hi, j_lo))
+    assert [j for j, _, _ in levels] == list(range(j_hi, j_lo - 1, -1))
+    table_hi = data.draw(st.integers(0, j_lo))
+    table_lo = data.draw(st.integers(0, table_hi))
+    table = list(_level_extrema(*reduceat(j_lo), b, j_lo, table_hi,
+                                table_lo))
+    assert [j for j, _, _ in table] == list(range(table_hi, table_lo - 1,
+                                                  -1))
+    for j, mins, maxs in levels + table:
+        expected_mins, expected_maxs = reduceat(j)
+        assert np.array_equal(mins, expected_mins)
+        assert np.array_equal(maxs, expected_maxs)
+
+
+@PROPERTY
+@given(params=params_st, data=st.data())
+def test_path_bits_do_not_depend_on_the_slice_size(params, data):
+    """build_path copies the running sum in slices of at most
+    ``core._SLICE`` leaves; slices of 3 leaves (one sample per slice once
+    the stride is 3 or more, a ragged last slice at b = 2) give the bits
+    of 2^16-leaf slices, full-resolution and decimated."""
+    n = data.draw(st.integers(0, {2: 12, 3: 8}[params.base]))
+    max_points = data.draw(st.sampled_from([1, 5, 64, params.base**n]))
+    field = generate_leaf_signs(params, n)
+    paths = []
+    for size in (3, 2**16):
+        with mock.patch.object(core, "_SLICE", size):
+            paths.append(build_path(field, params, max_points=max_points))
+    assert paths[0].stride == paths[1].stride
+    assert paths[0].values.tobytes() == paths[1].values.tobytes()
 
 
 @st.composite
