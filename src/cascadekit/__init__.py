@@ -48,10 +48,11 @@ from .core import (
 )
 from .fractal import (
     DimensionFit,
+    FractalSummary,
     box_dimension,
     increment_scaling_exponent,
-    pointwise_holder,
     pointwise_holder_profile,
+    summarize_field,
 )
 from .moments import (
     MomentTable,
@@ -85,6 +86,7 @@ __all__ = [
     "DecayFit",
     "DensityResult",
     "DimensionFit",
+    "FractalSummary",
     "LeafSignField",
     "MomentTable",
     "PathKind",
@@ -120,7 +122,6 @@ __all__ = [
     "limit_z_moments",
     "normalize_path",
     "normalized_moment_recursion",
-    "pointwise_holder",
     "pointwise_holder_profile",
     "regime_of",
     "residual_clt_test",
@@ -129,6 +130,7 @@ __all__ = [
     "sample_terminal_depths",
     "sample_terminal_pair",
     "sigma",
+    "summarize_field",
     "verify_self_similarity",
     "z_moment_recursion",
 ]

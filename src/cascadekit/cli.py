@@ -212,7 +212,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                        help="increment generation for --test increments")
     p_clt.add_argument("--proxy-levels", type=int, default=12,
                        help="extra levels proxying the limit for "
-                            "--test residual")
+                            "--test residual, at least 1 (default 12)")
     p_clt.add_argument("--q", type=int, default=4,
                        help="largest order for --test moments")
     registry["clt"] = p_clt
@@ -307,6 +307,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     bad = formats - {"csv", "svg"}
     if bad:
         raise ValueError(f"unknown format(s) {sorted(bad)}")
+    if not formats:
+        raise ValueError(f"--formats: names no format; got {ns.formats!r}")
     # every depth is checked before the first field is hashed
     for depth in ns.depths:
         if ns.depths.count(depth) > 1:
@@ -420,7 +422,7 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
     ranges = [("--p-range", "increment_exponent", ns.p_range),
               ("--j-range", "box_dimension", ns.j_range)]
     if ns.profile:
-        ranges.append(("--profile (its pointwise fits use j_range "
+        ranges.append(("--profile (its pointwise fits use holder_range "
                        f"{HOLDER_J_RANGE[0]},{HOLDER_J_RANGE[1]})",
                        "pointwise_holder", HOLDER_J_RANGE))
     for flag, kind, scale_range in ranges:
@@ -434,9 +436,10 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
     # field; the full-resolution path is never held
     summary = summarize_field(
         generate_leaf_signs(params, ns.n), params, p_range=ns.p_range,
-        j_range=ns.j_range, profile=ns.profile)
-    exp_fit = increment_scaling_exponent(summary, ns.p_range)
-    box_fit = box_dimension(summary, ns.j_range)
+        j_range=ns.j_range,
+        holder_range=HOLDER_J_RANGE if ns.profile else None)
+    exp_fit = increment_scaling_exponent(summary)
+    box_fit = box_dimension(summary)
     payload = {"increment_exponent": dimension_fit_payload(exp_fit),
                "box_dimension": dimension_fit_payload(box_fit)}
     if ns.profile:

@@ -10,11 +10,11 @@ and the transform that produced it (:class:`DimensionFit`).
 
 All three estimators read the full-resolution grid values of B_n (the
 oscillation of the piecewise-linear interpolant is attained at grid
-points, so window extrema are exact; a decimated path hides sub-stride
-oscillation and silently flattens the estimates), but none of them holds
-the whole path.  They read a :class:`FractalSummary` made in one pass
-over consecutive slices of the largest power of b <= 2^16 samples (plus
-the next slice's first sample as right edge):
+points, so window extrema are exact, where a decimated path would hide
+sub-stride oscillation), but none of them holds the whole path.  They
+read a :class:`FractalSummary` made in one pass over consecutive slices
+of the largest power of b <= 2^16 samples (plus the next slice's first
+sample as right edge):
 
 * the samples at the finest increment generation, copied out;
 * a table of per-block extrema over blocks of the largest power of
@@ -30,15 +30,15 @@ Min and max of floats are exact (the result is one of the inputs, with no
 rounding), so they can be regrouped freely: the min of block mins is the
 min of the window, bit for bit, and no estimate depends on the slicing.
 
-The pass has two sources.  Given a full-resolution :class:`SamplePath`,
-each estimator summarizes views of ``path.values``.  Given a packed
-:class:`LeafSignField`, :func:`summarize_field` rebuilds each slice with
-:func:`~cascadekit.core.path_slices`, the code :func:`build_path` takes
-its values from, so every sample has the bits of the full-resolution
-path, which is never built.  Above the field, the pass holds one slice
-and the summary: 8 bytes per increment sample (b^p + 1 of them, for
-generation p), 24 per block of the table and a few scalars per scale
-and ball.
+The pass reads a packed :class:`LeafSignField`: :func:`summarize_field`
+rebuilds each slice with :func:`~cascadekit.core.path_slices`, the code
+:func:`build_path` takes its values from, so every sample has the bits
+of the full-resolution path, which is never built.  The summary records
+the scale range of each fit it was made for, and each estimator takes
+the summary alone and reads its range from it.  Above the field, the
+pass holds one slice and the summary: 8 bytes per increment sample
+(b^p + 1 of them, for generation p), 24 per block of the table and a
+few scalars per scale and ball.
 
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
@@ -53,11 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CascadeParams, LeafSignField, SamplePath, path_slices
+from .core import CascadeParams, LeafSignField, path_slices
 
 
-#: Scale range of the pointwise exponent fits (the CLI's --profile
-#: uses it as is).
+#: Scale range of the pointwise exponent fits of the CLI's --profile.
 HOLDER_J_RANGE = (2, 12)
 
 #: Evaluation points of the pointwise profile (the CLI's --profile).
@@ -79,7 +78,7 @@ _MIN_SCALES = 4
 #: end keeps below the depth (see the module docstring).
 _RANGE_RULES = {"increment_exponent": ("p_range", 2, 6),
                 "box_dimension": ("j_range", 1, 2),
-                "pointwise_holder": ("j_range", 1, 0)}
+                "pointwise_holder": ("holder_range", 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -106,17 +105,21 @@ class DimensionFit:
 class FractalSummary:
     """What the estimators read of one depth-``depth`` path.
 
-    ``increments`` holds the path at the multiples of b^(depth - p_top)
-    (None when no increment fit was asked for); ``box_counts`` maps each
-    summarized scale j to N_j; ``block_mins``/``block_maxs`` are the
-    extrema of the whole blocks of ``block`` samples, and ``edges`` maps
-    each raw piece (lo, hi) of a summarized ball, sample indices with hi
+    ``p_range``, ``j_range`` and ``holder_range`` are the scale ranges of
+    the increment, box and pointwise fits it was made for (None for a fit
+    it cannot answer).  ``increments`` holds the path at the multiples of
+    b^(depth - p_range[1]); ``box_counts`` maps each scale j of
+    ``j_range`` to N_j; ``block_mins``/``block_maxs`` are the extrema of
+    the whole blocks of ``block`` samples, and ``edges`` maps each raw
+    piece (lo, hi) of a summarized ball, sample indices with hi
     exclusive, to its (min, max).
     """
 
     params: CascadeParams
     depth: int
-    p_top: int | None
+    p_range: tuple[int, int] | None
+    j_range: tuple[int, int] | None
+    holder_range: tuple[int, int] | None
     increments: np.ndarray | None
     box_counts: dict[int, int]
     block: int
@@ -137,7 +140,7 @@ def check_scale_range(kind: str, depth: int,
                       scale_range: tuple[int, int]) -> None:
     """Raise ValueError unless ``scale_range`` suits fit ``kind`` (a
     DimensionFit kind) on a depth-``depth`` path.  Cheap, so callers can
-    check their ranges before building the path."""
+    check their ranges before drawing the field."""
     name, lo_min, margin = _RANGE_RULES[kind]
     lo, hi = scale_range
     if lo < lo_min or hi > depth - margin or hi < lo:
@@ -147,12 +150,6 @@ def check_scale_range(kind: str, depth: int,
     if hi - lo + 1 < _MIN_SCALES:
         raise ValueError(f"{name} needs at least {_MIN_SCALES} scales for "
                          f"a fit; got {lo},{hi}")
-
-
-def _require_full_resolution(path: SamplePath) -> None:
-    if path.is_decimated:
-        raise ValueError("fractal estimators need a full-resolution path; "
-                         "rebuild with max_points >= base**depth")
 
 
 def _log_at_most(b: int, limit: int) -> int:
@@ -244,21 +241,17 @@ def _column_boxes(mins: np.ndarray, maxs: np.ndarray, right: np.ndarray,
     return int(maxs.sum())
 
 
-def _path_slices(values: np.ndarray, width: int):
-    """Views of ``values`` over samples [s, s + width] for s = 0, width, ..."""
-    for start in range(0, values.size - 1, width):
-        yield values[start:start + width + 1]
-
-
 def _summarize(params: CascadeParams, depth: int, slices_of, *,
-               p_top: int | None = None,
+               p_range: tuple[int, int] | None = None,
                j_range: tuple[int, int] | None = None,
+               holder_range: tuple[int, int] | None = None,
                windows=()) -> FractalSummary:
-    """One pass over the slices ``slices_of(width)`` yields (see
-    :func:`_path_slices`): the samples at the multiples of
-    b^(depth - p_top), the box counts for every j in ``j_range``, the
-    block table and the raw piece extrema of every window (i_lo, i_hi)
-    in ``windows``.  The ranges are already checked.
+    """One pass over the slices that ``slices_of(width)`` yields (samples
+    [s, s + width] for s = 0, width, ...) collects the samples at the
+    multiples of b^(depth - p_range[1]), the box counts for every j in
+    ``j_range``, the block table and the raw piece extrema of every
+    window (i_lo, i_hi) in ``windows``.  The ranges are already checked;
+    the summary records them.
 
     Each slice's min/max pyramid runs down to the block level: it writes
     the slice's rows of the table and counts the columns no wider than a
@@ -272,9 +265,9 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
     n_slices = m // width
 
     increments = None
-    if p_top is not None:
-        step = b**(depth - p_top)
-        increments = np.empty(b**p_top + 1, dtype=np.float64)
+    if p_range is not None:
+        step = b**(depth - p_range[1])
+        increments = np.empty(b**p_range[1] + 1, dtype=np.float64)
 
     totals: dict[int, int] = {}
     if j_range is not None:
@@ -320,92 +313,79 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
             totals[j] += _column_boxes(mins, maxs, block_starts[c::c], b, j)
     if increments is not None:
         increments[-1] = seg[-1]
-    return FractalSummary(params=params, depth=depth, p_top=p_top,
+    return FractalSummary(params=params, depth=depth, p_range=p_range,
+                          j_range=j_range, holder_range=holder_range,
                           increments=increments, box_counts=totals,
                           block=block, block_mins=block_mins,
                           block_maxs=block_maxs, edges=edges)
 
 
-def _profile_points(n_points: int) -> np.ndarray:
-    return (np.arange(n_points) + 0.5) / n_points
-
-
-def _balls(b: int, depth: int, ts, j_range: tuple[int, int]):
-    return [_ball(b, depth, float(t), j)
-            for t in ts for j in range(j_range[0], j_range[1] + 1)]
+def _profile_points() -> np.ndarray:
+    return (np.arange(PROFILE_POINTS) + 0.5) / PROFILE_POINTS
 
 
 def summarize_field(field: LeafSignField, params: CascadeParams, *,
                     p_range: tuple[int, int] | None = None,
                     j_range: tuple[int, int] | None = None,
-                    profile: bool = False) -> FractalSummary:
+                    holder_range: tuple[int, int] | None = None
+                    ) -> FractalSummary:
     """Summarize B_n for the estimators straight from its packed field.
 
     One pass over slices of the path rebuilt from ``field`` (see the
     module docstring), keeping what :func:`increment_scaling_exponent`
-    needs for ``p_range``, :func:`box_dimension` for ``j_range`` and,
-    with ``profile``, :func:`pointwise_holder_profile` at its defaults
-    (:data:`PROFILE_POINTS` points over :data:`HOLDER_J_RANGE`); a range
-    of None skips that fit.  The fits on the summary are those on
-    ``build_path(field, params, max_points=b**n)``, bit for bit, and the
-    full-resolution path is never built.
+    needs for ``p_range``, :func:`box_dimension` for ``j_range`` and
+    :func:`pointwise_holder_profile` for ``holder_range`` (its balls
+    around the :data:`PROFILE_POINTS` points); a range of None skips that
+    fit.  Each range is checked against the field's depth first.  The
+    fits on the summary are those on the full-resolution path
+    ``build_path(field, params, max_points=b**n)``, bit for bit, and
+    that path is never built.
     """
     if field.base != params.base:
         raise ValueError("sign field and params disagree on base")
     n = field.depth
-    if p_range is not None:
-        check_scale_range("increment_exponent", n, p_range)
-    if j_range is not None:
-        check_scale_range("box_dimension", n, j_range)
-    windows = ()
-    if profile:
-        check_scale_range("pointwise_holder", n, HOLDER_J_RANGE)
-        windows = _balls(params.base, n, _profile_points(PROFILE_POINTS),
-                         HOLDER_J_RANGE)
+    for kind, scale_range in (("increment_exponent", p_range),
+                              ("box_dimension", j_range),
+                              ("pointwise_holder", holder_range)):
+        if scale_range is not None:
+            check_scale_range(kind, n, scale_range)
+    windows = [] if holder_range is None else [
+        _ball(params.base, n, float(t), j) for t in _profile_points()
+        for j in range(holder_range[0], holder_range[1] + 1)]
     return _summarize(params, n,
                       lambda width: path_slices(field, params, width),
-                      p_top=None if p_range is None else p_range[1],
-                      j_range=j_range, windows=windows)
+                      p_range=p_range, j_range=j_range,
+                      holder_range=holder_range, windows=windows)
 
 
-def _summary_of(source: SamplePath | FractalSummary,
-                **request) -> FractalSummary:
-    """``source`` itself, or the summary of the full-resolution path
-    ``source`` for ``request`` (see :func:`_summarize`)."""
-    if isinstance(source, FractalSummary):
-        return source
-    _require_full_resolution(source)
-    return _summarize(source.params, source.depth,
-                      lambda width: _path_slices(source.values, width),
-                      **request)
+def _scale_range(summary: FractalSummary, name: str) -> tuple[int, int]:
+    """The range ``name`` the summary was made for."""
+    scale_range = getattr(summary, name)
+    if scale_range is None:
+        raise ValueError(f"the summary was made without a {name}; pass "
+                         f"{name} to summarize_field")
+    return scale_range
 
 
-def increment_scaling_exponent(path: SamplePath | FractalSummary,
-                               p_range: tuple[int, int] = (4, 12)
-                               ) -> DimensionFit:
-    """Hölder exponent from the decay of generation-p increment sizes.
+def increment_scaling_exponent(summary: FractalSummary) -> DimensionFit:
+    """Hölder exponent from the decay of generation-p increment sizes,
+    over the summary's ``p_range``.
 
     The generation-p increment over one b-adic cell factors into
     b^(-pH) times an O(1) subtree mass, so the across-cells mean of
     log_b |increment| falls like -pH + O(1); the fit's negated slope
     estimates H.  Zero increments (possible at finite depth: a subtree
     mass can vanish exactly) are excluded from the mean and counted in
-    ``zero_increments``.  ``path`` is a full-resolution path or a
-    summary holding the increments to generation p_range[1] or finer.
+    ``zero_increments``.
     """
-    check_scale_range("increment_exponent", path.depth, p_range)
-    p_lo, p_hi = p_range
-    summary = _summary_of(path, p_top=p_hi)
-    if summary.p_top is None or summary.p_top < p_hi:
-        raise ValueError(f"the summary holds no generation-{p_hi} "
-                         "increments; summarize with p_range reaching it")
+    p_lo, p_hi = _scale_range(summary, "p_range")
     b = summary.params.base
     v = summary.increments
     log_b = math.log(b)
     ps, means = [], []
     zeros = 0
     for p in range(p_lo, p_hi + 1):
-        step = b ** (summary.p_top - p)
+        step = b ** (p_hi - p)
         incr = v[step::step] - v[:-step:step]
         mags = np.abs(incr)
         nz = mags > 0.0
@@ -421,9 +401,9 @@ def increment_scaling_exponent(path: SamplePath | FractalSummary,
                         estimate=-slope, zero_increments=zeros)
 
 
-def box_dimension(path: SamplePath | FractalSummary,
-                  j_range: tuple[int, int] = (4, 12)) -> DimensionFit:
-    """Graph box dimension by column counting at sides b^-j.
+def box_dimension(summary: FractalSummary) -> DimensionFit:
+    """Graph box dimension by column counting at sides b^-j, over the
+    summary's ``j_range``.
 
     For each scale j the graph is covered by squares of side b^-j; the
     count over one width-b^-j column is floor(max/delta) -
@@ -431,18 +411,12 @@ def box_dimension(path: SamplePath | FractalSummary,
     the column's range touches), using exact window extrema: each
     closed column [k s, (k + 1) s] is a block of half-open extrema plus
     its right edge sample.  Fits ln N_j against j ln b; the slope is the
-    dimension estimate.  ``path`` is a full-resolution path or a summary
-    holding the counts of every scale in ``j_range``.
+    dimension estimate.
     """
-    check_scale_range("box_dimension", path.depth, j_range)
-    j_lo, j_hi = j_range
-    counts = _summary_of(path, j_range=j_range).box_counts
+    j_lo, j_hi = _scale_range(summary, "j_range")
     js = list(range(j_lo, j_hi + 1))
-    if any(j not in counts for j in js):
-        raise ValueError(f"the summary holds no box counts for j_range "
-                         f"{j_lo},{j_hi}; summarize with that range")
-    x = np.array(js, dtype=float) * math.log(path.params.base)
-    y = np.array([math.log(float(counts[j])) for j in js])
+    x = np.array(js, dtype=float) * math.log(summary.params.base)
+    y = np.array([math.log(float(summary.box_counts[j])) for j in js])
     slope, intercept, r2 = _ols(x, y)
     return DimensionFit(kind="box_dimension", scales=np.array(js),
                         log_values=y, slope=slope, intercept=intercept,
@@ -453,9 +427,6 @@ def _oscillation(summary: FractalSummary, i_lo: int, i_hi: int) -> float:
     """max - min of the path over samples i_lo..i_hi: its whole blocks
     from the block table, its ragged ends from the raw piece extrema."""
     first, stop, pieces = _split(i_lo, i_hi, summary.block)
-    if any(piece not in summary.edges for piece in pieces):
-        raise ValueError(f"the summary holds no extrema for samples "
-                         f"{i_lo}..{i_hi}; summarize with that ball")
     extrema = [summary.edges[piece] for piece in pieces]
     if stop > first:
         extrema.append((summary.block_mins[first:stop].min(),
@@ -465,15 +436,13 @@ def _oscillation(summary: FractalSummary, i_lo: int, i_hi: int) -> float:
 
 def _holder_fit(summary: FractalSummary, t: float,
                 j_range: tuple[int, int]) -> DimensionFit:
-    """The fit of :func:`pointwise_holder` at t; the range is checked."""
+    """The fit of the oscillations over the balls around t.  Each is
+    positive: adjacent samples of a field path differ by +-b^(-nH)."""
     b = summary.params.base
     log_b = math.log(b)
     js, log_osc = [], []
     for j in range(j_range[0], j_range[1] + 1):
         osc = _oscillation(summary, *_ball(b, summary.depth, t, j))
-        if osc <= 0.0:
-            raise ValueError(f"zero oscillation at scale j={j}; "
-                             "path is flat near t")
         js.append(j)
         log_osc.append(math.log(osc) / log_b)
     slope, intercept, r2 = _ols(np.array(js, dtype=float),
@@ -484,39 +453,20 @@ def _holder_fit(summary: FractalSummary, t: float,
                         estimate=-slope)
 
 
-def pointwise_holder(path: SamplePath | FractalSummary, t: float,
-                     j_range: tuple[int, int] = HOLDER_J_RANGE
-                     ) -> DimensionFit:
-    """Pointwise Hölder exponent at t from shrinking-ball oscillations.
+def pointwise_holder_profile(summary: FractalSummary) -> np.ndarray:
+    """Pointwise Hölder exponent estimates at the :data:`PROFILE_POINTS`
+    mid-cell positions (k + 1/2)/PROFILE_POINTS, over the summary's
+    ``holder_range``.
 
-    Regresses log_b of the oscillation sup - inf over the balls
-    |s - t| <= b^-j (clipped to [0, 1]) against j; the negated slope
-    estimates the exponent.  The ball endpoints are snapped outward to
-    grid points, so the oscillation is that of the stored interpolant
+    At each point t, regresses log_b of the oscillation sup - inf over
+    the balls |s - t| <= b^-j (clipped to [0, 1]) against j; the negated
+    slope estimates the exponent.  The ball endpoints are snapped outward
+    to grid points, so the oscillation is that of the stored interpolant
     over a slightly enlarged ball, a conservative choice at these scales.
+    The points avoid 0 and 1; monofractality predicts a tight spread
+    around H (the profile's spread, not each individual point, is the
+    stable statistic at finite depth).
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    check_scale_range("pointwise_holder", path.depth, j_range)
-    summary = _summary_of(
-        path, windows=_balls(path.params.base, path.depth, [t], j_range))
-    return _holder_fit(summary, t, j_range)
-
-
-def pointwise_holder_profile(path: SamplePath | FractalSummary,
-                             n_points: int = PROFILE_POINTS,
-                             j_range: tuple[int, int] = HOLDER_J_RANGE
-                             ) -> np.ndarray:
-    """Pointwise exponent estimates at n_points mid-cell positions.
-
-    Evaluation points (k + 1/2)/n_points avoid 0 and 1; monofractality
-    predicts a tight spread around H (the profile's spread, not each
-    individual point, is the stable statistic at finite depth).  One
-    summary serves every point.
-    """
-    check_scale_range("pointwise_holder", path.depth, j_range)
-    ts = _profile_points(n_points)
-    summary = _summary_of(
-        path, windows=_balls(path.params.base, path.depth, ts, j_range))
+    j_range = _scale_range(summary, "holder_range")
     return np.array([_holder_fit(summary, float(t), j_range).estimate
-                     for t in ts])
+                     for t in _profile_points()])

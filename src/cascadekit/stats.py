@@ -328,6 +328,9 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
                    convergent=True, below_one=True,
                    why="it rescales Z_limit - Z_n, which is 0 at H = 1")
     _require_replicas(reps)
+    if proxy_levels < 1:
+        raise ValueError("the limit proxy needs proxy_levels >= 1; got "
+                         f"proxy_levels = {proxy_levels}")
     z_n, z_deep = sample_terminal_pair(params, n, proxy_levels, reps)
     sigma_resid = math.sqrt(float(limit_z_moments(params, 2)[1]) - 1.0)
     scale = sigma_resid * float(params.base) ** (n * (0.5 - params.hurst))

@@ -32,9 +32,11 @@ from cascadekit.core import (
     verify_self_similarity,
 )
 from cascadekit.fractal import (
+    HOLDER_J_RANGE,
     box_dimension,
     increment_scaling_exponent,
     pointwise_holder_profile,
+    summarize_field,
 )
 from cascadekit.moments import (
     brute_force_moments,
@@ -313,11 +315,12 @@ def test_criterion_09_fractal_claims():
     ok = True
     for h, dim_target, dim_tol in ((0.7, 1.3, 0.1), (0.95, 1.05, 0.07)):
         params = CascadeParams(base=2, hurst=h, seed=SEED_FRACTAL)
-        field = generate_leaf_signs(params, 18)
-        path = build_path(field, params, max_points=2**18)
-        dim = box_dimension(path).estimate
-        exp = increment_scaling_exponent(path).estimate
-        prof = pointwise_holder_profile(path)
+        summary = summarize_field(generate_leaf_signs(params, 18), params,
+                                  p_range=(4, 12), j_range=(4, 12),
+                                  holder_range=HOLDER_J_RANGE)
+        dim = box_dimension(summary).estimate
+        exp = increment_scaling_exponent(summary).estimate
+        prof = pointwise_holder_profile(summary)
         med = float(np.median(prof))
         spread = float(prof.std())
         worst_pt = float(np.max(np.abs(prof - h)))

@@ -122,6 +122,23 @@ def test_simulate_rejects_unknown_format(tmp_path, capsys):
     assert "png" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formats", ["", " , "])
+def test_simulate_empty_formats_is_a_usage_error(tmp_path, capsys,
+                                                 monkeypatch, formats):
+    """A format list naming no format would hash every field and write
+    nothing: a usage error naming --formats, before hashing."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("the sign field was generated")
+
+    monkeypatch.setattr("cascadekit.cli.generate_leaf_signs", no_field)
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--formats", formats,
+                 "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --formats: names no format; got {formats!r}\n")
+    assert not outdir.exists()
+
+
 def test_simulate_rejects_empty_point_budget(tmp_path, capsys):
     code = main(["simulate", "--depths", "7", "--max-points", "0",
                  "--outdir", str(tmp_path)])
@@ -304,6 +321,26 @@ def test_clt_smallh_h_values_must_decrease(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == (
         "error: --h-values: the small-H check takes strictly decreasing "
         f"H values; got {h_values}\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("proxy_levels", ["0", "-3"])
+def test_clt_residual_proxy_levels_below_one_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, proxy_levels):
+    """A residual against no deeper level is no residual test: exit 2,
+    before any draw, and no report."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replicas were drawn")
+
+    monkeypatch.setattr("cascadekit.stats.sample_terminal_pair", no_draws)
+    outdir = tmp_path / "out"
+    code = main(["clt", "--test", "residual", "--H", "0.7", "--n", "8",
+                 "--proxy-levels", proxy_levels, "--reps", "200",
+                 "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the limit proxy needs proxy_levels >= 1; got "
+        f"proxy_levels = {proxy_levels}\n")
     assert not outdir.exists()
 
 

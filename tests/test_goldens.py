@@ -374,10 +374,10 @@ def test_fractal_estimate_bits(name):
     for bit (equal digests of float64 bytes imply array_equal)."""
     b, h, depth, box_range, prof_range = ESTIMATES[name]
     params = CascadeParams(base=b, hurst=h, seed=SEED)
-    path = build_path(generate_leaf_signs(params, depth), params,
-                      max_points=b**depth)
-    box = box_dimension(path, box_range)
-    profile = pointwise_holder_profile(path, j_range=prof_range)
+    summary = summarize_field(generate_leaf_signs(params, depth), params,
+                              j_range=box_range, holder_range=prof_range)
+    box = box_dimension(summary)
+    profile = pointwise_holder_profile(summary)
     assert (_digest(box.log_values, box.estimate), _digest(profile)) \
         == ESTIMATE_GOLDENS[name]
 
@@ -417,9 +417,9 @@ def test_box_count_bits(name):
     """Box-count log values, bit for bit, across slice boundaries."""
     b, h, depth, j_range = BOX_COUNTS[name]
     params = CascadeParams(base=b, hurst=h, seed=SEED)
-    path = build_path(generate_leaf_signs(params, depth), params,
-                      max_points=b**depth)
-    assert _digest(box_dimension(path, j_range).log_values) \
+    summary = summarize_field(generate_leaf_signs(params, depth), params,
+                              j_range=j_range)
+    assert _digest(box_dimension(summary).log_values) \
         == BOX_COUNT_GOLDENS[name]
 
 
@@ -443,5 +443,5 @@ def test_increment_fit_from_a_p_range_summary_bits(name):
     params = CascadeParams(base=b, hurst=h, seed=SEED)
     summary = summarize_field(generate_leaf_signs(params, depth), params,
                               p_range=p_range)
-    fit = increment_scaling_exponent(summary, p_range)
+    fit = increment_scaling_exponent(summary)
     assert _digest(fit.log_values, fit.estimate) == golden

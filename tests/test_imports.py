@@ -1,5 +1,5 @@
-"""The import contract: scipy is loaded only where the normal CDF is
-evaluated.
+"""The import contract: every public name resolves, and scipy is loaded
+only where the normal CDF is evaluated.
 
 ``import cascadekit`` and every subcommand but ``clt`` load numpy and
 nothing heavier; ``clt`` imports ``scipy.special.ndtr`` at its first KS
@@ -76,3 +76,11 @@ def test_scipy_is_loaded_only_by_the_normal_cdf(tmp_path):
     # the default CDF is scipy's ndtr, bit for bit
     default, explicit = state["ks"]
     assert default == explicit
+
+
+def test_every_public_name_resolves_once():
+    """``cascadekit.__all__`` lists each name once and each resolves, so a
+    deleted public function cannot leave a stale export behind."""
+    names = cascadekit.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(cascadekit, n)] == []

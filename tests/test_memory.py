@@ -20,7 +20,7 @@ from cascadekit.core import (
     build_path,
     generate_leaf_signs,
 )
-from cascadekit.fractal import box_dimension
+from cascadekit.fractal import summarize_field
 from cascadekit.reports import (
     _BLOCK_ROWS,
     path_rows,
@@ -73,14 +73,14 @@ def test_decimated_path_holds_its_points_and_one_slice():
 
 
 def test_box_counting_memory_does_not_grow_with_depth():
-    """Box counting streams over fixed-size slices of the path, so its
-    peak above the path is the same at depth 16 and depth 20."""
+    """Box counting streams over fixed-size slices of the path rebuilt
+    from the field, so its peak above the field is the same at depth 16
+    and depth 20."""
     peaks = []
     for n in (16, 20):
         params = CascadeParams(base=2, hurst=0.7, seed=3)
-        path = build_path(generate_leaf_signs(params, n), params,
-                          max_points=2**n)
-        _, peak = _peak(box_dimension, path, (4, n - 2))
+        field = generate_leaf_signs(params, n)
+        _, peak = _peak(summarize_field, field, params, j_range=(4, n - 2))
         peaks.append(peak)
     assert peaks[1] <= peaks[0] + 16 * 1024
 
@@ -89,10 +89,9 @@ def test_box_counting_memory_does_not_grow_with_column_width():
     """Columns wider than a block are counted from the table of block
     extrema, so counting from j = 1 peaks as counting from j = 8."""
     params = CascadeParams(base=2, hurst=0.7, seed=3)
-    path = build_path(generate_leaf_signs(params, 20), params,
-                      max_points=2**20)
-    _, wide = _peak(box_dimension, path, (1, 18))
-    _, narrow = _peak(box_dimension, path, (8, 18))
+    field = generate_leaf_signs(params, 20)
+    _, wide = _peak(summarize_field, field, params, j_range=(1, 18))
+    _, narrow = _peak(summarize_field, field, params, j_range=(8, 18))
     assert abs(wide - narrow) <= 16 * 1024
 
 

@@ -6,6 +6,7 @@ exactness of the fractal estimators' block extrema, of the path's bits
 under any slice size, of the fractal fits read straight from the packed
 field, and of the float-table text kernel against Python's ``%``."""
 
+import math
 import struct
 import sys
 import threading
@@ -22,10 +23,7 @@ from cascadekit.fractal import (
     _BLOCK,
     _level_extrema,
     _oscillation,
-    _path_slices,
     _summarize,
-    box_dimension,
-    increment_scaling_exponent,
     pointwise_holder_profile,
     summarize_field,
 )
@@ -267,6 +265,13 @@ def test_deeper_field_expands_shallower_leaves_across_chunks():
     assert np.array_equal(bits, generate_leaf_signs(params, 14).leaf_bits())
 
 
+def _path_slices(values, width):
+    """Views of ``values`` over samples [s, s + width] for s = 0, width,
+    ..., as ``core.path_slices`` yields them."""
+    for start in range(0, values.size - 1, width):
+        yield values[start:start + width + 1]
+
+
 def _walk(seed, size):
     """A random-walk sample vector, the shape of a cascade path."""
     return np.cumsum(np.random.default_rng(seed).standard_normal(size))
@@ -359,11 +364,11 @@ def test_path_bits_do_not_depend_on_the_slice_size(params, data):
 
 @st.composite
 def fit_cases(draw):
-    """(params, depth, p_range, j_range, profile): box ranges from j = 1,
-    whose columns are wider than one slice of the pass, increment ranges
-    ending at depth - 6 (None where the depth leaves fewer than 4
-    generations, as at b = 5), and the pointwise profile where the depth
-    reaches the end of its fixed range."""
+    """(params, depth, p_range, j_range, holder_range): box ranges from
+    j = 1, whose columns are wider than one slice of the pass, increment
+    ranges ending at depth - 6 (None where the depth leaves fewer than 4
+    generations, as at b = 5), and the pointwise profile's range where
+    the depth reaches its end."""
     params = draw(st.builds(CascadeParams, base=st.sampled_from([2, 3, 5]),
                             hurst=st.sampled_from([None, 0.55, 0.7, 1.0]),
                             seed=st.integers(0, 2**64 - 1)))
@@ -373,51 +378,74 @@ def fit_cases(draw):
     j_lo = draw(st.sampled_from([1, 2, n - 5]))
     j_range = (j_lo, draw(st.integers(j_lo + 3, n - 2)))
     profile = n >= HOLDER_J_RANGE[1] and draw(st.booleans())
-    return params, n, p_range, j_range, profile
+    return (params, n, p_range, j_range,
+            HOLDER_J_RANGE if profile else None)
 
 
-def _outcome(fit, *args):
-    """The bits of a fit (every DimensionFit field, or the profile
-    array), or the message of the ValueError it raised."""
-    try:
-        result = fit(*args)
-    except ValueError as exc:
-        return str(exc)
-    if isinstance(result, np.ndarray):
-        return result.tobytes()
-    return (result.scales.tobytes(), result.log_values.tobytes(),
-            result.slope, result.intercept, result.r_squared,
-            result.estimate, result.zero_increments)
+def _reference_box_counts(values, b, n, j):
+    """N_j over the closed columns [k s, (k + 1) s], s = b^(n - j), of
+    the full-resolution path ``values``."""
+    s = b**(n - j)
+    starts = np.arange(0, b**n, s)
+    right = values[s::s]
+    lo = np.minimum(np.minimum.reduceat(values[:-1], starts), right)
+    hi = np.maximum(np.maximum.reduceat(values[:-1], starts), right)
+    delta = float(b) ** (-j)
+    return int(np.sum(np.floor(hi / delta) - np.floor(lo / delta) + 1.0))
+
+
+def _reference_profile(values, b, n, holder_range):
+    """The pointwise estimates at the 64 mid-cell points, from the raw
+    window of each ball |s - t| <= b^-j (clipped to [0, 1] and snapped
+    outward to the grid)."""
+    m = b**n
+    js = np.arange(holder_range[0], holder_range[1] + 1)
+    estimates = []
+    for t in (np.arange(64) + 0.5) / 64:
+        log_osc = []
+        for j in js:
+            r = float(b) ** (-int(j))
+            i_lo = math.floor(max(0.0, t - r) * m)
+            i_hi = math.ceil(min(1.0, t + r) * m)
+            window = values[i_lo:i_hi + 1]
+            log_osc.append(math.log(window.max() - window.min())
+                           / math.log(b))
+        estimates.append(-float(np.polyfit(js.astype(float), log_osc,
+                                           1)[0]))
+    return np.array(estimates)
 
 
 @settings(PROPERTY, max_examples=25)
 @given(case=fit_cases())
 @example(case=(CascadeParams(base=3, hurst=0.7, seed=1), 14, (4, 8),
-               (1, 12), True))
+               (1, 12), HOLDER_J_RANGE))
 @example(case=(CascadeParams(base=2, hurst=0.7, seed=2), 18, (2, 12),
-               (1, 16), True))
+               (1, 16), HOLDER_J_RANGE))
 @example(case=(CascadeParams(base=3, hurst=0.95, seed=3), 12, (2, 6),
-               (1, 10), True))
+               (1, 10), HOLDER_J_RANGE))
 @example(case=(CascadeParams(base=5, hurst=0.55, seed=4), 9, None,
-               (1, 7), False))
+               (1, 7), None))
 def test_field_summary_fits_equal_path_fits(case):
-    """Fits read from the summary of the packed field are the fits on the
-    full-resolution path, bit for bit (3^14 leaves cross the 2^22-leaf
-    expansion chunk).  The profile runs at its fixed points and scales;
-    the block extrema behind other balls are checked against raw windows
-    above."""
-    params, n, p_range, j_range, profile = case
+    """The summary of the packed field holds, bit for bit, what a direct
+    reading of the full-resolution path gives: box counts from reduceat
+    window extrema plus each column's right edge sample, the increment
+    samples as a strided view, and the profile from raw ball windows
+    (3^14 leaves cross the 2^22-leaf expansion chunk)."""
+    params, n, p_range, j_range, holder_range = case
+    b = params.base
     field = generate_leaf_signs(params, n)
     summary = summarize_field(field, params, p_range=p_range,
-                              j_range=j_range, profile=profile)
-    path = build_path(field, params, max_points=params.base**n)
-    fits = [(box_dimension, j_range)]
-    if profile:
-        fits.append((pointwise_holder_profile,))
+                              j_range=j_range, holder_range=holder_range)
+    values = build_path(field, params, max_points=b**n).values
+    assert summary.box_counts == {
+        j: _reference_box_counts(values, b, n, j)
+        for j in range(j_range[0], j_range[1] + 1)}
     if p_range is not None:
-        fits.append((increment_scaling_exponent, p_range))
-    for fit, *args in fits:
-        assert _outcome(fit, summary, *args) == _outcome(fit, path, *args)
+        step = b**(n - p_range[1])
+        assert summary.increments.tobytes() == values[::step].tobytes()
+    if holder_range is not None:
+        assert pointwise_holder_profile(summary).tobytes() == \
+            _reference_profile(values, b, n, holder_range).tobytes()
 
 
 def _from_bits(bits: int) -> float:

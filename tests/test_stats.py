@@ -232,9 +232,10 @@ def test_residual_clt():
                         rel_tol=1e-12)
 
 
-#: Bad arguments that a check meets only after a valid draw would have
-#: been made: q_max past the table's cap, a bad depth after a good one, or
-#: trend depths that do not strictly increase.
+#: Bad arguments that a check would meet only after a valid draw, or
+#: never: q_max past the table's cap, a bad depth after a good one, trend
+#: depths that do not strictly increase, or a residual limit proxy of
+#: fewer than one extra level.
 LATE_BAD_ARGS = {
     "moments-q99": (ValueError,
                     lambda: empirical_vs_exact_moments(H07, 8, 100, 99)),
@@ -248,6 +249,10 @@ LATE_BAD_ARGS = {
         H03, (8, 8), 100)),
     "increments-depth70": (CapacityError,
                            lambda: increments_gaussianity(H03, 2, 70, 100)),
+    "residual-proxy0": (ValueError, lambda: residual_clt_test(
+        H07, 8, 100, proxy_levels=0)),
+    "residual-proxy-3": (ValueError, lambda: residual_clt_test(
+        H07, 8, 100, proxy_levels=-3)),
 }
 
 
