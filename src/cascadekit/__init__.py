@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from .charfn import (
     CharFnGrid,
-    DecayFit,
     DensityResult,
     build_charfn_grid,
-    cf_moments_by_differences,
     charfn_at,
     charfn_auto,
-    decay_fit,
     density_of_z,
 )
 from .core import (
@@ -66,13 +63,11 @@ from .moments import (
 )
 from .stats import (
     StatReport,
-    calibrate_ks_threshold,
     clt_small_h_test,
     clt_terminal_test,
     clt_terminal_trend,
     empirical_vs_exact_moments,
     increments_gaussianity,
-    ks_normal_threshold,
     ks_statistic,
     residual_clt_test,
 )
@@ -83,7 +78,6 @@ __all__ = [
     "CapacityError",
     "CascadeParams",
     "CharFnGrid",
-    "DecayFit",
     "DensityResult",
     "DimensionFit",
     "FractalSummary",
@@ -99,15 +93,12 @@ __all__ = [
     "brute_force_moments",
     "build_charfn_grid",
     "build_path",
-    "calibrate_ks_threshold",
-    "cf_moments_by_differences",
     "charfn_at",
     "charfn_auto",
     "closed_form_second_moment",
     "clt_small_h_test",
     "clt_terminal_test",
     "clt_terminal_trend",
-    "decay_fit",
     "density_of_z",
     "empirical_vs_exact_moments",
     "enumerate_next_level_mean",
@@ -117,7 +108,6 @@ __all__ = [
     "generate_leaf_signs",
     "increment_scaling_exponent",
     "increments_gaussianity",
-    "ks_normal_threshold",
     "ks_statistic",
     "limit_z_moments",
     "normalize_path",

@@ -57,6 +57,8 @@ MIN_X_POINTS = 4096
 MAX_INVERSION_BYTES = 2**30
 _X_BLOCK = 512
 _KERNEL_BYTES = 48
+#: Half-width of the inversion's x-window, in standard deviations of Z.
+_SPAN_SDS = 14.0
 
 
 def _deviation_step(g: np.ndarray, p_plus: float, base: int) -> np.ndarray:
@@ -100,10 +102,9 @@ def charfn_at(params: CascadeParams, t, depth: int = DEFAULT_DEPTH):
 
 
 def charfn_auto(params: CascadeParams, t, *, tol: float = CAUCHY_TOL,
-                start_depth: int = DEFAULT_DEPTH,
                 max_depth: int = MAX_AUTO_DEPTH):
-    """phi at auto-selected depth: doubles from ``start_depth`` until the
-    successive-depth sup-norm difference is below ``tol``.
+    """phi at auto-selected depth: doubles from :data:`DEFAULT_DEPTH` until
+    the successive-depth sup-norm difference is below ``tol``.
 
     Returns (values, depth_used).  Hitting ``max_depth`` without meeting
     the tolerance is reported as a warning, not an error (the returned
@@ -111,7 +112,7 @@ def charfn_auto(params: CascadeParams, t, *, tol: float = CAUCHY_TOL,
     """
     require_regime(params, "the characteristic function", convergent=True)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    depth = start_depth
+    depth = DEFAULT_DEPTH
     prev = 1.0 + _ladder(params, t_arr, depth)
     gap = math.inf
     while depth < max_depth and gap > tol:
@@ -145,22 +146,6 @@ class CharFnGrid:
     depth: int
     t: np.ndarray
     values: np.ndarray
-
-    @property
-    def t_max(self) -> float:
-        return float(self.t[-1])
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
-
-    def max_modulus(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def hermitian_defect(self) -> float:
-        """sup |phi(-t) - conj(phi(t))| over the grid."""
-        return float(np.max(np.abs(self.values[::-1]
-                                   - np.conj(self.values))))
 
 
 def build_charfn_grid(params: CascadeParams, t_max: float, dt: float,
@@ -221,11 +206,10 @@ def _auto_t_max(params: CascadeParams, depth: int | None) -> tuple[float, int]:
 
 def density_of_z(params: CascadeParams, *, t_max: float | None = None,
                  dt: float | None = None, x_points: int = MIN_X_POINTS,
-                 depth: int | None = None,
-                 span_sds: float = 14.0) -> DensityResult:
+                 depth: int | None = None) -> DensityResult:
     """Density f of the limit mass Z by Fourier inversion of phi.
 
-    The x-window is mean +- span_sds standard deviations (both exact,
+    The x-window is mean +- 14 standard deviations (both exact,
     from the limit moments); dt defaults to 2pi / window-width so the
     aliasing period equals the window; t_max defaults to doubling until
     the tail |phi(T)| < 1e-12.  A non-negligible tail at t_max is
@@ -243,7 +227,7 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
                        "smooth density; at H = 1 it is the constant 1")
     m2 = float(limit_z_moments(params, 2)[1])
     sd = math.sqrt(m2 - 1.0)
-    x_lo, x_hi = 1.0 - span_sds * sd, 1.0 + span_sds * sd
+    x_lo, x_hi = 1.0 - _SPAN_SDS * sd, 1.0 + _SPAN_SDS * sd
     width = x_hi - x_lo
     if dt is None:
         dt = 2.0 * math.pi / width
@@ -279,76 +263,3 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     return DensityResult(params=params, x=x, density=f, t_max=t_max,
                          dt=float(t[1] - t[0]), depth=depth_used,
                          tail_magnitude=tail)
-
-
-def cf_moments_by_differences(params: CascadeParams, *, h_step: float = 1e-3,
-                              depth: int | None = None) -> tuple[float, float]:
-    """(E Z, E Z^2) recovered from phi near 0 by central differences.
-
-    Uses the deviation g = phi - 1 directly, so no cancellation against
-    the leading 1:  E Z ~ Im g(h)/h,  E Z^2 ~ -2 Re g(h)/h^2, each with
-    O(h^2) truncation error; h_step = 1e-3 keeps that below 1e-5 for
-    moderate third moments.
-    """
-    val, _ = _phi(params, np.array([h_step]), depth)
-    g = complex(val[0]) - 1.0
-    mean = g.imag / h_step
-    second = -2.0 * g.real / h_step**2
-    return mean, second
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares fit of log |phi(t)| against |t|^(1/H)."""
-
-    params: CascadeParams
-    rho: float
-    r_squared: float
-    n_points: int
-    t_lo: float
-    t_hi: float
-    octave_monotone: bool  # reported, not asserted
-
-
-def decay_fit(params: CascadeParams, *, t_lo: float | None = None,
-              t_hi: float | None = None, n_points: int = 200,
-              depth: int | None = None) -> DecayFit:
-    """Fit the stretched-exponential tail bound |phi(t)| = O(rho^(|t|^(1/H))).
-
-    The fit window is the range where 1e-12 < |phi| < 1e-2 (auto-located
-    by scanning up to the tail cutoff when not supplied); the slope of
-    log |phi| against |t|^(1/H) gives rho = exp(slope).  Raises when the
-    window holds fewer than 8 usable points.
-    """
-    if t_hi is None:
-        t_hi, _ = _auto_t_max(params, depth)
-    if t_lo is None:
-        t_lo = 0.1
-    t = np.geomspace(t_lo, t_hi, n_points)
-    phi, _ = _phi(params, t, depth)
-    mod = np.abs(phi)
-    mask = (mod > 1e-12) & (mod < 1e-2)
-    if mask.sum() < 8:
-        raise ValueError("insufficient range: fewer than 8 grid points "
-                         "with 1e-12 < |phi| < 1e-2")
-    ts, ms = t[mask], mod[mask]
-    xs = ts ** (1.0 / params.hurst)
-    ys = np.log(ms)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-
-    octave_ok = True
-    lo = float(ts[0])
-    while lo * 2.0 <= ts[-1]:
-        cur = ms[(ts >= lo) & (ts < 2.0 * lo)]
-        nxt = ms[(ts >= 2.0 * lo) & (ts < 4.0 * lo)]
-        if cur.size and nxt.size and nxt.max() > cur.max():
-            octave_ok = False
-            break
-        lo *= 2.0
-    return DecayFit(params=params, rho=float(math.exp(slope)),
-                    r_squared=r2, n_points=int(mask.sum()),
-                    t_lo=float(ts[0]), t_hi=float(ts[-1]),
-                    octave_monotone=octave_ok)

@@ -372,10 +372,6 @@ class SamplePath:
         denom = self.params.base**self.depth
         return (np.arange(len(self.values)) * self.stride) / denom
 
-    @property
-    def is_decimated(self) -> bool:
-        return self.stride != 1
-
 
 def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
                 stride: int = 1):

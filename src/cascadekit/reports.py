@@ -340,32 +340,37 @@ def write_csv(path, header: list[str],
 
 def write_json(path, payload: Mapping[str, object],
                config: Mapping[str, object]) -> None:
-    """JSON document: {"meta": {...}, **payload}, stable key order."""
-    doc = {"meta": dict(metadata_items(config))}
-    doc.update(payload)
+    """JSON document: {"meta": {...}, **payload}, stable key order.
+
+    Strict JSON: numpy values become Python ones and NaN and infinities
+    become null, which the ``passed`` flags of failed checks still record.
+    """
+    doc = _json_safe({"meta": dict(metadata_items(config)), **payload})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
+        json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
         fh.write("\n")
 
 
 def _json_safe(value):
+    """``value`` with numpy scalars and arrays as Python values and every
+    non-finite float as None, which JSON writes as null."""
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
     if isinstance(value, np.ndarray):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, float) and value != value:  # NaN
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
 def stat_report_payload(report) -> dict:
-    """JSON-ready dict for a StatReport (stable key names)."""
+    """:func:`write_json` payload of a StatReport (stable key names)."""
     params = report.params
-    return _json_safe({
+    return {
         "test": report.test,
         "params": {"base": params.base,
                    "hurst": ("sym" if params.hurst is None
@@ -376,12 +381,12 @@ def stat_report_payload(report) -> dict:
         "thresholds": dict(report.thresholds),
         "passed": report.passed,
         "seed": params.seed,
-    })
+    }
 
 
 def dimension_fit_payload(fit) -> dict:
-    """JSON-ready dict for a DimensionFit."""
-    return _json_safe({
+    """:func:`write_json` payload of a DimensionFit."""
+    return {
         "kind": fit.kind,
         "scales": fit.scales,
         "log_values": fit.log_values,
@@ -390,7 +395,7 @@ def dimension_fit_payload(fit) -> dict:
         "r_squared": fit.r_squared,
         "estimate": fit.estimate,
         "zero_increments": fit.zero_increments,
-    })
+    }
 
 
 def path_rows(path) -> np.ndarray:
@@ -409,9 +414,8 @@ def charfn_rows(grid) -> np.ndarray:
 
 
 def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,
-                       config: Mapping[str, object], *,
-                       width: int = 800, height: int = 400) -> None:
-    """Standalone SVG of a polyline, no plotting dependencies.
+                       config: Mapping[str, object]) -> None:
+    """Standalone 800 x 400 SVG of a polyline, no plotting dependencies.
 
     Metadata rides in a leading XML comment.  The y-range is padded 5%
     and degenerate (constant) data gets a unit band so the line stays
@@ -419,7 +423,7 @@ def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    margin = 10.0
+    width, height, margin = 800, 400, 10.0
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if y_hi == y_lo:

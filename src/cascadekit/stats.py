@@ -44,9 +44,6 @@ from .moments import (
     z_moment_recursion,
 )
 
-#: 1% asymptotic KS point: sqrt(-log(0.01)/2) / sqrt(N), rounded up.
-KS_ASYMPTOTIC_COEF = 1.63
-
 #: Pilot-calibrated KS thresholds at (n=16, reps=4000).
 D_THRESHOLD_FAST = 0.05     # divergent / symmetric
 D_THRESHOLD_CRITICAL = 0.08  # critical (log-factor normalization, slower)
@@ -102,27 +99,6 @@ def ks_statistic(samples: np.ndarray, reference_cdf=None) -> float:
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
-def ks_normal_threshold(n_samples: int,
-                        coef: float = KS_ASYMPTOTIC_COEF) -> float:
-    """Asymptotic KS rejection point coef/sqrt(N) (1% level by default)."""
-    return coef / math.sqrt(n_samples)
-
-
-def calibrate_ks_threshold(n_samples: int, n_runs: int = 100,
-                           seed: int = 0) -> float:
-    """Fraction of true-normal batches whose D exceeds the 1% point.
-
-    Calibration harness for the asymptotic threshold: on genuinely
-    normal data the exceedance rate should be about 1% and must stay
-    at or below 5% for the threshold to be usable as a test gate.
-    """
-    rng = np.random.default_rng(seed)
-    limit = ks_normal_threshold(n_samples)
-    hits = sum(ks_statistic(rng.standard_normal(n_samples)) > limit
-               for _ in range(n_runs))
-    return hits / n_runs
-
-
 def _require_replicas(reps: int) -> None:
     """Sample standard errors (``ddof=1``) need at least two replicas."""
     if reps < 2:
@@ -154,13 +130,12 @@ def _terminal_divisor(params: CascadeParams, n: int, reps: int) -> float:
     return regime_divisor(params, n)
 
 
-def _terminal_report(params: CascadeParams, n: int, x: np.ndarray,
-                     d_threshold: float | None) -> StatReport:
+def _terminal_report(params: CascadeParams, n: int,
+                     x: np.ndarray) -> StatReport:
     """The terminal CLT report of the normalized draws x of X_n(1)."""
-    if d_threshold is None:
-        d_threshold = (D_THRESHOLD_CRITICAL
-                       if regime_of(params) is Regime.CRITICAL
-                       else D_THRESHOLD_FAST)
+    d_threshold = (D_THRESHOLD_CRITICAL
+                   if regime_of(params) is Regime.CRITICAL
+                   else D_THRESHOLD_FAST)
     d = ks_statistic(x)
 
     table = normalized_moment_recursion(params, max(n, 1), 8)
@@ -175,8 +150,8 @@ def _terminal_report(params: CascadeParams, n: int, x: np.ndarray,
                       statistics=stats, thresholds=thresholds)
 
 
-def clt_terminal_test(params: CascadeParams, n: int, reps: int,
-                      *, d_threshold: float | None = None) -> StatReport:
+def clt_terminal_test(params: CascadeParams, n: int,
+                      reps: int) -> StatReport:
     """KS and first-four-moment check of X_n(1) against its normal limit.
 
     Draws X_n(1) = Z_n / divisor, reports the KS distance to N(0,1)
@@ -186,8 +161,7 @@ def clt_terminal_test(params: CascadeParams, n: int, reps: int,
     """
     divisor = _terminal_divisor(params, n, reps)
     return _terminal_report(params, n,
-                            sample_terminal(params, n, reps) / divisor,
-                            d_threshold)
+                            sample_terminal(params, n, reps) / divisor)
 
 
 def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
@@ -208,7 +182,7 @@ def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
         raise ValueError("--n: the terminal trend takes strictly increasing "
                          f"depths; got {','.join(map(str, depths))}")
     columns = sample_terminal_depths(params, depths, reps)
-    reports = [_terminal_report(params, n, z / divisor, None)
+    reports = [_terminal_report(params, n, z / divisor)
                for n, z, divisor in zip(depths, columns, divisors)]
     ds = [r.statistics["ks_distance"] for r in reports]
     decreasing = all(b < a for a, b in zip(ds, ds[1:]))
@@ -259,8 +233,7 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
 
 
 def increments_gaussianity(params: CascadeParams, p: int, n: int,
-                           reps: int, *,
-                           d_threshold: float = D_THRESHOLD_FAST) -> StatReport:
+                           reps: int) -> StatReport:
     """Generation-p increments of X_n against independent N(0, b^-p).
 
     The increment of X_n over the j-th generation-p cell factorizes as
@@ -305,7 +278,7 @@ def increments_gaussianity(params: CascadeParams, p: int, n: int,
              "offdiag_z_max": off_z,
              "var_err_max": float(np.max(np.abs(variances - target_var))),
              "offdiag_abs_max": float(np.max(np.abs(off)))}
-    thresholds = {"marginal_ks_max": d_threshold, "var_z_max": Z_BAND,
+    thresholds = {"marginal_ks_max": D_THRESHOLD_FAST, "var_z_max": Z_BAND,
                   "offdiag_z_max": Z_BAND}
     return StatReport(test="increments_gaussianity", params=params,
                       sample_size=reps, statistics=stats,
@@ -313,8 +286,7 @@ def increments_gaussianity(params: CascadeParams, p: int, n: int,
 
 
 def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
-                      proxy_levels: int = 12,
-                      d_threshold: float = D_THRESHOLD_FAST) -> StatReport:
+                      proxy_levels: int = 12) -> StatReport:
     """Normality of the rescaled residual (Z_limit - Z_n) at t = 1.
 
     The limit is proxied by Z_(n+m) with m = ``proxy_levels`` extra
@@ -338,7 +310,7 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
     d = ks_statistic(resid)
     stats = {"ks_distance": d, "mean_z": _z_score(resid, 0.0),
              "sigma_resid": sigma_resid}
-    thresholds = {"ks_distance": d_threshold, "mean_z": Z_BAND}
+    thresholds = {"ks_distance": D_THRESHOLD_FAST, "mean_z": Z_BAND}
     return StatReport(test="residual_clt", params=params, sample_size=reps,
                       statistics=stats, thresholds=thresholds)
 

@@ -13,8 +13,6 @@ The failing assertion is kept rather than loosened; details in the
 verdict line.
 """
 
-import json
-import math
 import resource
 import time
 
@@ -40,7 +38,6 @@ from cascadekit.fractal import (
 )
 from cascadekit.moments import (
     brute_force_moments,
-    closed_form_second_moment,
     gaussian_even_moments,
     limit_z_moments,
     z_moment_recursion,

@@ -258,6 +258,28 @@ def test_clt_terminal_json(tmp_path):
     assert final["statistics"]["ks_distance"] <= 0.05
 
 
+def test_clt_json_is_strict_when_a_z_score_is_infinite(tmp_path):
+    """A zero-spread sample scores an infinite z; it is written as null.
+
+    At H = sym, n = 1 and seed 1 both replicas draw Z_1 = 0, so Z_1^2 has
+    no spread and misses the exact E Z_1^2 = 2.  ``parse_constant`` sees
+    the non-standard ``NaN`` and ``Infinity`` tokens that plain
+    ``json.loads`` accepts.
+    """
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    code = main(["clt", "--test", "moments", "--H", "sym", "--n", "1",
+                 "--reps", "2", "--q", "2", "--seed", "1",
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    payload = json.loads((tmp_path / "clt_moments_b2_Hsym.json").read_text(),
+                         parse_constant=refuse)
+    (report,) = payload["reports"]
+    assert report["statistics"]["moment2_z"] is None
+    assert report["passed"] is False
+
+
 def test_clt_regime_mismatch_diagnostics(tmp_path, capsys):
     """Exit 2 plus a message naming the violated restriction."""
     code = main(["clt", "--test", "terminal", "--H", "0.7",

@@ -115,7 +115,6 @@ def test_path_values_match_manual_cumsum():
     assert np.array_equal(path.values, manual)
     assert path.values[0] == 0.0
     assert path.stride == 1
-    assert not path.is_decimated
 
 
 def test_increment_magnitude_is_uniform():
@@ -132,7 +131,6 @@ def test_decimated_path_is_exact_subsample():
     field = generate_leaf_signs(params, 12)
     full = build_path(field, params, max_points=2**12)
     thin = build_path(field, params, max_points=2**9)
-    assert thin.is_decimated
     assert thin.stride == 2**3
     assert np.array_equal(thin.values, full.values[::2**3])
 

@@ -1,5 +1,5 @@
-"""The import contract: every public name resolves, and scipy is loaded
-only where the normal CDF is evaluated.
+"""The import contract: every public name resolves and is used by the
+library, and scipy is loaded only where the normal CDF is evaluated.
 
 ``import cascadekit`` and every subcommand but ``clt`` load numpy and
 nothing heavier; ``clt`` imports ``scipy.special.ndtr`` at its first KS
@@ -7,6 +7,7 @@ distance.  The check runs in a fresh interpreter, since other test
 modules import scipy into this one.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -84,3 +85,44 @@ def test_every_public_name_resolves_once():
     names = cascadekit.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(cascadekit, n)] == []
+
+
+#: Public names that no module calls, kept as references that tests check
+#: the library against: the enumeration oracles, and the single-depth
+#: terminal check that each report of ``clt_terminal_trend`` must equal.
+ORACLES = {"brute_force_moments", "clt_terminal_test",
+           "enumerate_next_level_mean", "evaluate", "verify_self_similarity"}
+
+
+def _loaders():
+    """Name -> the top-level definitions (None: module-level code) of the
+    package's modules, ``__init__`` aside, that load it as a variable or an
+    attribute.  Imports and docstrings do not load a name."""
+    loaders: dict[str, set] = {}
+    for path in Path(cascadekit.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    loaders.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    loaders.setdefault(node.attr, set()).add(owner)
+    return loaders
+
+
+def test_every_public_name_is_used_by_the_library():
+    """Each ``__all__`` name is loaded by some module, outside its own
+    definition and outside exports that are themselves unused, or is one
+    of the named oracles: an export only tests call cannot come back."""
+    loaders = _loaders()
+    unused: set[str] = set()
+    while True:
+        found = {name for name in set(cascadekit.__all__) - ORACLES - unused
+                 if not loaders.get(name, set()) - unused - {name}}
+        if not found:
+            break
+        unused |= found
+    assert sorted(unused) == []

@@ -10,13 +10,11 @@ from cascadekit.stats import (
     D_THRESHOLD_CRITICAL,
     D_THRESHOLD_FAST,
     StatReport,
-    calibrate_ks_threshold,
     clt_small_h_test,
     clt_terminal_test,
     clt_terminal_trend,
     empirical_vs_exact_moments,
     increments_gaussianity,
-    ks_normal_threshold,
     ks_statistic,
     residual_clt_test,
 )
@@ -39,10 +37,15 @@ def test_ks_statistic_basics():
 
 
 def test_ks_threshold_and_calibration():
-    """The 1% asymptotic point rejects ~1% of genuinely normal batches."""
-    assert math.isclose(ks_normal_threshold(10000), 0.0163)
-    rate = calibrate_ks_threshold(2000, n_runs=100, seed=0)
-    assert rate <= 0.05
+    """The 1% asymptotic KS point, 1.63/sqrt(N) (sqrt(-log(0.01)/2)
+    rounded up), rejects about 1% of genuinely normal batches; at most 5%
+    keeps it usable as a gate."""
+    n = 2000
+    limit = 1.63 / math.sqrt(n)
+    rng = np.random.default_rng(0)
+    hits = sum(ks_statistic(rng.standard_normal(n)) > limit
+               for _ in range(100))
+    assert hits <= 5
 
 
 def test_stat_report_gating():
@@ -98,6 +101,27 @@ def test_fewer_than_two_replicas_rejected_before_sampling(monkeypatch,
         monkeypatch.setattr(f"cascadekit.stats.{name}", no_sampling)
     with pytest.raises(ValueError, match=r"reps >= 2"):
         SE_CHECKS[check](reps)
+
+
+#: The KS gate of each check: the critical terminal law converges slowest
+#: and gets the wider gate.
+KS_GATES = {
+    "terminal-critical": (lambda: clt_terminal_test(
+        CascadeParams(base=2, hurst=0.5), 8, 50), "ks_distance",
+        D_THRESHOLD_CRITICAL),
+    "terminal-divergent": (lambda: clt_terminal_test(H03, 8, 50),
+                           "ks_distance", D_THRESHOLD_FAST),
+    "increments": (lambda: increments_gaussianity(H03, 2, 8, 50),
+                   "marginal_ks_max", D_THRESHOLD_FAST),
+    "residual": (lambda: residual_clt_test(H07, 8, 50), "ks_distance",
+                 D_THRESHOLD_FAST),
+}
+
+
+@pytest.mark.parametrize("check", sorted(KS_GATES))
+def test_ks_gate_of_each_check(check):
+    run, key, gate = KS_GATES[check]
+    assert run().thresholds[key] == gate
 
 
 def test_terminal_clt_symmetric():
