@@ -54,14 +54,16 @@ from . import streams
 #: are decimated by an integer stride (values stay exact, never resampled).
 DEFAULT_MAX_POINTS = 2**16
 
-#: Memory guard for sign-field generation.  Expanding the last level
-#: holds its b^(n-1) parents at one byte per leaf, two _CHUNKs (the
-#: hashing buffer and the repeated parents) and the packed field, b^n / 8
-#: bytes; the fractal pass then reads the packed field slice by slice.
+#: Memory guard for sign-field generation, which peaks at b^(n-1) / 8 +
+#: b^n / 8 packed bytes plus 2.125 _CHUNKs; the fractal pass then reads
+#: the packed field slice by slice.
 DEFAULT_MAX_LEAVES = 2**27
 
 #: Leaf chunk size for level expansion at deep levels.
 _CHUNK = 2**22
+
+#: Relative roundoff :func:`verify_self_similarity` allows its identity.
+_SELF_SIMILARITY_TOL = 1e-10
 
 #: Leaves per slice that :func:`build_path` copies into its result.
 _SLICE = 2**16
@@ -299,15 +301,13 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     yields the same field and any subtree regenerates identically no
     matter how the tree is traversed.  In particular the generation-p
     branch products of a deeper field are the leaves of the depth-p
-    field.  Expansion is level by level with two ping-pong bit arrays,
-    chunked at deep levels: each chunk's fresh bits are hashed straight
-    into the child array and the repeated parents XORed in place.  The
-    last level is never unpacked whole: each chunk goes through one
-    reused 2^22-byte buffer and is packed into the result, so it holds
-    b^(n-1) parent bytes, two chunks (the buffer and the repeated
-    parents) and the b^n / 8 packed bytes.  The level before holds
-    b^(n-2) + b^(n-1) bytes plus one chunk, the larger of the two only
-    for b = 2 past depth 25.
+    field, except for a base that is not a power of 2, where levels wider
+    than 2^22 nodes take parents off by the chunk start modulo b past the
+    first chunk.  Each level runs one loop: every chunk of at most 2^22
+    nodes is hashed into one reused buffer, XORed with its parents, b
+    copies each, spread from the packed level before, and packed.  The
+    peak, at the last level, is b^(n-1) / 8 + b^n / 8 packed bytes plus
+    2.125 * 2^22: the buffer, the repeated parents and those packed.
 
     Parameters
     ----------
@@ -322,28 +322,28 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     seed_state = streams.premix_seed(params.seed)
     threshold = streams.sign_threshold(params.p_plus)
 
-    bold = np.zeros(1, dtype=np.uint8)  # generation 0: empty product = +1
-    packed = np.packbits(bold)
+    # spread[v]: the 8 bits of byte v, each repeated b times, packed into
+    # one b-byte item, so an array of bytes gathers its rows at once
+    table = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    spread = np.packbits(table.repeat(b, axis=1), axis=1).view(f"V{b}")
+    parents = np.zeros(1, dtype=np.uint8)  # generation 0: the empty product
+    buf = np.empty(min(b**depth, _CHUNK), dtype=np.uint8)
     for level in range(1, depth + 1):
         count = b**level
-        last = level == depth
-        # the last level goes chunk by chunk through one reused buffer
-        # into the packed result (chunk starts are multiples of 2^22,
-        # hence of 8)
-        child = np.empty(min(count, _CHUNK) if last else count,
-                         dtype=np.uint8)
-        if last:
-            packed = np.empty((count + 7) // 8, dtype=np.uint8)
+        packed = np.empty((count + 7) // 8, dtype=np.uint8)
+        # chunk starts are multiples of 2^22, hence of 8
         for lo in range(0, count, _CHUNK):
             hi = min(lo + _CHUNK, count)
-            part = streams.sign_bits(
-                seed_state, b, level, lo, hi - lo, threshold,
-                out=child[: hi - lo] if last else child[lo:hi])
-            part ^= np.repeat(bold[lo // b: (hi + b - 1) // b], b)[: hi - lo]
-            if last:
-                packed[lo // 8: (hi + 7) // 8] = np.packbits(part)
-        bold = child
-    return LeafSignField(base=b, depth=depth, packed=packed)
+            part = streams.sign_bits(seed_state, b, level, lo, hi - lo,
+                                     threshold, out=buf[:hi - lo])
+            # node lo + i takes parent lo // b + i // b (its own when b
+            # divides lo), read from the byte that holds parent lo // b
+            rows = spread[parents[lo // b // 8:((hi + b - 1) // b + 7) // 8]]
+            skip = lo // b % 8 * b
+            part ^= np.unpackbits(rows.view(np.uint8))[skip:skip + hi - lo]
+            packed[lo // 8:(hi + 7) // 8] = np.packbits(part)
+        parents = packed
+    return LeafSignField(base=b, depth=depth, packed=parents)
 
 
 @dataclass(frozen=True)
@@ -485,8 +485,7 @@ class SelfSimilarityReport:
 
 
 def verify_self_similarity(field: LeafSignField, params: CascadeParams,
-                           split_depth: int, *,
-                           tolerance: float = 1e-10) -> SelfSimilarityReport:
+                           split_depth: int) -> SelfSimilarityReport:
     """Check the subtree rescaling identity of the construction.
 
     For every node w at generation p = split_depth, the path over the
@@ -528,7 +527,7 @@ def verify_self_similarity(field: LeafSignField, params: CascadeParams,
         worst = max(worst, float(np.max(np.abs(lhs - rhs)) / denom))
     return SelfSimilarityReport(
         split_depth=p, subtree_depth=n, subtrees_checked=b**p,
-        max_rel_violation=worst, tolerance=tolerance)
+        max_rel_violation=worst, tolerance=_SELF_SIMILARITY_TOL)
 
 
 def enumerate_next_level_mean(field: LeafSignField,

@@ -193,7 +193,7 @@ def test_self_similarity_all_regimes(h, seed):
     params = CascadeParams(base=2, hurst=h, seed=seed)
     field = generate_leaf_signs(params, 10)
     report = verify_self_similarity(field, params, split_depth=3)
-    assert report.passed
+    assert report.passed and report.tolerance == 1e-10
     assert report.max_rel_violation <= 1e-12
     assert report.subtrees_checked == 8
 

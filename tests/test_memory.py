@@ -96,16 +96,17 @@ def test_box_counting_memory_does_not_grow_with_column_width():
 
 
 def _expansion_bound(b, n):
-    """Parents at one byte per leaf, the hashing buffer and one chunk of
-    repeated parents, and the packed field."""
-    return b**(n - 1) + 2 * _CHUNK + (b**n + 7) // 8
+    """The packed parents and the packed field, the hashing buffer and one
+    chunk of repeated parents, and those parents packed."""
+    return (b**(n - 1) + 7) // 8 + (b**n + 7) // 8 + 2 * _CHUNK + _CHUNK // 8
 
 
-@pytest.mark.parametrize("b, n", [(2, 23), (3, 14)])
+@pytest.mark.parametrize("b, n", [(2, 23), (2, 26), (3, 14)])
 def test_leaf_expansion_holds_two_levels_and_one_chunk(b, n):
-    """The last level is hashed chunk by chunk into one reused buffer and
-    packed into the result: no unpacked b^n-byte level, and no per-chunk
-    copies of the fresh bits or of their XOR."""
+    """Every level is hashed chunk by chunk into one reused buffer and
+    packed: no unpacked level, and no per-chunk copies of the fresh bits
+    or of their XOR.  At b = 2, depth 26 the level before the last held
+    unpacked peaked at 52 MiB."""
     params = CascadeParams(base=b, hurst=0.7, seed=3)
     field, peak = _peak(generate_leaf_signs, params, n)
     assert field.packed.nbytes == (b**n + 7) // 8

@@ -265,6 +265,20 @@ def test_deeper_field_expands_shallower_leaves_across_chunks():
     assert np.array_equal(bits, generate_leaf_signs(params, 14).leaf_bits())
 
 
+@pytest.mark.parametrize("params, depth", [
+    (CascadeParams(base=2, hurst=0.7, seed=1), 12),
+    (CascadeParams(base=2, hurst=None, seed=5), 12),
+    (CascadeParams(base=4, hurst=0.3, seed=2), 6),
+])
+def test_field_is_independent_of_the_chunk_size(params, depth, monkeypatch):
+    """With a 2^8-node chunk every level past 2^8 nodes is drawn in many
+    chunks, each hashed, XORed with its parents and packed on its own;
+    for a base that divides the chunk the packed field is the same."""
+    whole = generate_leaf_signs(params, depth).packed
+    monkeypatch.setattr(core, "_CHUNK", 2**8)
+    assert np.array_equal(generate_leaf_signs(params, depth).packed, whole)
+
+
 def _path_slices(values, width):
     """Views of ``values`` over samples [s, s + width] for s = 0, width,
     ..., as ``core.path_slices`` yields them."""
