@@ -15,9 +15,7 @@ Layers, bottom up:
 from __future__ import annotations
 
 from .charfn import (
-    CharFnGrid,
     DensityResult,
-    build_charfn_grid,
     charfn_at,
     charfn_auto,
     density_of_z,
@@ -77,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CascadeParams",
-    "CharFnGrid",
     "DensityResult",
     "DimensionFit",
     "FractalSummary",
@@ -91,7 +88,6 @@ __all__ = [
     "__version__",
     "box_dimension",
     "brute_force_moments",
-    "build_charfn_grid",
     "build_path",
     "charfn_at",
     "charfn_auto",

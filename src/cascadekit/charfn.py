@@ -29,7 +29,8 @@ Hermitian fold (1/pi) Integral_0^T Re[e^{-itx} phi(t)] dt by trapezoid.
 The fold makes the density exactly real, which is how the "imaginary
 residue" of the two-sided integral is clipped here.  The t-step is tied
 to the x-window width W by dt = 2pi/W (alias period = window), and T
-doubles until |phi(T)| < 1e-12.
+doubles until |phi(T)| < 1e-12.  The result carries that t-grid and its
+phi values, so the charfn CSV holds the grid that was inverted.
 """
 
 from __future__ import annotations
@@ -101,28 +102,27 @@ def charfn_at(params: CascadeParams, t, depth: int = DEFAULT_DEPTH):
     return out.reshape(t_arr.shape)
 
 
-def charfn_auto(params: CascadeParams, t, *, tol: float = CAUCHY_TOL,
-                max_depth: int = MAX_AUTO_DEPTH):
+def charfn_auto(params: CascadeParams, t):
     """phi at auto-selected depth: doubles from :data:`DEFAULT_DEPTH` until
-    the successive-depth sup-norm difference is below ``tol``.
+    the successive-depth sup-norm difference is below :data:`CAUCHY_TOL`.
 
-    Returns (values, depth_used).  Hitting ``max_depth`` without meeting
-    the tolerance is reported as a warning, not an error (the returned
-    values are then the deepest computed).
+    Returns (values, depth_used).  Hitting :data:`MAX_AUTO_DEPTH` without
+    meeting the tolerance is reported as a warning, not an error (the
+    returned values are then the deepest computed).
     """
     require_regime(params, "the characteristic function", convergent=True)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     depth = DEFAULT_DEPTH
     prev = 1.0 + _ladder(params, t_arr, depth)
     gap = math.inf
-    while depth < max_depth and gap > tol:
-        depth_next = min(2 * depth, max_depth)
+    while depth < MAX_AUTO_DEPTH and gap > CAUCHY_TOL:
+        depth_next = min(2 * depth, MAX_AUTO_DEPTH)
         cur = 1.0 + _ladder(params, t_arr, depth_next)
         gap = float(np.max(np.abs(cur - prev)))
         prev, depth = cur, depth_next
-    if gap > tol:
+    if gap > CAUCHY_TOL:
         warnings.warn(f"characteristic-function ladder stopped at depth "
-                      f"{depth} with residual {gap:.3e} > {tol:.1e}",
+                      f"{depth} with residual {gap:.3e} > {CAUCHY_TOL:.1e}",
                       RuntimeWarning, stacklevel=2)
     values = prev if np.asarray(t).ndim else complex(prev[0])
     return values, depth
@@ -139,45 +139,28 @@ def _phi(params: CascadeParams, t, depth: int | None):
 
 
 @dataclass(frozen=True)
-class CharFnGrid:
-    """phi_n sampled on a symmetric uniform t-grid [-T, T]."""
-
-    params: CascadeParams
-    depth: int
-    t: np.ndarray
-    values: np.ndarray
-
-
-def build_charfn_grid(params: CascadeParams, t_max: float, dt: float,
-                      depth: int | None = None) -> CharFnGrid:
-    """Sample phi on the symmetric grid; ``depth=None`` auto-selects.
-
-    Only t >= 0 is evaluated; the negative half is filled by conjugate
-    reflection, so the Hermitian invariant holds by construction and the
-    stored pair per ladder rung is explicit in the output too.
-    """
-    require_regime(params, "the characteristic function", convergent=True)
-    if t_max <= 0 or dt <= 0:
-        raise ValueError("t_max and dt must be positive")
-    n_half = int(round(t_max / dt))
-    t_pos = dt * np.arange(n_half + 1)
-    vals_pos, depth = _phi(params, t_pos, depth)
-    t = np.concatenate([-t_pos[:0:-1], t_pos])
-    values = np.concatenate([np.conj(vals_pos[:0:-1]), vals_pos])
-    return CharFnGrid(params=params, depth=depth, t=t, values=values)
-
-
-@dataclass(frozen=True)
 class DensityResult:
-    """Numerically inverted density of the limit mass on an x-grid."""
+    """Numerically inverted density of the limit mass on an x-grid.
+
+    ``t`` is the t-grid the inversion integrated over, linspace(0, t_max,
+    n_t), and ``phi`` the ladder's values on it at ``depth``.
+    """
 
     params: CascadeParams
     x: np.ndarray
     density: np.ndarray
-    t_max: float
-    dt: float
+    t: np.ndarray
+    phi: np.ndarray
     depth: int
-    tail_magnitude: float  # |phi(t_max)|; should be < TAIL_TOL
+
+    @property
+    def t_max(self) -> float:
+        return float(self.t[-1])
+
+    @property
+    def tail_magnitude(self) -> float:
+        """|phi(t_max)|; should be < TAIL_TOL."""
+        return float(abs(self.phi[-1]))
 
     def moment(self, k: int) -> float:
         """Integral of x^k f(x) dx over the grid (trapezoid)."""
@@ -194,29 +177,29 @@ class DensityResult:
         return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _auto_t_max(params: CascadeParams, depth: int | None) -> tuple[float, int]:
+def _auto_t_max(params: CascadeParams, depth: int | None) -> float:
     """Double T from 16 until |phi(T)| < TAIL_TOL (cap T_CAP)."""
     t_max = 16.0
     while True:
-        val, used = _phi(params, t_max, depth)
+        val, _ = _phi(params, t_max, depth)
         if abs(val) < TAIL_TOL or t_max >= T_CAP:
-            return t_max, used
+            return t_max
         t_max *= 2.0
 
 
-def density_of_z(params: CascadeParams, *, t_max: float | None = None,
-                 dt: float | None = None, x_points: int = MIN_X_POINTS,
+def density_of_z(params: CascadeParams, *, x_points: int = MIN_X_POINTS,
                  depth: int | None = None) -> DensityResult:
     """Density f of the limit mass Z by Fourier inversion of phi.
 
     The x-window is mean +- 14 standard deviations (both exact,
-    from the limit moments); dt defaults to 2pi / window-width so the
-    aliasing period equals the window; t_max defaults to doubling until
-    the tail |phi(T)| < 1e-12.  A non-negligible tail at t_max is
-    reported via a warning and the ``tail_magnitude`` field, not raised.
-    ``x_points`` below :data:`MIN_X_POINTS` raises ``ValueError``; a
-    t-grid whose kernel would need more than :data:`MAX_INVERSION_BYTES`
-    raises :class:`CapacityError` before the grid is allocated.
+    from the limit moments); the t-step is 2pi / window-width so the
+    aliasing period equals the window, and t_max doubles until the tail
+    |phi(T)| < 1e-12 (or reaches :data:`T_CAP`).  A non-negligible tail
+    at t_max is reported via a warning and the ``tail_magnitude``
+    property, not raised.  ``x_points`` below :data:`MIN_X_POINTS`
+    raises ``ValueError``; a t-grid whose kernel would need more than
+    :data:`MAX_INVERSION_BYTES` raises :class:`CapacityError` before the
+    grid is allocated.
     """
     if x_points < MIN_X_POINTS:
         raise ValueError(f"x_points must be at least MIN_X_POINTS = "
@@ -229,10 +212,8 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
     sd = math.sqrt(m2 - 1.0)
     x_lo, x_hi = 1.0 - _SPAN_SDS * sd, 1.0 + _SPAN_SDS * sd
     width = x_hi - x_lo
-    if dt is None:
-        dt = 2.0 * math.pi / width
-    if t_max is None:
-        t_max, _ = _auto_t_max(params, depth)
+    dt = 2.0 * math.pi / width
+    t_max = _auto_t_max(params, depth)
     n_t = max(2, int(math.ceil(t_max / dt)) + 1)
     need = n_t * _X_BLOCK * _KERNEL_BYTES
     if need > MAX_INVERSION_BYTES:
@@ -260,6 +241,5 @@ def density_of_z(params: CascadeParams, *, t_max: float | None = None,
         f[i:i + _X_BLOCK] = (weights * phi.real) @ kernel.real \
             - (weights * phi.imag) @ kernel.imag
     f /= math.pi
-    return DensityResult(params=params, x=x, density=f, t_max=t_max,
-                         dt=float(t[1] - t[0]), depth=depth_used,
-                         tail_magnitude=tail)
+    return DensityResult(params=params, x=x, density=f, t=t, phi=phi,
+                         depth=depth_used)

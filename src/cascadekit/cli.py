@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .charfn import MIN_X_POINTS, build_charfn_grid, density_of_z
+from .charfn import MIN_X_POINTS, density_of_z
 from .core import (
     CapacityError,
     CascadeParams,
@@ -474,8 +474,6 @@ def cmd_density(ns: argparse.Namespace) -> int:
     result = density_of_z(params, x_points=ns.x_points, depth=ns.depth)
     config = _effective_config(ns)
     tag = hurst_tag(params.hurst)
-    grid = build_charfn_grid(params, result.t_max, result.dt,
-                             depth=result.depth)
     integral = result.moment(0)
     mean = result.moment(1)
     second = result.moment(2)
@@ -490,7 +488,7 @@ def cmd_density(ns: argparse.Namespace) -> int:
               density_rows(result), meta)
     c_stem = f"charfn_b{params.base}_H{tag}"
     write_csv(outdir / f"{c_stem}.csv", ["t", "re", "im"],
-              charfn_rows(grid), meta)
+              charfn_rows(result), meta)
     ok = (abs(integral - 1.0) <= 1e-6 and abs(mean - 1.0) <= 1e-4
           and abs(second - exact_second) <= 1e-3)
     print(f"integral = {format_float(integral)}, mean = "

@@ -87,7 +87,6 @@ class MomentTable:
     """
 
     params: CascadeParams
-    kind: str  # "raw" | "normalized" | "brute_force"
     values: np.ndarray
     log_values: np.ndarray
     overflowed: np.ndarray
@@ -204,22 +203,19 @@ def _log_eps_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     return out
 
 
-def _finalize_table(params: CascadeParams, kind: str,
-                    log_vals: np.ndarray,
-                    undefined: np.ndarray | None = None) -> MomentTable:
+def _finalize_table(params: CascadeParams,
+                    log_vals: np.ndarray) -> MomentTable:
     with np.errstate(over="ignore"):
         vals = np.exp(log_vals)
     overflowed = np.isinf(vals) & np.isfinite(log_vals)
-    if undefined is None:
-        undefined = np.zeros_like(overflowed)
     if overflowed.any():
         warnings.warn("moment table has entries beyond float64 range; "
                       "values flagged 'overflow', log magnitudes retained",
                       RuntimeWarning, stacklevel=3)
     vals[:, 0] = 1.0
-    return MomentTable(params=params, kind=kind, values=vals,
-                       log_values=log_vals, overflowed=overflowed,
-                       undefined=undefined)
+    return MomentTable(params=params, values=vals, log_values=log_vals,
+                       overflowed=overflowed,
+                       undefined=np.zeros_like(overflowed))
 
 
 def z_moment_recursion(params: CascadeParams, n_max: int,
@@ -261,7 +257,7 @@ def z_moment_recursion(params: CascadeParams, n_max: int,
             for part in parts:  # one add per part, in composition order
                 terms += v[part]
             nxt[q] = _logsumexp(terms)
-    return _finalize_table(params, "raw", log_vals)
+    return _finalize_table(params, log_vals)
 
 
 def limit_z_moments(params: CascadeParams, q_max: int) -> np.ndarray:
@@ -372,8 +368,7 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         log_vals = np.where(vals > 0, np.log(np.abs(vals) + (vals == 0)),
                             -np.inf)
-    return MomentTable(params=params, kind="normalized", values=vals,
-                       log_values=log_vals,
+    return MomentTable(params=params, values=vals, log_values=log_vals,
                        overflowed=np.zeros_like(undefined),
                        undefined=undefined)
 
@@ -494,7 +489,6 @@ def brute_force_moments(params: CascadeParams, n_max: int, q_max: int, *,
     with np.errstate(divide="ignore"):
         log_vals = np.where(vals != 0.0, np.log(np.abs(vals) + (vals == 0.0)),
                             -np.inf)
-    return MomentTable(params=params, kind="brute_force", values=vals,
-                       log_values=log_vals,
+    return MomentTable(params=params, values=vals, log_values=log_vals,
                        overflowed=np.zeros(vals.shape, dtype=bool),
                        undefined=np.zeros(vals.shape, dtype=bool))

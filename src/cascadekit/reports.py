@@ -408,9 +408,15 @@ def density_rows(result) -> np.ndarray:
     return np.column_stack((result.x, result.density))
 
 
-def charfn_rows(grid) -> np.ndarray:
-    """(t, re, im) table for a characteristic-function grid CSV."""
-    return np.column_stack((grid.t, grid.values.real, grid.values.imag))
+def charfn_rows(result) -> np.ndarray:
+    """(t, re, im) table of a DensityResult's inverted phi on [-t_max, t_max].
+
+    The negative half is the conjugate reflection of the t >= 0 grid,
+    phi(-t) = conj(phi(t)), so the table is Hermitian by construction.
+    """
+    t = np.concatenate([-result.t[:0:-1], result.t])
+    phi = np.concatenate([np.conj(result.phi[:0:-1]), result.phi])
+    return np.column_stack((t, phi.real, phi.imag))
 
 
 def write_svg_polyline(path, xs: np.ndarray, ys: np.ndarray,

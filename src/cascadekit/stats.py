@@ -1,7 +1,7 @@
 """Monte-Carlo verification of the distributional limit claims.
 
-Each test draws terminal masses through the exact-in-law count-pair
-sampler (see :mod:`cascadekit.core`), normalizes them per regime, and
+Each test draws terminal masses through the exact-in-law count chain
+(see :mod:`cascadekit.core`), normalizes them per regime, and
 compares against the claimed limit law or against exact moment tables.
 Results come back as :class:`StatReport` records whose pass flag means
 "every gated statistic is at or below its threshold"; thresholds are
@@ -138,7 +138,7 @@ def _terminal_report(params: CascadeParams, n: int,
                    else D_THRESHOLD_FAST)
     d = ks_statistic(x)
 
-    table = normalized_moment_recursion(params, max(n, 1), 8)
+    table = normalized_moment_recursion(params, max(n, 1), 4)
     stats: dict[str, float] = {"ks_distance": d}
     thresholds: dict[str, float] = {"ks_distance": d_threshold}
     for q in range(1, 5):
@@ -198,8 +198,8 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     sqrt(2 - 2^(2-2H)) = 1/sigma_H equals this up to truncation that
     vanishes as n grows, but at reachable depths the finite-n factor is
     the one that makes the second-moment gate honest near H = 1/2 (the
-    count-pair sampler caps depth near 60 for b = 2, far short of where
-    the limit factor converges; see the second-moment identity).
+    count chain caps depth near 60 for b = 2, far short of where the
+    limit factor converges; see the second-moment identity).
     Reports per H: KS distance to N(0,1) (informational here; the
     decreasing trend along the sequence is the theorem's content, gated
     by the caller), mean z-score against the exact scaled mean, and

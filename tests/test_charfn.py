@@ -8,12 +8,12 @@ import pytest
 from cascadekit.charfn import (
     _deviation_step,
     _ladder,
-    build_charfn_grid,
     charfn_at,
     charfn_auto,
     density_of_z,
 )
 from cascadekit.core import CapacityError, CascadeParams
+from cascadekit.reports import charfn_rows
 from cascadekit.stats import ks_statistic
 from cascadekit.core import sample_terminal
 
@@ -78,9 +78,11 @@ def test_auto_depth_selection():
     assert d == 192
 
 
-def test_auto_depth_warning_when_capped():
+def test_auto_depth_warning_when_capped(monkeypatch):
+    monkeypatch.setattr("cascadekit.charfn.MAX_AUTO_DEPTH", 96)
+    monkeypatch.setattr("cascadekit.charfn.CAUCHY_TOL", 1e-14)
     with pytest.warns(RuntimeWarning):
-        _, d = charfn_auto(P07, np.array([1.0]), max_depth=96, tol=1e-14)
+        _, d = charfn_auto(P07, np.array([1.0]))
     assert d == 96
 
 
@@ -98,20 +100,23 @@ def test_fixed_point_residual():
 
 
 def test_grid_invariants():
-    grid = build_charfn_grid(P07, t_max=8.0, dt=0.25, depth=128)
-    mid = len(grid.t) // 2
-    assert grid.t[mid] == 0.0
-    assert grid.values[mid] == 1.0 + 0.0j
-    assert np.max(np.abs(grid.values)) <= 1.0 + 1e-12
+    """The charfn table is the inverted grid, reflected to [-t_max, t_max]."""
+    res = density_of_z(P07)
+    rows = charfn_rows(res)
+    t, values = rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
+    mid = len(t) // 2
+    assert len(t) == 2 * res.t.size - 1
+    assert t[mid] == 0.0
+    assert values[mid] == 1.0 + 0.0j
+    assert np.max(np.abs(values)) <= 1.0 + 1e-12
     # phi(-t) = conj(phi(t)): the grid is symmetric about t = 0
-    assert np.array_equal(grid.t[::-1], -grid.t)
-    assert np.max(np.abs(grid.values[::-1] - np.conj(grid.values))) <= 1e-12
-    assert grid.t[-1] == 8.0
-    assert np.allclose(np.diff(grid.t), 0.25, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        build_charfn_grid(P07, t_max=-1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        build_charfn_grid(P07, t_max=1.0, dt=0.0)
+    assert np.array_equal(t[::-1], -t)
+    assert np.array_equal(values[::-1], np.conj(values))
+    assert np.array_equal(t[mid:], res.t)
+    assert np.array_equal(values[mid:], res.phi)
+    assert t[-1] == res.t_max
+    assert np.allclose(np.diff(t), res.t[1], rtol=1e-12, atol=0)
+    assert abs(values[-1]) == res.tail_magnitude
 
 
 def test_density_invariants_and_moments():
@@ -153,26 +158,26 @@ def test_density_regime_guards():
 
 
 def test_density_grid_budget_is_its_working_memory(monkeypatch):
-    """The t-grid budget is the kernel's 1 GiB of working memory: 43,690
-    points pass the guard (and reach the grid's allocation), one more is
-    a CapacityError."""
-    class Allocated(Exception):
-        pass
-
-    def no_grid(*args, **kwargs):
-        raise Allocated
-
-    monkeypatch.setattr("cascadekit.charfn.np.linspace", no_grid)
-    with pytest.raises(Allocated):
-        density_of_z(P07, t_max=43689.0, dt=1.0, depth=192)
-    with pytest.raises(CapacityError, match="t-grid of 43691 points"):
-        density_of_z(P07, t_max=43690.0, dt=1.0, depth=192)
+    """The t-grid budget is the kernel's working memory, 512 * 48 bytes
+    per grid point: the default run passes a budget of exactly its need,
+    and one point less is a CapacityError."""
+    n_t = density_of_z(P07).t.size
+    monkeypatch.setattr("cascadekit.charfn.MAX_INVERSION_BYTES",
+                        n_t * 512 * 48)
+    assert density_of_z(P07).t.size == n_t
+    monkeypatch.setattr("cascadekit.charfn.MAX_INVERSION_BYTES",
+                        (n_t - 1) * 512 * 48)
+    with pytest.raises(CapacityError, match=f"t-grid of {n_t} points"):
+        density_of_z(P07)
 
 
-def test_density_tail_warning():
-    """A hand-forced small t_max leaves CF mass outside the window."""
+def test_density_tail_warning(monkeypatch):
+    """A t_max capped at 16 leaves the depth-7 ladder's CF mass outside
+    the window."""
+    monkeypatch.setattr("cascadekit.charfn.T_CAP", 16.0)
     with pytest.warns(RuntimeWarning):
-        res = density_of_z(P07, t_max=4.0, depth=192)
+        res = density_of_z(P07, depth=7)
+    assert res.t_max == 16.0
     assert res.tail_magnitude >= 1e-12
 
 

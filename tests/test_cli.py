@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from cascadekit.charfn import charfn_at
 from cascadekit.cli import main
+from cascadekit.core import CascadeParams
 
 H07_TABLE = "moment_table_b2_H0.7.csv"
 
@@ -537,6 +539,27 @@ def test_density_cli(tmp_path):
     mid = rows[len(rows) // 2]
     assert float(mid[0]) == 0.0
     assert float(mid[1]) == 1.0
+
+
+def test_density_charfn_csv_is_the_inverted_grid(tmp_path):
+    """At b = 2, H = 0.8 the charfn CSV ends at the metadata's t_max = 32,
+    and its t >= 0 rows are phi on linspace(0, t_max, n_t) at the ladder
+    depth, bit for bit: the grid the density was inverted on."""
+    assert main(["density", "--b", "2", "--H", "0.8",
+                 "--outdir", str(tmp_path)]) == 0
+    cf = tmp_path / "charfn_b2_H0.8.csv"
+    meta = read_meta(cf)
+    assert meta["t_max"] == "32"
+    _, rows = read_rows(cf)
+    table = np.array(rows, dtype=float)
+    assert table[-1, 0] == 32.0
+    n_t = (len(table) + 1) // 2
+    t = np.linspace(0.0, float(meta["t_max"]), n_t)
+    phi = charfn_at(CascadeParams(base=2, hurst=0.8), t,
+                    int(meta["ladder_depth"]))
+    assert np.array_equal(table[n_t - 1:, 0], t)
+    assert np.array_equal(table[n_t - 1:, 1], phi.real)
+    assert np.array_equal(table[n_t - 1:, 2], phi.imag)
 
 
 def test_density_rejects_grid_below_floor(tmp_path, capsys):
