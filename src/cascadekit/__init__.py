@@ -37,7 +37,6 @@ from .core import (
     sample_branch_signs,
     sample_terminal,
     sample_terminal_depths,
-    sample_terminal_pair,
     sigma,
     verify_self_similarity,
 )
@@ -62,7 +61,6 @@ from .moments import (
 from .stats import (
     StatReport,
     clt_small_h_test,
-    clt_terminal_test,
     clt_terminal_trend,
     empirical_vs_exact_moments,
     increments_gaussianity,
@@ -93,7 +91,6 @@ __all__ = [
     "charfn_auto",
     "closed_form_second_moment",
     "clt_small_h_test",
-    "clt_terminal_test",
     "clt_terminal_trend",
     "density_of_z",
     "empirical_vs_exact_moments",
@@ -114,7 +111,6 @@ __all__ = [
     "sample_branch_signs",
     "sample_terminal",
     "sample_terminal_depths",
-    "sample_terminal_pair",
     "sigma",
     "summarize_field",
     "verify_self_similarity",

@@ -276,14 +276,14 @@ class LeafSignField:
         return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
 
 
-def check_leaf_budget(base: int, depth: int,
-                      max_leaves: int = DEFAULT_MAX_LEAVES) -> None:
-    """The size guard of :func:`generate_leaf_signs`, allocating nothing."""
+def check_leaf_budget(base: int, depth: int) -> None:
+    """The size guard of :func:`generate_leaf_signs`, allocating nothing:
+    b^depth must not exceed :data:`DEFAULT_MAX_LEAVES`."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if base**depth > max_leaves:
-        raise CapacityError(
-            f"b^depth = {base}^{depth} exceeds the leaf budget {max_leaves}")
+    if base**depth > DEFAULT_MAX_LEAVES:
+        raise CapacityError(f"b^depth = {base}^{depth} exceeds the leaf "
+                            f"budget {DEFAULT_MAX_LEAVES}")
 
 
 def check_max_points(max_points: int) -> None:
@@ -292,8 +292,7 @@ def check_max_points(max_points: int) -> None:
         raise ValueError(f"max_points must be >= 1, got {max_points}")
 
 
-def generate_leaf_signs(params: CascadeParams, depth: int, *,
-                        max_leaves: int = DEFAULT_MAX_LEAVES) -> LeafSignField:
+def generate_leaf_signs(params: CascadeParams, depth: int) -> LeafSignField:
     """Draw the sign field down to ``depth`` and return the leaf products.
 
     Each node's sign comes from its own counter-based stream position
@@ -314,10 +313,10 @@ def generate_leaf_signs(params: CascadeParams, depth: int, *,
     params : CascadeParams
     depth : int
         Generation n >= 0 of the leaves; the field has b^n entries.
-    max_leaves : int
-        Capacity guard; b^depth above this raises :class:`CapacityError`.
+        b^depth above :data:`DEFAULT_MAX_LEAVES` raises
+        :class:`CapacityError`.
     """
-    check_leaf_budget(params.base, depth, max_leaves)
+    check_leaf_budget(params.base, depth)
     b = params.base
     seed_state = streams.premix_seed(params.seed)
     threshold = streams.sign_threshold(params.p_plus)
@@ -671,11 +670,13 @@ def sample_terminal_depths(params: CascadeParams, depths: Sequence[int],
     trees, which reproduces the law of Z_n exactly at O(n) cost per
     replica; the chain runs once, to the deepest depth, and records each
     depth on the way, so the arrays have the exact joint law of the
-    martingale at those times.  Depths may come in any order and repeat.
-    Deterministic given (params.seed, reps): each array is the one a run
-    to its depth alone would give.  Replicas are generated in fixed-size
-    chunks on disjoint PCG64 streams, and the chunks run concurrently on
-    a few threads without changing a bit.
+    martingale at those times.  This is the one entry for draws at
+    several depths of one realization: the terminal trend passes its
+    depths, the residual check (n, n + m).  Depths may come in any order
+    and repeat.  Deterministic given (params.seed, reps): each array is
+    the one a run to its depth alone would give.  Replicas are generated
+    in fixed-size chunks on disjoint PCG64 streams, and the chunks run
+    concurrently on a few threads without changing a bit.
 
     Symmetric params return the raw signed leaf count (unit increments);
     finite H returns b^(-n*H) times the signed count.
@@ -687,14 +688,6 @@ def sample_terminal(params: CascadeParams, n: int, reps: int) -> np.ndarray:
     """Independent draws of the terminal mass Z_n = B_n(1); see
     :func:`sample_terminal_depths`."""
     return sample_terminal_depths(params, (n,), reps)[0]
-
-
-def sample_terminal_pair(params: CascadeParams, n: int, m: int,
-                         reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint draws of (Z_n, Z_{n+m}) along one cascade realization, as
-    needed by the residual convergence test; see
-    :func:`sample_terminal_depths`."""
-    return sample_terminal_depths(params, (n, n + m), reps)
 
 
 def sample_branch_signs(params: CascadeParams, depth: int,

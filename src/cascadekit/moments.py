@@ -83,7 +83,8 @@ class MomentTable:
     ones so q indexes directly).  ``log_values`` carries log-magnitudes,
     exact even where ``values`` overflowed to inf; such entries have
     ``overflowed[n, q]`` set.  ``undefined`` marks rows outside the
-    table's domain (the critical normalization has no n = 0 row).
+    table's domain (the critical normalization has no n = 0 row); they
+    hold NaN in both arrays.
     """
 
     params: CascadeParams
@@ -218,6 +219,17 @@ def _finalize_table(params: CascadeParams,
                        undefined=np.zeros_like(overflowed))
 
 
+def _value_table(params: CascadeParams, vals: np.ndarray,
+                 undefined: np.ndarray) -> MomentTable:
+    """A table computed in the value domain, which cannot overflow; its
+    log-magnitudes are log|v|, -inf exactly where v = 0."""
+    with np.errstate(divide="ignore"):
+        log_vals = np.log(np.abs(vals))
+    return MomentTable(params=params, values=vals, log_values=log_vals,
+                       overflowed=np.zeros(vals.shape, dtype=bool),
+                       undefined=undefined)
+
+
 def z_moment_recursion(params: CascadeParams, n_max: int,
                        q_max: int) -> MomentTable:
     """Forward table of E(Z_n^q) from Z_0 = 1.
@@ -287,7 +299,7 @@ def limit_z_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     return out[1:]
 
 
-def gaussian_even_moments(p_max: int, exact: bool = False):
+def gaussian_even_moments(p_max: int) -> list[Fraction]:
     """Even moments M^(2p) of the standard normal via the closed induction.
 
     M^(2) = 1 and
@@ -295,21 +307,18 @@ def gaussian_even_moments(p_max: int, exact: bool = False):
       M^(2p) = (2^p - 2)^(-1) * sum_{k=1}^{p-1} C(2p, 2k) M^(2k) M^(2p-2k).
 
     This is the unique bounded-growth solution of the normalized even
-    moment fixed point and equals (2p-1)!!.  ``exact=True`` computes in
-    rational arithmetic and returns Fractions.
+    moment fixed point and equals (2p-1)!!.  Computed in rational
+    arithmetic; returns Fractions.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    one = Fraction(1) if exact else 1.0
-    moments = [one]  # M^(2)
+    moments = [Fraction(1)]  # M^(2)
     for p in range(2, p_max + 1):
-        acc = Fraction(0) if exact else 0.0
+        acc = Fraction(0)
         for k in range(1, p):
             coef = math.comb(2 * p, 2 * k)
             acc += coef * moments[k - 1] * moments[p - k - 1]
-        div = 2**p - 2
-        acc = acc / div if exact else acc / float(div)
-        moments.append(acc)
+        moments.append(acc / (2**p - 2))
     return moments
 
 
@@ -365,12 +374,7 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
         r_n = math.sqrt(n / (n + 1.0)) if reg is Regime.CRITICAL else 1.0
         vals[n + 1] = step(vals[n], r_n)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_vals = np.where(vals > 0, np.log(np.abs(vals) + (vals == 0)),
-                            -np.inf)
-    return MomentTable(params=params, values=vals, log_values=log_vals,
-                       overflowed=np.zeros_like(undefined),
-                       undefined=undefined)
+    return _value_table(params, vals, undefined)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +490,4 @@ def brute_force_moments(params: CascadeParams, n_max: int, q_max: int, *,
                 vals[n, q] = float(sum(count * weights[k] * (scale * s) ** q
                                        for count, k, s in cells))
 
-    with np.errstate(divide="ignore"):
-        log_vals = np.where(vals != 0.0, np.log(np.abs(vals) + (vals == 0.0)),
-                            -np.inf)
-    return MomentTable(params=params, values=vals, log_values=log_vals,
-                       overflowed=np.zeros(vals.shape, dtype=bool),
-                       undefined=np.zeros(vals.shape, dtype=bool))
+    return _value_table(params, vals, np.zeros(vals.shape, dtype=bool))

@@ -3,6 +3,11 @@
 Each test draws terminal masses through the exact-in-law count chain
 (see :mod:`cascadekit.core`), normalizes them per regime, and
 compares against the claimed limit law or against exact moment tables.
+Draws at one depth come from ``sample_terminal``; draws at several
+depths of one realization (the terminal trend, the residual's Z_n and
+its limit proxy) come from one ``sample_terminal_depths`` call.  The
+terminal central limit check has one entry, :func:`clt_terminal_trend`,
+whose one-depth form is the single-depth check.
 Results come back as :class:`StatReport` records whose pass flag means
 "every gated statistic is at or below its threshold"; thresholds are
 pilot-calibrated constants documented at the call sites, since the
@@ -34,7 +39,6 @@ from .core import (
     sample_branch_signs,
     sample_terminal,
     sample_terminal_depths,
-    sample_terminal_pair,
     sigma,
 )
 from .moments import (
@@ -120,77 +124,65 @@ def _z_score(x: np.ndarray, target: float) -> float:
     return diff / se
 
 
-def _terminal_divisor(params: CascadeParams, n: int, reps: int) -> float:
-    """Check a terminal CLT run at depth n, drawing nothing; its divisor."""
-    require_regime(params, "the terminal central limit check",
-                   convergent=False,
-                   why="the limit of X_n(1) is normal only there")
-    _require_replicas(reps)
-    check_chain_depths(params.base, (n,))
-    return regime_divisor(params, n)
-
-
-def _terminal_report(params: CascadeParams, n: int,
-                     x: np.ndarray) -> StatReport:
-    """The terminal CLT report of the normalized draws x of X_n(1)."""
-    d_threshold = (D_THRESHOLD_CRITICAL
-                   if regime_of(params) is Regime.CRITICAL
-                   else D_THRESHOLD_FAST)
-    d = ks_statistic(x)
-
-    table = normalized_moment_recursion(params, max(n, 1), 4)
-    stats: dict[str, float] = {"ks_distance": d}
-    thresholds: dict[str, float] = {"ks_distance": d_threshold}
-    for q in range(1, 5):
-        exact = table.values[n, q]
-        stats[f"moment{q}_z"] = _z_score(x**q, exact)
-        stats[f"moment{q}_exact"] = float(exact)
-        thresholds[f"moment{q}_z"] = Z_BAND
-    return StatReport(test="clt_terminal", params=params, sample_size=x.size,
-                      statistics=stats, thresholds=thresholds)
-
-
-def clt_terminal_test(params: CascadeParams, n: int,
-                      reps: int) -> StatReport:
-    """KS and first-four-moment check of X_n(1) against its normal limit.
-
-    Draws X_n(1) = Z_n / divisor, reports the KS distance to N(0,1)
-    plus z-scores of the first four sample moments against the exact
-    normalized-moment table at this n (so the moment gates test the
-    sampler against finite-n truth, not against the limit).
-    """
-    divisor = _terminal_divisor(params, n, reps)
-    return _terminal_report(params, n,
-                            sample_terminal(params, n, reps) / divisor)
+def _strictly_decreasing(reports: list[StatReport]) -> bool:
+    """Whether the KS distance falls strictly from each report to the next."""
+    ds = [r.statistics["ks_distance"] for r in reports]
+    return all(b < a for a, b in zip(ds, ds[1:]))
 
 
 def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
                        reps: int) -> tuple[list[StatReport], bool]:
-    """clt_terminal_test at several depths; also report strict D decrease.
+    """KS and first-four-moment check of X_n(1) against its normal limit
+    at each depth n of ``depths``; also reports strict D decrease.
 
-    Every depth is drawn from one realization of the count chain
+    Draws X_n(1) = Z_n / divisor and reports, per depth, the KS distance
+    to N(0,1) plus z-scores of the first four sample moments against the
+    exact normalized-moment table at that n (so the moment gates test the
+    sampler against finite-n truth, not against the limit).  Every depth
+    is drawn from one realization of the count chain
     (:func:`~cascadekit.core.sample_terminal_depths`), run once to the
-    deepest depth.  That is the realization the separate per-depth runs
-    of :func:`clt_terminal_test` draw as well, since their replica chunks
-    use the same streams, so each report equals that function's report
-    at its depth.  The depths must strictly increase, so that the last
-    report is the deepest run and the trend reads along growing n.
+    deepest depth; its columns are the draws of a run to each depth
+    alone, so each report equals the one-depth trend's report at its
+    depth, and a one-depth trend is the single-depth check.  The depths
+    must strictly increase, so that the last report is the deepest run
+    and the trend reads along growing n.
     """
+    require_regime(params, "the terminal central limit check",
+                   convergent=False,
+                   why="the limit of X_n(1) is normal only there")
+    _require_replicas(reps)
     # every depth is checked before the first draw
-    divisors = [_terminal_divisor(params, n, reps) for n in depths]
+    divisors = []
+    for n in depths:
+        check_chain_depths(params.base, (n,))
+        divisors.append(regime_divisor(params, n))
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError("--n: the terminal trend takes strictly increasing "
                          f"depths; got {','.join(map(str, depths))}")
+    # rows come from a forward recursion: row n is the same at any depth
+    table = normalized_moment_recursion(params, max((1, *depths)), 4)
+    d_threshold = (D_THRESHOLD_CRITICAL
+                   if regime_of(params) is Regime.CRITICAL
+                   else D_THRESHOLD_FAST)
     columns = sample_terminal_depths(params, depths, reps)
-    reports = [_terminal_report(params, n, z / divisor)
-               for n, z, divisor in zip(depths, columns, divisors)]
-    ds = [r.statistics["ks_distance"] for r in reports]
-    decreasing = all(b < a for a, b in zip(ds, ds[1:]))
-    return reports, decreasing
+    reports = []
+    for n, z, divisor in zip(depths, columns, divisors):
+        x = z / divisor
+        stats: dict[str, float] = {"ks_distance": ks_statistic(x)}
+        thresholds: dict[str, float] = {"ks_distance": d_threshold}
+        for q in range(1, 5):
+            exact = table.values[n, q]
+            stats[f"moment{q}_z"] = _z_score(x**q, exact)
+            stats[f"moment{q}_exact"] = float(exact)
+            thresholds[f"moment{q}_z"] = Z_BAND
+        reports.append(StatReport(test="clt_terminal", params=params,
+                                  sample_size=x.size, statistics=stats,
+                                  thresholds=thresholds))
+    return reports, _strictly_decreasing(reports)
 
 
 def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
-                     seed: int = 0) -> list[StatReport]:
+                     seed: int = 0) -> tuple[list[StatReport], bool]:
     """Approach to Brownian marginals as H decreases toward 1/2.
 
     For each H in ``h_values`` (convergent regime), draws Z_n and scales
@@ -201,10 +193,12 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     count chain caps depth near 60 for b = 2, far short of where the
     limit factor converges; see the second-moment identity).
     Reports per H: KS distance to N(0,1) (informational here; the
-    decreasing trend along the sequence is the theorem's content, gated
-    by the caller), mean z-score against the exact scaled mean, and
-    second-moment z-score against 1.  The H values must strictly
-    decrease, so that the trend reads along H falling toward 1/2.
+    decreasing trend along the sequence is the theorem's content, and
+    comes back beside the reports as the strict D decrease of
+    :func:`clt_terminal_trend`), mean z-score against the exact scaled
+    mean, and second-moment z-score against 1.  The H values must
+    strictly decrease, so that the trend reads along H falling toward
+    1/2.
     """
     _require_replicas(reps)
     runs = [CascadeParams(base=base, hurst=float(h), seed=seed)
@@ -229,7 +223,7 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
         out.append(StatReport(test="clt_small_h", params=params,
                               sample_size=reps, statistics=stats,
                               thresholds=thresholds))
-    return out
+    return out, _strictly_decreasing(out)
 
 
 def increments_gaussianity(params: CascadeParams, p: int, n: int,
@@ -303,7 +297,7 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
     if proxy_levels < 1:
         raise ValueError("the limit proxy needs proxy_levels >= 1; got "
                          f"proxy_levels = {proxy_levels}")
-    z_n, z_deep = sample_terminal_pair(params, n, proxy_levels, reps)
+    z_n, z_deep = sample_terminal_depths(params, (n, n + proxy_levels), reps)
     sigma_resid = math.sqrt(float(limit_z_moments(params, 2)[1]) - 1.0)
     scale = sigma_resid * float(params.base) ** (n * (0.5 - params.hurst))
     resid = (z_deep - z_n) / scale

@@ -9,6 +9,7 @@ import pytest
 from cascadekit.charfn import charfn_at
 from cascadekit.cli import main
 from cascadekit.core import CascadeParams
+from cascadekit.stats import clt_small_h_test
 
 H07_TABLE = "moment_table_b2_H0.7.csv"
 
@@ -260,6 +261,27 @@ def test_clt_terminal_json(tmp_path):
     assert final["statistics"]["ks_distance"] <= 0.05
 
 
+def test_clt_smallh_json_records_the_checks_decrease_flag(tmp_path, capsys):
+    """The small-H check returns its strict D-decrease flag beside its
+    reports; the JSON records that flag, and stdout prints each report's
+    gated values next to their tolerances after the ``wrote`` line."""
+    hs = (0.8, 0.65, 0.55)
+    reports, decreasing = clt_small_h_test(hs, 8, 300, seed=3)
+    ds = [r.statistics["ks_distance"] for r in reports]
+    assert decreasing == all(b < a for a, b in zip(ds, ds[1:]))
+    capsys.readouterr()
+    main(["clt", "--test", "smallh", "--h-values", "0.8,0.65,0.55",
+          "--n", "8", "--reps", "300", "--seed", "3",
+          "--outdir", str(tmp_path)])
+    payload = json.loads((tmp_path / "clt_smallh_b2_H0.7.json").read_text())
+    assert payload["d_decreasing"] is decreasing
+    assert [r["statistics"]["ks_distance"]
+            for r in payload["reports"]] == ds
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("wrote clt_smallh_b2_H0.7.json")
+    assert out[1:] == [r.summary_line() for r in reports]
+
+
 def test_clt_json_is_strict_when_a_z_score_is_infinite(tmp_path):
     """A zero-spread sample scores an infinite z; it is written as null.
 
@@ -356,7 +378,7 @@ def test_clt_residual_proxy_levels_below_one_is_a_usage_error(
     def no_draws(*args, **kwargs):
         raise AssertionError("replicas were drawn")
 
-    monkeypatch.setattr("cascadekit.stats.sample_terminal_pair", no_draws)
+    monkeypatch.setattr("cascadekit.stats.sample_terminal_depths", no_draws)
     outdir = tmp_path / "out"
     code = main(["clt", "--test", "residual", "--H", "0.7", "--n", "8",
                  "--proxy-levels", proxy_levels, "--reps", "200",
@@ -379,7 +401,7 @@ def test_clt_single_depth_checks_refuse_a_depth_list(tmp_path, capsys,
     def no_draws(*args, **kwargs):
         raise AssertionError("replicas were drawn")
 
-    for name in ("sample_terminal", "sample_terminal_pair",
+    for name in ("sample_terminal", "sample_terminal_depths",
                  "sample_branch_signs"):
         monkeypatch.setattr(f"cascadekit.stats.{name}", no_draws)
     outdir = tmp_path / "out"

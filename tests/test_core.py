@@ -18,7 +18,7 @@ from cascadekit.core import (
     regime_of,
     sample_branch_signs,
     sample_terminal,
-    sample_terminal_pair,
+    sample_terminal_depths,
     verify_self_similarity,
 )
 from cascadekit.moments import (
@@ -93,9 +93,10 @@ def test_leaf_range_outside_the_field_is_refused(start, stop):
     assert np.array_equal(field.leaf_bits(20, 27), field.leaf_bits()[20:])
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
+    monkeypatch.setattr("cascadekit.core.DEFAULT_MAX_LEAVES", 2**10)
     with pytest.raises(CapacityError):
-        generate_leaf_signs(CascadeParams(seed=0), 12, max_leaves=2**10)
+        generate_leaf_signs(CascadeParams(seed=0), 12)
 
 
 def test_h_equal_one_is_deterministic_ramp():
@@ -278,9 +279,9 @@ def test_sample_terminal_symmetric_parity():
 
 
 def test_sample_terminal_pair_consistent_with_single():
-    """The pair sampler's deep marginal is the single sampler's output."""
+    """A two-depth draw's deep marginal is the single sampler's output."""
     params = CascadeParams(base=2, hurst=0.7, seed=13)
-    z_n, z_nm = sample_terminal_pair(params, 6, 4, 5000)
+    z_n, z_nm = sample_terminal_depths(params, (6, 10), 5000)
     single = sample_terminal(params, 10, 5000)
     assert np.array_equal(z_nm, single)
     # martingale increment has conditional mean zero

@@ -31,7 +31,7 @@ from cascadekit import (
     normalized_moment_recursion,
     sample_branch_signs,
     sample_terminal,
-    sample_terminal_pair,
+    sample_terminal_depths,
     streams,
     z_moment_recursion,
 )
@@ -68,8 +68,8 @@ def _sampler_cases():
                    lambda b=b, tag=tag: sample_terminal(_params(b, tag), 8,
                                                         REPS))
             yield (f"pair-b{b}-{tag}",
-                   lambda b=b, tag=tag: sample_terminal_pair(
-                       _params(b, tag), 4, 3, REPS))
+                   lambda b=b, tag=tag: sample_terminal_depths(
+                       _params(b, tag), (4, 7), REPS))
             yield (f"branch-b{b}-{tag}",
                    lambda b=b, tag=tag: sample_branch_signs(_params(b, tag),
                                                             3, REPS))

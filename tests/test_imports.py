@@ -88,10 +88,9 @@ def test_every_public_name_resolves_once():
 
 
 #: Public names that no module calls, kept as references that tests check
-#: the library against: the enumeration oracles, and the single-depth
-#: terminal check that each report of ``clt_terminal_trend`` must equal.
-ORACLES = {"brute_force_moments", "clt_terminal_test",
-           "enumerate_next_level_mean", "evaluate", "verify_self_similarity"}
+#: the library against: the enumeration oracles.
+ORACLES = {"brute_force_moments", "enumerate_next_level_mean", "evaluate",
+           "verify_self_similarity"}
 
 
 def _loaders():

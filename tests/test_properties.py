@@ -36,11 +36,10 @@ from cascadekit.core import (
     generate_leaf_signs,
     sample_terminal,
     sample_terminal_depths,
-    sample_terminal_pair,
 )
 from cascadekit import reports
 from cascadekit.moments import _logsumexp
-from cascadekit.stats import clt_terminal_test, clt_terminal_trend
+from cascadekit.stats import clt_terminal_trend
 
 #: Replica chunk size of the samplers.
 CHUNK = 8192
@@ -60,8 +59,9 @@ params_st = st.builds(CascadeParams,
 @given(params=params_st, n=st.integers(0, 10), m=st.integers(0, 6),
        reps=st.integers(1, 2 * CHUNK + 100))
 def test_pair_matches_single_depth_draws(params, n, m, reps):
-    """Both depths of the pair come from the same chain as sample_terminal."""
-    z_n, z_nm = sample_terminal_pair(params, n, m, reps)
+    """Both depths of a two-depth draw come from the same chain as
+    sample_terminal."""
+    z_n, z_nm = sample_terminal_depths(params, (n, n + m), reps)
     assert np.array_equal(z_n, sample_terminal(params, n, reps))
     assert np.array_equal(z_nm, sample_terminal(params, n + m, reps))
 
@@ -89,11 +89,12 @@ def test_depths_match_single_depth_draws(params, depths, reps):
                        unique=True).map(sorted),
        reps=st.integers(2, CHUNK + 100))
 def test_trend_reports_equal_single_depth_tests(params, depths, reps):
-    """The trend's reports, drawn from one chain, are the reports of
-    clt_terminal_test at each depth, field for field (the trend takes
+    """The trend's reports, drawn from one chain, are the reports of the
+    one-depth trend at each depth, field for field (the trend takes
     strictly increasing depths)."""
     reports, _ = clt_terminal_trend(params, tuple(depths), reps)
-    assert reports == [clt_terminal_test(params, n, reps) for n in depths]
+    assert reports == [clt_terminal_trend(params, (n,), reps)[0][0]
+                       for n in depths]
 
 
 #: Log-magnitudes as the moment recursion sums them: finite values close
@@ -195,7 +196,7 @@ def test_sampler_guards_raise_before_the_thread_map(monkeypatch):
     with pytest.raises(ValueError, match="reps"):
         sample_terminal(params, 8, 0)
     with pytest.raises(CapacityError):
-        sample_terminal_pair(params, 40, 30, 10)
+        sample_terminal_depths(params, (40, 70), 10)
 
 
 @PROPERTY

@@ -11,7 +11,6 @@ from cascadekit.stats import (
     D_THRESHOLD_FAST,
     StatReport,
     clt_small_h_test,
-    clt_terminal_test,
     clt_terminal_trend,
     empirical_vs_exact_moments,
     increments_gaussianity,
@@ -66,11 +65,12 @@ def test_clt_terminal_guard_raises_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the regime guard")
 
-    monkeypatch.setattr("cascadekit.stats.sample_terminal", no_sampling)
+    monkeypatch.setattr("cascadekit.stats.sample_terminal_depths",
+                        no_sampling)
     with pytest.raises(ValueError):
-        clt_terminal_test(CascadeParams(base=2, hurst=0.7), 8, 100)
+        clt_terminal_trend(CascadeParams(base=2, hurst=0.7), (8,), 100)
     with pytest.raises(ValueError):
-        clt_terminal_test(CascadeParams(base=2, hurst=0.5), 0, 100)
+        clt_terminal_trend(CascadeParams(base=2, hurst=0.5), (0,), 100)
 
 
 H07 = CascadeParams(base=2, hurst=0.7)
@@ -79,7 +79,6 @@ H03 = CascadeParams(base=2, hurst=0.3)
 #: Every check that takes sample standard errors (ddof=1), with valid
 #: arguments apart from ``reps``.
 SE_CHECKS = {
-    "terminal": lambda reps: clt_terminal_test(H03, 8, reps),
     "trend": lambda reps: clt_terminal_trend(H03, (4, 8), reps),
     "smallh": lambda reps: clt_small_h_test((0.8, 0.65), 8, reps),
     "increments": lambda reps: increments_gaussianity(H03, 2, 8, reps),
@@ -97,7 +96,7 @@ def test_fewer_than_two_replicas_rejected_before_sampling(monkeypatch,
         raise AssertionError("sampled before the replica guard")
 
     for name in ("sample_terminal", "sample_terminal_depths",
-                 "sample_terminal_pair", "sample_branch_signs"):
+                 "sample_branch_signs"):
         monkeypatch.setattr(f"cascadekit.stats.{name}", no_sampling)
     with pytest.raises(ValueError, match=r"reps >= 2"):
         SE_CHECKS[check](reps)
@@ -106,10 +105,10 @@ def test_fewer_than_two_replicas_rejected_before_sampling(monkeypatch,
 #: The KS gate of each check: the critical terminal law converges slowest
 #: and gets the wider gate.
 KS_GATES = {
-    "terminal-critical": (lambda: clt_terminal_test(
-        CascadeParams(base=2, hurst=0.5), 8, 50), "ks_distance",
+    "terminal-critical": (lambda: clt_terminal_trend(
+        CascadeParams(base=2, hurst=0.5), (8,), 50)[0][0], "ks_distance",
         D_THRESHOLD_CRITICAL),
-    "terminal-divergent": (lambda: clt_terminal_test(H03, 8, 50),
+    "terminal-divergent": (lambda: clt_terminal_trend(H03, (8,), 50)[0][0],
                            "ks_distance", D_THRESHOLD_FAST),
     "increments": (lambda: increments_gaussianity(H03, 2, 8, 50),
                    "marginal_ks_max", D_THRESHOLD_FAST),
@@ -126,7 +125,7 @@ def test_ks_gate_of_each_check(check):
 
 def test_terminal_clt_symmetric():
     params = CascadeParams.symmetric(base=2, seed=0)
-    r = clt_terminal_test(params, 16, REPS)
+    (r,), _ = clt_terminal_trend(params, (16,), REPS)
     assert r.passed
     assert r.statistics["ks_distance"] <= D_THRESHOLD_FAST
     assert r.statistics["moment2_z"] <= 4.0
@@ -141,7 +140,7 @@ def test_terminal_clt_critical_moments_pass_ks_lags():
     this depth.
     """
     params = CascadeParams(base=2, hurst=0.5, seed=0)
-    r = clt_terminal_test(params, 16, REPS)
+    (r,), _ = clt_terminal_trend(params, (16,), REPS)
     for q in range(1, 5):
         assert r.statistics[f"moment{q}_z"] <= 4.0
     assert math.isclose(r.statistics["moment2_exact"], 1.125, rel_tol=1e-12)
@@ -161,14 +160,16 @@ def test_terminal_clt_divergent_trend():
 
 def test_terminal_clt_regime_guards():
     with pytest.raises(ValueError):
-        clt_terminal_test(CascadeParams(base=2, hurst=0.7, seed=0), 8, 100)
+        clt_terminal_trend(CascadeParams(base=2, hurst=0.7, seed=0), (8,),
+                           100)
     with pytest.raises(ValueError):
-        clt_terminal_test(CascadeParams(base=2, hurst=0.5, seed=0), 0, 100)
+        clt_terminal_trend(CascadeParams(base=2, hurst=0.5, seed=0), (0,),
+                           100)
 
 
 def test_small_h_scaling():
     """Finite-n scaled marginals match N(0,1) moments for H near 1."""
-    reports = clt_small_h_test((0.8, 0.65), 16, REPS, seed=0)
+    reports, _ = clt_small_h_test((0.8, 0.65), 16, REPS, seed=0)
     gaps = []
     for r in reports:
         assert r.passed
@@ -209,7 +210,7 @@ def test_small_h_guard_checks_every_h_before_sampling(monkeypatch):
 
 def test_small_h_degenerate_h_one():
     """H = 1 makes Z_n = 1 exactly: zero SE must not blow up the z-scores."""
-    (r,) = clt_small_h_test([1.0], 8, 100)
+    (r,), _ = clt_small_h_test([1.0], 8, 100)
     assert r.passed
     assert r.statistics["mean_z"] == 0.0
     assert r.statistics["m2_z"] == 0.0
@@ -287,7 +288,7 @@ def test_sampler_guards_run_before_the_first_draw(monkeypatch, case):
         raise AssertionError("sampled before the guard")
 
     for name in ("sample_terminal", "sample_terminal_depths",
-                 "sample_terminal_pair", "sample_branch_signs"):
+                 "sample_branch_signs"):
         monkeypatch.setattr(f"cascadekit.stats.{name}", no_sampling)
     error, check = LATE_BAD_ARGS[case]
     with pytest.raises(error):
