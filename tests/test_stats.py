@@ -79,6 +79,7 @@ H03 = CascadeParams(base=2, hurst=0.3)
 #: Every check that takes sample standard errors (ddof=1), with valid
 #: arguments apart from ``reps``.
 SE_CHECKS = {
+    "terminal": lambda reps: clt_terminal_trend(H03, (8,), reps),
     "trend": lambda reps: clt_terminal_trend(H03, (4, 8), reps),
     "smallh": lambda reps: clt_small_h_test((0.8, 0.65), 8, reps),
     "increments": lambda reps: increments_gaussianity(H03, 2, 8, reps),
