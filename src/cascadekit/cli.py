@@ -414,6 +414,13 @@ def cmd_clt(ns: argparse.Namespace) -> int:
     print(f"wrote {name} ({'pass' if passed else 'FAIL'})")
     for report in reports:
         print(report.summary_line())
+    if decreasing is not None:  # the trend verdict, which does not gate
+        over = (f"n = {','.join(map(str, ns.n))}" if ns.test == "terminal"
+                else f"H = {','.join(f'{h:g}' for h in ns.h_values)}")
+        ds = ", ".join(f"{r.statistics['ks_distance']:.4g}" for r in reports)
+        verdict = "strictly decreasing" if decreasing else \
+            "NOT strictly decreasing"
+        print(f"ks_distance over {over}: {ds} ({verdict})")
     return EXIT_OK if passed else EXIT_FAIL
 
 

@@ -55,8 +55,8 @@ from . import streams
 DEFAULT_MAX_POINTS = 2**16
 
 #: Memory guard for sign-field generation, which peaks at b^(n-1) / 8 +
-#: b^n / 8 packed bytes plus 2.125 _CHUNKs; the fractal pass then reads
-#: the packed field slice by slice.
+#: b^n / 8 packed bytes plus one _CHUNK and 1.5 MiB of hashing blocks;
+#: the fractal pass then reads the packed field slice by slice.
 DEFAULT_MAX_LEAVES = 2**27
 
 #: Leaf chunk size for level expansion at deep levels.
@@ -67,6 +67,19 @@ _SELF_SIMILARITY_TOL = 1e-10
 
 #: Leaves per slice that :func:`build_path` copies into its result.
 _SLICE = 2**16
+
+#: _RUNNING[v, r]: the sum of the signs of leaves 0..r of a packed byte
+#: v, bit 1 meaning -1, in packbits order.
+_RUNNING = np.cumsum(1.0 - 2.0 * np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1)
+
+#: Largest stride that straddles bytes whose samples :func:`path_slices`
+#: reads from the running sum at byte starts: above it the per-byte sums
+#: cost more than summing each sample's unpacked bits (over 3^14 leaves,
+#: stride 27 took 5.6 against 7.3 ms unpacked, stride 81 5.0 against
+#: 4.6 ms, and at b = 5 stride 25 11.8 against 16.3 ms, 125 10.6 against
+#: 8.6 ms).
+_STRADDLE_MAX = 64
 
 #: Domain tags keeping independent sampler purposes on disjoint streams.
 _DOMAIN_TERMINAL = 0x7E51
@@ -303,10 +316,15 @@ def generate_leaf_signs(params: CascadeParams, depth: int) -> LeafSignField:
     field, except for a base that is not a power of 2, where levels wider
     than 2^22 nodes take parents off by the chunk start modulo b past the
     first chunk.  Each level runs one loop: every chunk of at most 2^22
-    nodes is hashed into one reused buffer, XORed with its parents, b
-    copies each, spread from the packed level before, and packed.  The
-    peak, at the last level, is b^(n-1) / 8 + b^n / 8 packed bytes plus
-    2.125 * 2^22: the buffer, the repeated parents and those packed.
+    nodes is hashed into one reused buffer, packed into its level and
+    XORed there, byte by byte, with its parents, b copies each, spread
+    from the packed level before; no level or parent range is ever
+    unpacked.  The peak, at the last level, is b^(n-1) / 8 + b^n / 8
+    packed bytes plus 2^22 + 1.5 MiB: the buffer, and the three
+    2^16-word blocks that :func:`~cascadekit.streams.sign_bits` hashes
+    in (the chunk packed and its spread parents, 2^19 bytes each, come
+    after the hashing).  At b = 2 that is 8.5 MiB at depth 24, 17.5 MiB
+    at depth 26 and 29.5 MiB at depth 27.
 
     Parameters
     ----------
@@ -335,12 +353,26 @@ def generate_leaf_signs(params: CascadeParams, depth: int) -> LeafSignField:
             hi = min(lo + _CHUNK, count)
             part = streams.sign_bits(seed_state, b, level, lo, hi - lo,
                                      threshold, out=buf[:hi - lo])
+            out = packed[lo // 8:(hi + 7) // 8]
+            out[:] = np.packbits(part)
             # node lo + i takes parent lo // b + i // b (its own when b
-            # divides lo), read from the byte that holds parent lo // b
+            # divides lo): the spread bits from the one of parent lo // b,
+            # which sits `shift` bits into byte `skip` of the rows
             rows = spread[parents[lo // b // 8:((hi + b - 1) // b + 7) // 8]]
-            skip = lo // b % 8 * b
-            part ^= np.unpackbits(rows.view(np.uint8))[skip:skip + hi - lo]
-            packed[lo // 8:(hi + 7) // 8] = np.packbits(part)
+            rows = rows.view(np.uint8).ravel()
+            skip, shift = divmod(lo // b % 8 * b, 8)
+            if shift:
+                # each byte takes the high bits of the next, shifted into
+                # the hashing buffer, which is free; the rows may end
+                # before the last byte's, which are padding
+                n = min(out.size, rows.size - skip - 1)
+                out[:n] ^= np.right_shift(rows[skip + 1:skip + 1 + n],
+                                          8 - shift, out=buf[:n])
+                rows <<= shift
+            out ^= rows[skip:skip + out.size]
+            if hi % 8:  # clear the padding bits past the level's last node
+                out[-1] &= (0xFF << 8 - hi % 8) & 0xFF
+            del rows  # not held while the next chunk is hashed
         parents = packed
     return LeafSignField(base=b, depth=depth, packed=parents)
 
@@ -377,31 +409,85 @@ def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
     """Yield B_n sampled every ``stride`` leaves over samples [s, s + width]
     for s = 0, width, ..., the last slice clipped to the path's end.
 
-    The one place where leaf bits become path values.  Sample k is
-    b^(-n*H) times the integer running sum of the first k * stride leaf
-    signs: each block of ``stride`` leaves adds stride - 2 * (its
-    minus-sign count), and the running sum, of magnitude at most
-    b^n <= 2^53, is carried across slices exactly in float64, so every
-    sample is a correctly rounded product, the same for any ``width``.
-    Each slice is a view of one reused buffer of width + 1 floats that
-    the next slice overwrites; it starts with the last sample of the
-    slice before.
+    The one place where leaf bits become path values, read straight
+    from the packed bytes.  Sample k is b^(-n*H) times S(k * stride),
+    the integer running sum of the first k * stride leaf signs.  A byte
+    adds 8 - 2 * popcount to S, and :data:`_RUNNING` holds the running
+    sums inside each of the 256 bytes, so the stride alone picks one of
+    three routes:
+
+    * a multiple of 8 sums the popcounts of each sample's whole bytes;
+    * a divisor of 8 (1, 2, 4) puts 8 / stride samples in every byte:
+      one table row per byte, offset by S at the byte's start, which is
+      the row before's last sample;
+    * any other stride up to :data:`_STRADDLE_MAX` (the first powers of
+      an odd base) adds, per sample, S at the start of the byte holding
+      its last leaf and that leaf's table entry; above it, each sample
+      sums its leaves' unpacked bits, which measured faster there.
+
+    Slices may start and end inside a byte.  Every partial sum is an
+    integer of magnitude at most b^n <= 2^53, exact in float64 and
+    carried across slices, so every sample is a correctly rounded
+    product, the same for any ``width``.  Each slice is a view of one
+    reused buffer that the next slice overwrites; it starts with the
+    last sample of the slice before.
     """
     if signs.base != params.base:
         raise ValueError("sign field and params disagree on base")
     scale = params.weight_scale(signs.depth)
     n_samples = signs.n_leaves // stride
-    buf = np.empty(width + 1, dtype=np.float64)
+    # the sample ends repeat every `span` bytes, `per` of them
+    per, span = 8 // math.gcd(stride, 8), stride // math.gcd(stride, 8)
+    table = np.ascontiguousarray(_RUNNING[:, stride - 1::stride]) \
+        if span == 1 else _RUNNING.T
+    # a divisor of 8 fills the rows of whole bytes, up to 2 * per samples
+    # past the slice; strides that straddle bytes keep S at byte starts
+    buf = np.empty(width + 2 * per, dtype=np.float64)
+    straddle = per > 1 and span > 1 and stride <= _STRADDLE_MAX
+    starts = np.empty((width * stride + 7) // 8 + 2, dtype=np.float64) \
+        if straddle else None
     total = 0.0
     for lo in range(0, n_samples, width):
         k = min(width, n_samples - lo)
-        seg = buf[:k + 1]
-        bits = signs.leaf_bits(lo * stride, (lo + k) * stride)
-        np.sum(bits.reshape(k, stride), axis=1, out=seg[1:])
-        seg[1:] *= -2.0
-        seg[1:] += stride
-        seg[0] = total
-        np.cumsum(seg, out=seg)
+        j0, r0 = divmod(lo * stride, 8)  # the slice starts r0 leaves in
+        src = signs.packed[j0:((lo + k) * stride + 7) // 8]
+        # the sum of the leaves before the slice in its first byte
+        head = _RUNNING[src[0], r0 - 1] if r0 else 0.0
+        if span == 1 and per > 1:  # per samples in each byte, from its row
+            rows = buf[1:1 + src.size * per].reshape(src.size, per)
+            np.take(table, src, axis=0, out=rows, mode="clip")
+            rows[0] += total - head
+            ends = rows[:, -1]  # each byte's last sample ...
+            np.cumsum(ends, out=ends)
+            for col in rows[1:, :-1].T:  # ... starts the next byte
+                col += ends[:-1]
+            seg = buf[r0 // stride:r0 // stride + k + 1]
+            seg[0] = total
+        elif straddle:  # samples straddle bytes: the sum at each byte's start
+            pre = starts[:src.size + 1]
+            pre[0] = total - head
+            np.take(table[7], src, out=pre[1:], mode="clip")
+            np.cumsum(pre, out=pre)
+            seg = buf[:k + 1]
+            seg[0] = total
+            for w in range(min(per, k)):
+                # sample w + 1 + per * u ends at leaf r of byte c + span * u
+                c, r = divmod(stride * (w + 1) - 1 + r0, 8)
+                col = seg[1 + w::per]
+                np.take(table[r], src[c::span][:col.size], out=col,
+                        mode="clip")
+                col += pre[c::span][:col.size]
+        else:  # a minus count per sample, then the running sum
+            seg = buf[:k + 1]
+            if per == 1:  # of whole bytes (r0 is 0)
+                seg[1:] = np.bitwise_count(src).reshape(k, span).sum(axis=1)
+            else:  # of unpacked bits, above _STRADDLE_MAX
+                bits = signs.leaf_bits(lo * stride, (lo + k) * stride)
+                np.sum(bits.reshape(k, stride), axis=1, out=seg[1:])
+            seg[1:] *= -2.0
+            seg[1:] += stride
+            seg[0] = total
+            np.cumsum(seg, out=seg)
         total = seg[-1]
         seg *= scale
         yield seg

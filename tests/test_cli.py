@@ -279,7 +279,27 @@ def test_clt_smallh_json_records_the_checks_decrease_flag(tmp_path, capsys):
             for r in payload["reports"]] == ds
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("wrote clt_smallh_b2_H0.7.json")
-    assert out[1:] == [r.summary_line() for r in reports]
+    verdict = "strictly decreasing" if decreasing else \
+        "NOT strictly decreasing"
+    assert out[1:] == [r.summary_line() for r in reports] + [
+        "ks_distance over H = 0.8,0.65,0.55: "
+        f"{', '.join(f'{d:.4g}' for d in ds)} ({verdict})"]
+
+
+def test_clt_terminal_prints_the_trend_verdict(tmp_path, capsys):
+    """Both depths pass their gates while D rises from depth 15 to 16:
+    stdout says the trend is not strictly decreasing, as the JSON does,
+    and the exit code still follows the deepest report's gates."""
+    code = main(["clt", "--test", "terminal", "--H", "0.3", "--n", "15,16",
+                 "--reps", "4000", "--seed", "3", "--outdir", str(tmp_path)])
+    payload = json.loads((tmp_path / "clt_terminal_b2_H0.3.json")
+                         .read_text())
+    ds = [r["statistics"]["ks_distance"] for r in payload["reports"]]
+    assert code == 0 and all(r["passed"] for r in payload["reports"])
+    assert ds[1] > ds[0] and payload["d_decreasing"] is False
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == (f"ks_distance over n = 15,16: {ds[0]:.4g}, "
+                       f"{ds[1]:.4g} (NOT strictly decreasing)")
 
 
 def test_clt_json_is_strict_when_a_z_score_is_infinite(tmp_path):

@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from cascadekit import streams
 from cascadekit.cli import main
 from cascadekit.core import (
     _CHUNK,
@@ -31,6 +32,10 @@ from cascadekit.reports import (
 #: Interpreter objects, views and ufunc buffers on top of each bound.
 SLACK = 256 * 1024
 
+#: The same on top of a path: its slices hold no per-leaf array, so
+#: views and interpreter objects are all that is left.
+PATH_SLACK = 32 * 1024
+
 
 def _peak(fn, *args, **kwargs):
     """(result, peak bytes traced while ``fn`` ran)."""
@@ -44,32 +49,40 @@ def _peak(fn, *args, **kwargs):
 
 
 def _path_bound(points, stride):
-    """The result's float64 values, and one slice of the running sum: its
-    width + 1 floats and the width * stride unpacked bits behind them."""
+    """The result's float64 values, and one slice of the running sum read
+    from the packed bytes: its buffer of width + 16 floats and 8 bytes
+    per byte it reads (the intp indices of the byte-table lookup, or the
+    widened popcounts of whole-byte sums), width * stride / 8 of them."""
     width = max(1, _SLICE // stride)
-    return 8 * (points + 1) + 8 * (width + 1) + width * stride
+    return 8 * (points + 1) + 8 * (width + 16) + width * stride
 
 
 @pytest.mark.parametrize("b, n", [(2, 22), (3, 13)])
 def test_full_resolution_path_holds_one_float_array(b, n):
-    """The b^n + 1 float64 values plus one slice of 2^16 leaves, its
-    floats and its unpacked bits (9 * 2^16 + 8 bytes)."""
+    """The b^n + 1 float64 values plus one slice of 2^16 leaves read
+    from their packed bytes (8 * 2^16 + 128 bytes of floats and 2^16 of
+    indices); unpacking each slice's bits peaked 138 KiB above its
+    floats."""
     params = CascadeParams(base=b, hurst=0.7, seed=3)
     field = generate_leaf_signs(params, n)
     path, peak = _peak(build_path, field, params, max_points=b**n)
     assert path.values.nbytes == 8 * (b**n + 1)
-    assert peak <= _path_bound(b**n, 1) + SLACK
+    assert peak <= _path_bound(b**n, 1) + PATH_SLACK
 
 
 def test_decimated_path_holds_its_points_and_one_slice():
-    """A depth-24 path decimated to 2^16 cells reads 2^16 leaves per
-    slice, so its peak is that of a full-resolution 2^16-cell path
-    (building the stride sums over 2^22-leaf chunks peaked at 8.5 MiB)."""
+    """Paths decimated to 2^16 cells read 2^16 leaves per slice, at
+    depth 18 four to a sample inside bytes and at depth 24 as popcount
+    sums of 32 whole bytes, so their peak is that of a full-resolution
+    2^16-cell path (building the stride sums over 2^22-leaf chunks
+    peaked at 8.5 MiB at depth 24, and unpacking each slice's bits
+    132 KiB above its floats)."""
     params = CascadeParams(base=2, hurst=0.7, seed=3)
-    field = generate_leaf_signs(params, 24)
-    path, peak = _peak(build_path, field, params)
-    assert path.stride == 2**8 and path.values.size == 2**16 + 1
-    assert peak <= _path_bound(2**16, 2**8) + SLACK
+    for n in (18, 24):
+        field = generate_leaf_signs(params, n)
+        path, peak = _peak(build_path, field, params)
+        assert path.stride == 2**(n - 16) and path.values.size == 2**16 + 1
+        assert peak <= _path_bound(2**16, path.stride) + PATH_SLACK
 
 
 def test_box_counting_memory_does_not_grow_with_depth():
@@ -96,17 +109,21 @@ def test_box_counting_memory_does_not_grow_with_column_width():
 
 
 def _expansion_bound(b, n):
-    """The packed parents and the packed field, the hashing buffer and one
-    chunk of repeated parents, and those parents packed."""
-    return (b**(n - 1) + 7) // 8 + (b**n + 7) // 8 + 2 * _CHUNK + _CHUNK // 8
+    """The packed parents and the packed field, the hashing buffer and
+    the three uint64 blocks ``streams.sign_bits`` hashes it in."""
+    return (b**(n - 1) + 7) // 8 + (b**n + 7) // 8 + _CHUNK \
+        + 3 * 8 * streams._BLOCK
 
 
-@pytest.mark.parametrize("b, n", [(2, 23), (2, 26), (3, 14)])
+@pytest.mark.parametrize("b, n", [(2, 23), (2, 26), (3, 14), (5, 10)])
 def test_leaf_expansion_holds_two_levels_and_one_chunk(b, n):
-    """Every level is hashed chunk by chunk into one reused buffer and
-    packed: no unpacked level, and no per-chunk copies of the fresh bits
-    or of their XOR.  At b = 2, depth 26 the level before the last held
-    unpacked peaked at 52 MiB."""
+    """Every level is hashed chunk by chunk into one reused buffer,
+    packed, and XORed byte by byte with its spread parents: no unpacked
+    level or parent range, and no per-chunk copies of the fresh bits or
+    of their XOR.  At b = 2, depth 26 the level before the last held
+    unpacked peaked at 52 MiB, and unpacking each chunk's parents took
+    2.125 chunks above the two levels.  At b = 5 the parents of the
+    chunks past the first are shifted across bytes."""
     params = CascadeParams(base=b, hurst=0.7, seed=3)
     field, peak = _peak(generate_leaf_signs, params, n)
     assert field.packed.nbytes == (b**n + 7) // 8

@@ -280,6 +280,46 @@ def test_field_is_independent_of_the_chunk_size(params, depth, monkeypatch):
     assert np.array_equal(generate_leaf_signs(params, depth).packed, whole)
 
 
+def _unpacked_expansion(params, depth, chunk):
+    """The expansion loop with every parent range unpacked: each chunk of
+    ``chunk`` nodes is hashed, XORed with the bits of its parents, b
+    copies each, counted from parent lo // b of the chunk start lo, and
+    packed."""
+    b = params.base
+    state = streams.premix_seed(params.seed)
+    threshold = streams.sign_threshold(params.p_plus)
+    parents = np.zeros(1, dtype=np.uint8)
+    for level in range(1, depth + 1):
+        count = b**level
+        packed = np.empty((count + 7) // 8, dtype=np.uint8)
+        for lo in range(0, count, chunk):
+            hi = min(lo + chunk, count)
+            part = streams.sign_bits(state, b, level, lo, hi - lo, threshold)
+            first = lo // b
+            bits = np.unpackbits(parents)[first:first + (hi - lo + b - 1) // b]
+            part ^= np.repeat(bits, b)[:hi - lo]
+            packed[lo // 8:(hi + 7) // 8] = np.packbits(part)
+        parents = packed
+    return parents
+
+
+@pytest.mark.parametrize("b, depth", [
+    (2, 11), (4, 6), (3, 7), (5, 5), (6, 4), (7, 4),
+])
+def test_packed_expansion_matches_the_unpacked_loop(b, depth, monkeypatch):
+    """With a 2^8-node chunk, parent lo // b of a chunk start lo sits
+    15, 15, 12 and 28 bits into its spread bytes at b = 3, 5, 6 and 7
+    (0 at b = 2 and 4), so the byte-wise XOR shifts each parent byte and
+    carries bits from the next; the packed field, padding included, is
+    that of the loop that unpacks its parents, byte for byte."""
+    monkeypatch.setattr(core, "_CHUNK", 2**8)
+    for params in (CascadeParams(base=b, hurst=0.7, seed=1),
+                   CascadeParams(base=b, hurst=None, seed=9)):
+        for n in (depth - 1, depth):
+            assert generate_leaf_signs(params, n).packed.tobytes() == \
+                _unpacked_expansion(params, n, 2**8).tobytes()
+
+
 def _path_slices(values, width):
     """Views of ``values`` over samples [s, s + width] for s = 0, width,
     ..., as ``core.path_slices`` yields them."""
@@ -359,22 +399,34 @@ def test_pyramid_levels_match_reduceat(seed, b, data):
         assert np.array_equal(maxs, expected_maxs)
 
 
+#: Strides of the byte routes of ``core.path_slices``: within a byte,
+#: multiples of 8, and straddling bytes.
+PATH_STRIDES = {2: (1, 2, 4, 8, 64, 256), 3: (1, 3, 9, 27)}
+
+
 @PROPERTY
 @given(params=params_st, data=st.data())
 def test_path_bits_do_not_depend_on_the_slice_size(params, data):
-    """build_path copies the running sum in slices of at most
-    ``core._SLICE`` leaves; slices of 3 leaves (one sample per slice once
-    the stride is 3 or more, a ragged last slice at b = 2) give the bits
-    of 2^16-leaf slices, full-resolution and decimated."""
-    n = data.draw(st.integers(0, {2: 12, 3: 8}[params.base]))
-    max_points = data.draw(st.sampled_from([1, 5, 64, params.base**n]))
+    """build_path reads the packed field in slices of at most
+    ``core._SLICE`` leaves.  At each stride, and at the stride b^n of a
+    one-cell path (above ``core._STRADDLE_MAX`` at b = 3 from depth 4,
+    where samples sum unpacked bits), slices of 3, 5 or 7 samples (which
+    start inside a byte below stride 8, the last one ragged) and
+    2^16-leaf slices both give b^(-nH) times the running sum of the
+    unpacked leaf signs, taken every ``stride`` leaves, bit for bit."""
+    b = params.base
+    n = data.draw(st.integers(0, {2: 12, 3: 8}[b]))
     field = generate_leaf_signs(params, n)
-    paths = []
-    for size in (3, 2**16):
-        with mock.patch.object(core, "_SLICE", size):
-            paths.append(build_path(field, params, max_points=max_points))
-    assert paths[0].stride == paths[1].stride
-    assert paths[0].values.tobytes() == paths[1].values.tobytes()
+    running = np.concatenate(
+        [[0], np.cumsum(1 - 2 * field.leaf_bits().astype(np.int64))])
+    for stride in sorted({s for s in (*PATH_STRIDES[b], b**n) if s <= b**n}):
+        expected = (params.weight_scale(n) * running[::stride]).tobytes()
+        samples = data.draw(st.sampled_from([3, 5, 7]))
+        for size in (samples * stride, 2**16):
+            with mock.patch.object(core, "_SLICE", size):
+                path = build_path(field, params, max_points=b**n // stride)
+            assert path.stride == stride
+            assert path.values.tobytes() == expected
 
 
 @st.composite
