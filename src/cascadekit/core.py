@@ -73,14 +73,6 @@ _SLICE = 2**16
 _RUNNING = np.cumsum(1.0 - 2.0 * np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1)
 
-#: Largest stride that straddles bytes whose samples :func:`path_slices`
-#: reads from the running sum at byte starts: above it the per-byte sums
-#: cost more than summing each sample's unpacked bits (over 3^14 leaves,
-#: stride 27 took 5.6 against 7.3 ms unpacked, stride 81 5.0 against
-#: 4.6 ms, and at b = 5 stride 25 11.8 against 16.3 ms, 125 10.6 against
-#: 8.6 ms).
-_STRADDLE_MAX = 64
-
 #: Domain tags keeping independent sampler purposes on disjoint streams.
 _DOMAIN_TERMINAL = 0x7E51
 _DOMAIN_BRANCH = 0x55B7
@@ -419,18 +411,16 @@ def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
     * a multiple of 8 sums the popcounts of each sample's whole bytes;
     * a divisor of 8 (1, 2, 4) puts 8 / stride samples in every byte:
       one table row per byte, offset by S at the byte's start, which is
-      the row before's last sample;
-    * any other stride up to :data:`_STRADDLE_MAX` (the first powers of
-      an odd base) adds, per sample, S at the start of the byte holding
-      its last leaf and that leaf's table entry; above it, each sample
-      sums its leaves' unpacked bits, which measured faster there.
+      the row before's last sample; slices may start and end inside a
+      byte;
+    * any other stride straddles bytes (3, 9, ..., 6, 36, 10): each
+      sample sums its leaves' unpacked bits.
 
-    Slices may start and end inside a byte.  Every partial sum is an
-    integer of magnitude at most b^n <= 2^53, exact in float64 and
-    carried across slices, so every sample is a correctly rounded
-    product, the same for any ``width``.  Each slice is a view of one
-    reused buffer that the next slice overwrites; it starts with the
-    last sample of the slice before.
+    Every partial sum is an integer of magnitude at most b^n <= 2^53,
+    exact in float64 and carried across slices, so every sample is a
+    correctly rounded product, the same for any ``width``.  Each slice
+    is a view of one reused buffer that the next slice overwrites; it
+    starts with the last sample of the slice before.
     """
     if signs.base != params.base:
         raise ValueError("sign field and params disagree on base")
@@ -438,50 +428,31 @@ def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
     n_samples = signs.n_leaves // stride
     # the sample ends repeat every `span` bytes, `per` of them
     per, span = 8 // math.gcd(stride, 8), stride // math.gcd(stride, 8)
-    table = np.ascontiguousarray(_RUNNING[:, stride - 1::stride]) \
-        if span == 1 else _RUNNING.T
+    table = np.ascontiguousarray(_RUNNING[:, stride - 1::stride])
     # a divisor of 8 fills the rows of whole bytes, up to 2 * per samples
-    # past the slice; strides that straddle bytes keep S at byte starts
+    # past the slice
     buf = np.empty(width + 2 * per, dtype=np.float64)
-    straddle = per > 1 and span > 1 and stride <= _STRADDLE_MAX
-    starts = np.empty((width * stride + 7) // 8 + 2, dtype=np.float64) \
-        if straddle else None
     total = 0.0
     for lo in range(0, n_samples, width):
         k = min(width, n_samples - lo)
         j0, r0 = divmod(lo * stride, 8)  # the slice starts r0 leaves in
         src = signs.packed[j0:((lo + k) * stride + 7) // 8]
-        # the sum of the leaves before the slice in its first byte
-        head = _RUNNING[src[0], r0 - 1] if r0 else 0.0
         if span == 1 and per > 1:  # per samples in each byte, from its row
             rows = buf[1:1 + src.size * per].reshape(src.size, per)
             np.take(table, src, axis=0, out=rows, mode="clip")
-            rows[0] += total - head
+            # less the sum of the leaves before the slice in its first byte
+            rows[0] += total - (_RUNNING[src[0], r0 - 1] if r0 else 0.0)
             ends = rows[:, -1]  # each byte's last sample ...
             np.cumsum(ends, out=ends)
             for col in rows[1:, :-1].T:  # ... starts the next byte
                 col += ends[:-1]
             seg = buf[r0 // stride:r0 // stride + k + 1]
             seg[0] = total
-        elif straddle:  # samples straddle bytes: the sum at each byte's start
-            pre = starts[:src.size + 1]
-            pre[0] = total - head
-            np.take(table[7], src, out=pre[1:], mode="clip")
-            np.cumsum(pre, out=pre)
-            seg = buf[:k + 1]
-            seg[0] = total
-            for w in range(min(per, k)):
-                # sample w + 1 + per * u ends at leaf r of byte c + span * u
-                c, r = divmod(stride * (w + 1) - 1 + r0, 8)
-                col = seg[1 + w::per]
-                np.take(table[r], src[c::span][:col.size], out=col,
-                        mode="clip")
-                col += pre[c::span][:col.size]
         else:  # a minus count per sample, then the running sum
             seg = buf[:k + 1]
             if per == 1:  # of whole bytes (r0 is 0)
                 seg[1:] = np.bitwise_count(src).reshape(k, span).sum(axis=1)
-            else:  # of unpacked bits, above _STRADDLE_MAX
+            else:  # of unpacked bits, for strides that straddle bytes
                 bits = signs.leaf_bits(lo * stride, (lo + k) * stride)
                 np.sum(bits.reshape(k, stride), axis=1, out=seg[1:])
             seg[1:] *= -2.0

@@ -399,34 +399,44 @@ def test_pyramid_levels_match_reduceat(seed, b, data):
         assert np.array_equal(maxs, expected_maxs)
 
 
-#: Strides of the byte routes of ``core.path_slices``: within a byte,
-#: multiples of 8, and straddling bytes.
-PATH_STRIDES = {2: (1, 2, 4, 8, 64, 256), 3: (1, 3, 9, 27)}
+#: Strides of the routes of ``core.path_slices``: within a byte,
+#: multiples of 8, and straddling bytes (from unpacked bits).
+PATH_STRIDES = {2: (1, 2, 4, 8, 64, 256), 3: (1, 3, 9, 27, 81, 243)}
 
 
 @PROPERTY
 @given(params=params_st, data=st.data())
 def test_path_bits_do_not_depend_on_the_slice_size(params, data):
     """build_path reads the packed field in slices of at most
-    ``core._SLICE`` leaves.  At each stride, and at the stride b^n of a
-    one-cell path (above ``core._STRADDLE_MAX`` at b = 3 from depth 4,
-    where samples sum unpacked bits), slices of 3, 5 or 7 samples (which
-    start inside a byte below stride 8, the last one ragged) and
-    2^16-leaf slices both give b^(-nH) times the running sum of the
-    unpacked leaf signs, taken every ``stride`` leaves, bit for bit."""
+    ``core._SLICE`` leaves, at the smallest power-of-b stride that keeps
+    at most ``max_points`` cells.  At each stride, at the stride b^n of a
+    one-cell path, and at the stride of 1, 5, 64 or b^n points, slices of
+    3, 5 or 7 samples (which start inside a byte at strides 1 to 4 and 3
+    to 243, the last one ragged) and 2^16-leaf slices both give b^(-nH)
+    times the running sum of the unpacked leaf signs, taken every
+    ``stride`` leaves, bit for bit."""
     b = params.base
     n = data.draw(st.integers(0, {2: 12, 3: 8}[b]))
     field = generate_leaf_signs(params, n)
     running = np.concatenate(
         [[0], np.cumsum(1 - 2 * field.leaf_bits().astype(np.int64))])
-    for stride in sorted({s for s in (*PATH_STRIDES[b], b**n) if s <= b**n}):
+
+    def built(max_points, size):
+        with mock.patch.object(core, "_SLICE", size):
+            return build_path(field, params, max_points=max_points)
+
+    strides = {s for s in (*PATH_STRIDES[b], b**n) if s <= b**n}
+    drawn = data.draw(st.sampled_from([1, 5, 64, b**n]))
+    for max_points in sorted({b**n // s for s in strides} | {drawn}):
+        path = built(max_points, 2**16)
+        stride = path.stride
+        assert b**n // stride <= max_points
+        assert stride == 1 or b**n // (stride // b) > max_points
         expected = (params.weight_scale(n) * running[::stride]).tobytes()
+        assert path.values.tobytes() == expected
         samples = data.draw(st.sampled_from([3, 5, 7]))
-        for size in (samples * stride, 2**16):
-            with mock.patch.object(core, "_SLICE", size):
-                path = build_path(field, params, max_points=b**n // stride)
-            assert path.stride == stride
-            assert path.values.tobytes() == expected
+        assert built(max_points, samples * stride).values.tobytes() == \
+            expected
 
 
 @st.composite
