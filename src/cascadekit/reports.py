@@ -11,7 +11,10 @@ Numbers in CSV bodies are ``%.17g`` text ('.' decimal, no grouping),
 enough to round-trip float64 exactly; SVG points are ``%.2f`` text.
 Float tables (paths, densities, characteristic functions, SVG points)
 travel as 2-D float64 arrays, and numpy builds their text a block of
-rows at a time, byte for byte the text ``%`` writes:
+rows at a time, byte for byte the text ``%`` writes.  A kernel per
+format returns a column's text as character rows, one uint8 row per
+character place and zero where a cell has none; one loop writes the
+decimal digits of uint32 arrays for both:
 
 * ``%.17g``: the 17-digit significand D = round(|x|·10^(16-E)) comes
   from Dekker's exact two-product of |x| with a double-double 10^(16-E)
@@ -19,9 +22,14 @@ rows at a time, byte for byte the text ``%`` writes:
   error below 2^-100, under 1e-13 in absolute terms.  E is chosen on the
   unrounded product, and D = 10^17 after rounding carries into E + 1.
   ``%g``'s layout follows: fixed notation for -4 <= E < 17, else
-  ``d.ddde±XX``, with trailing zeros and a bare point dropped.
+  ``d.ddde±XX``, with trailing zeros and a bare point dropped.  D's
+  digits are its top 9 and bottom 8; the rows are the sign, the
+  ``0.000`` lead below 1, the digits with their point and the exponent,
+  and a block keeps only the rows some cell uses.
 * ``%.2f``: 100·x = p + e exactly (Dekker), and the rounding to cents,
   ties to even, is decided exactly from (p - floor p) - 1/2 against -e.
+  A block takes as many integer-digit rows as its largest rounded whole
+  part has digits, then the point and the two cents.
 
 ``%`` itself writes the cells the error bound cannot decide or the
 kernel does not cover: ``%.17g`` cells whose scaled fraction lies within
@@ -50,15 +58,6 @@ _BLOCK_ROWS = 2**13
 #: Veltkamp's splitter 2^27 + 1: ``c = _SPLIT * a; c - (c - a)`` is the
 #: top 26 bits of a, as Dekker's exact product needs.
 _SPLIT = 134217729.0
-
-#: Character slots of one ``%.17g`` cell: the sign, the ``0.000`` lead of
-#: fixed notation below 1, the 17 digits with one slot for the point, and
-#: the exponent ``e±ddd``.
-_G_LEAD, _G_BODY, _G_EXP = 1, 6, 24
-_G_WIDTH = 29
-#: Character slots of one ``%.2f`` cell: ten integer digits, the point
-#: and two decimals.
-_F_WIDTH = 13
 
 #: Byte that stands in the text for a cell whose text ``%`` writes.
 _MARK = 1
@@ -118,20 +117,22 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-def _put_digits(groups: np.ndarray, rows: np.ndarray) -> None:
-    """Decimal digits of 4-digit groups: digit i of group j into row
-    4j + i, as digit values (add 48 for ASCII)."""
-    for i in range(3, 0, -1):
-        q = groups // 10
-        np.subtract(groups, q * 10, out=rows[i::4], casting="unsafe")
-        groups = q
-    rows[::4] = groups
+def _digits(v: np.ndarray, out: np.ndarray) -> None:
+    """The decimal digits of each uint32 in v, below 10^len(out), into
+    the rows of out, most significant first, as digit values (add 48 for
+    ASCII)."""
+    for row in out[:0:-1]:
+        q = v // 10
+        np.subtract(v, q * 10, out=row, casting="unsafe")
+        v = q
+    out[0] = v
 
 
-def _g17_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Write the ``%.17g`` text of each x into its column of ``slots``.
+def _g17_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``%.17g`` text of each x as character rows, one column a cell,
+    and the cells left to ``%`` (their column holds one _MARK).
 
-    Returns the cells left to ``%`` (their column holds one _MARK).
+    Rows no cell uses are dropped.
     """
     a = np.abs(x)
     done = (a >= 1e-290) & (a <= 1e290)
@@ -160,67 +161,53 @@ def _g17_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     D[carry] = 10**16
     E += carry
 
-    # the 17 digits: d0, then four groups of four
-    n = x.size
+    # the 17 digits: D's top 9, then its bottom 8
     top = D // 10**8
-    bottom = (D - top * 10**8).astype(np.uint32)
-    top = top.astype(np.uint32)
-    groups = np.empty((4, n), np.uint32)
-    head = top // 10**4
-    groups[1] = top - head * 10**4
-    groups[0] = head % 10**4
-    groups[2] = bottom // 10**4
-    groups[3] = bottom - groups[2] * 10**4
-    dig = np.empty((17, n), np.uint8)
-    dig[0] = head // 10**4
-    _put_digits(groups, dig[1:])
+    dig = np.empty((17, x.size), np.uint8)
+    _digits(top.astype(np.uint32), dig[:9])
+    _digits((D - top * 10**8).astype(np.uint32), dig[9:])
     rank = np.arange(18, dtype=np.int8)[:, None]
     last = (rank[1:17] * (dig[1:] != 0)).max(axis=0)  # last nonzero digit
     dig += 48
 
     fixed = (E >= -4) & (E < 17)
     below_one = fixed & (E < 0)
-    # the last digit before the point, and the slot of the point
+    sci = ~fixed
+    # the last digit before the point, and the row of the point
     point = np.where(fixed & (E >= 0), E, 0).astype(np.int8)
     pos = np.where(below_one, 17, point + 1).astype(np.int8)
-
-    np.multiply(x < 0, ord("-"), out=slots[0], casting="unsafe")
-    lead = slots[_G_LEAD:_G_BODY]
-    lead[:] = 0
-    if below_one.any():
-        lead[0][below_one] = ord("0")
-        lead[1][below_one] = ord(".")
-        for i in range(3):
-            lead[2 + i][below_one & (E < -1 - i)] = ord("0")
-    # digits up to the last kept one, one slot right past the point
+    # digits up to the last kept one, one row right past the point
     dig *= rank[:17] <= np.maximum(last, point)
-    body = slots[_G_BODY:_G_EXP]
+    body = np.zeros((18, x.size), np.uint8)
     np.multiply(dig, rank[:17] < pos, out=body[:17])
-    body[17] = 0
     body[1:] += dig * (rank[1:] > pos)
     body += (rank == pos) * np.where((last > point) & ~below_one,
                                      np.uint8(ord(".")), np.uint8(0))
 
-    exp = slots[_G_EXP:]
-    exp[:] = 0
-    sci = ~fixed
-    if sci.any():
-        mag = np.abs(E[sci])
-        exp[0][sci] = ord("e")
-        exp[1][sci] = np.where(E[sci] < 0, ord("-"), ord("+"))
-        exp[2][sci] = np.where(mag >= 100, 48 + mag // 100, 0)
-        exp[3][sci] = 48 + mag // 10 % 10
-        exp[4][sci] = 48 + mag % 10
-    left = ~done
-    slots[:, left] = 0
-    slots[0, left] = _MARK
-    return left
+    u8 = np.uint8
+    rows = [(x < 0) * u8(ord("-"))]
+    if below_one.any():  # the 0.000 lead of fixed notation below 1
+        rows += [(below_one & (E < e)) * u8(c)
+                 for c, e in zip(b"0.000", (0, 0, -1, -2, -3))]
+    rows += list(body)
+    if sci.any():  # the exponent e±dd[d]
+        mag = np.abs(E)
+        rows += [(c * sci).astype(u8) for c in (
+            ord("e"), np.where(E < 0, ord("-"), ord("+")),
+            np.where(mag >= 100, 48 + mag // 100, 0),
+            48 + mag // 10 % 10, 48 + mag % 10)]
+    rows = np.stack(rows)
+    rows *= done
+    rows[0][~done] = _MARK
+    return rows[rows.any(axis=1)], ~done
 
 
-def _f2_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Write the ``%.2f`` text of each x into its column of ``slots``.
+def _f2_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``%.2f`` text of each x as character rows, one column a cell,
+    and the cells left to ``%`` (their column holds one _MARK).
 
-    Returns the cells left to ``%`` (their column holds one _MARK).
+    The integer digits take as many rows as the largest rounded whole
+    part has digits.
     """
     done = ~np.signbit(x) & (x < 1e9)
     v = np.where(done, x, 0.0)
@@ -232,28 +219,20 @@ def _f2_cells(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     half = (p - f) - 0.5  # exact: p < 2^37
     N = f.astype(np.int64)
     N += (half > -err) | ((half == -err) & (N % 2 == 1))
-    whole = N // 100  # below 2^32
-    high = whole // 10**4
-    groups = np.empty((4, x.size), np.uint32)
-    groups[0] = high // 10**4
-    groups[1] = high - groups[0] * 10**4
-    groups[2] = whole - high * 10**4
-    groups[3] = N - whole * 100
-    # whole's ten digits are rows 2..11 of the group digits (its top
-    # group has two), the cents rows 14..15
-    digits = np.empty((16, x.size), np.uint8)
-    _put_digits(groups, digits)
-    slots[:10] = digits[2:12]
-    slots[11:13] = digits[14:16]
-    slots[:13] += np.uint8(48)
-    # leading zeros of the whole part: it has 1 + ``more`` digits
-    more = np.searchsorted(10**np.arange(1, 10), whole, side="right")
-    slots[:9] *= np.arange(9)[:, None] >= 9 - more
-    slots[10] = ord(".")
-    left = ~done
-    slots[:, left] = 0
-    slots[0, left] = _MARK
-    return left
+    whole = (N // 100).astype(np.uint32)  # at most 10^9
+    width = len(str(whole.max()))
+    rows = np.empty((width + 3, x.size), np.uint8)
+    _digits(whole, rows[:width])
+    _digits((N % 100).astype(np.uint32), rows[width + 1:])
+    rows[width] = ord(".")
+    # the whole part's digits from its first, and its last if it is 0
+    shown = 10 ** np.arange(width - 1, -1, -1, dtype=np.uint32)
+    shown[-1] = 0
+    rows[:width] += np.uint8(48) * (whole >= shown[:, None])
+    rows[width + 1:] += np.uint8(48)
+    rows *= done
+    rows[0][~done] = _MARK
+    return rows, ~done
 
 
 def _table_text(table: np.ndarray, fmt: str, row_end: str,
@@ -262,30 +241,30 @@ def _table_text(table: np.ndarray, fmt: str, row_end: str,
 
     Each cell's text is ``fmt % cell`` (``%.17g`` or ``%.2f``); cells
     are joined by ``,`` and every row ends with ``row_end``, the last
-    with ``last_end`` if given.  A block is built as one uint8 row per
-    character slot, zero where a cell has no character, plus one row per
-    separator; one transpose puts the slots in text order and deleting
-    the zero bytes leaves the text.  Cells the kernel leaves to ``%`` are
-    spliced in at their marks.
+    with ``last_end`` if given.  The kernel of ``fmt`` returns a
+    column's text as character rows, one uint8 row per character place
+    and zero where a cell has no character there.  A block stacks each
+    column's rows and one row of its separators; one transpose puts the
+    characters in text order and deleting the zero bytes leaves the
+    text.  Cells the kernel leaves to ``%`` are spliced in at their
+    marks.
     """
-    cells, width = ((_g17_cells, _G_WIDTH) if fmt == FLOAT_FMT
-                    else (_f2_cells, _F_WIDTH))
+    cells = _g17_cells if fmt == FLOAT_FMT else _f2_cells
     rows, cols = table.shape
     blk = max(1, min(rows, _BLOCK_ROWS))
-    stride = width + 1
-    slots = np.empty((cols * stride, blk), np.uint8)
-    for j in range(cols):
-        slots[j * stride + width] = ord("," if j < cols - 1 else row_end)
+    ends = np.full((cols, blk), ord(","), np.uint8)
+    ends[-1] = ord(row_end)
     for lo in range(0, rows, blk):
         block = table[lo:lo + blk]
         k = len(block)
         if lo + k == rows and last_end is not None:
-            slots[-1, k - 1] = ord(last_end) if last_end else 0
+            ends[-1, k - 1] = ord(last_end) if last_end else 0
+        parts = []
         left = np.empty((k, cols), bool)
         for j in range(cols):
-            left[:, j] = cells(block[:, j],
-                               slots[j * stride:j * stride + width, :k])
-        data = slots[:, :k].T.tobytes().translate(None, b"\0")
+            text, left[:, j] = cells(block[:, j])
+            parts += [text, ends[j:j + 1, :k]]
+        data = np.concatenate(parts).T.tobytes().translate(None, b"\0")
         if left.any():
             parts = data.split(bytes([_MARK]))
             spliced = [parts[0]]

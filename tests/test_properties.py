@@ -404,6 +404,32 @@ def test_pyramid_levels_match_reduceat(seed, b, data):
 PATH_STRIDES = {2: (1, 2, 4, 8, 64, 256), 3: (1, 3, 9, 27, 81, 243)}
 
 
+def _assert_path_is_running_sum(params, n, point_counts, samples):
+    """build_path of a depth-n field at each ``max_points`` in
+    ``point_counts``: the stride is the smallest power of b with at most
+    ``max_points`` cells, and slices of 2^16 leaves and of ``samples()``
+    samples both give b^(-nH) times the running sum of the unpacked leaf
+    signs, taken every ``stride`` leaves, bit for bit."""
+    b = params.base
+    field = generate_leaf_signs(params, n)
+    running = np.concatenate(
+        [[0], np.cumsum(1 - 2 * field.leaf_bits().astype(np.int64))])
+
+    def built(max_points, size):
+        with mock.patch.object(core, "_SLICE", size):
+            return build_path(field, params, max_points=max_points)
+
+    for max_points in point_counts:
+        path = built(max_points, 2**16)
+        stride = path.stride
+        assert b**n // stride <= max_points
+        assert stride == 1 or b**n // (stride // b) > max_points
+        expected = (params.weight_scale(n) * running[::stride]).tobytes()
+        assert path.values.tobytes() == expected
+        assert built(max_points, samples() * stride).values.tobytes() == \
+            expected
+
+
 @PROPERTY
 @given(params=params_st, data=st.data())
 def test_path_bits_do_not_depend_on_the_slice_size(params, data):
@@ -417,26 +443,26 @@ def test_path_bits_do_not_depend_on_the_slice_size(params, data):
     ``stride`` leaves, bit for bit."""
     b = params.base
     n = data.draw(st.integers(0, {2: 12, 3: 8}[b]))
-    field = generate_leaf_signs(params, n)
-    running = np.concatenate(
-        [[0], np.cumsum(1 - 2 * field.leaf_bits().astype(np.int64))])
-
-    def built(max_points, size):
-        with mock.patch.object(core, "_SLICE", size):
-            return build_path(field, params, max_points=max_points)
-
     strides = {s for s in (*PATH_STRIDES[b], b**n) if s <= b**n}
     drawn = data.draw(st.sampled_from([1, 5, 64, b**n]))
-    for max_points in sorted({b**n // s for s in strides} | {drawn}):
-        path = built(max_points, 2**16)
-        stride = path.stride
-        assert b**n // stride <= max_points
-        assert stride == 1 or b**n // (stride // b) > max_points
-        expected = (params.weight_scale(n) * running[::stride]).tobytes()
-        assert path.values.tobytes() == expected
-        samples = data.draw(st.sampled_from([3, 5, 7]))
-        assert built(max_points, samples * stride).values.tobytes() == \
-            expected
+    _assert_path_is_running_sum(
+        params, n, sorted({b**n // s for s in strides} | {drawn}),
+        lambda: data.draw(st.sampled_from([3, 5, 7])))
+
+
+@pytest.mark.parametrize("b", [6, 10])
+@pytest.mark.parametrize("size", [3, 5, 7])
+def test_path_strides_that_straddle_bytes_are_running_sums(b, size):
+    """Strides b to b^4 over b^4 leaves at b = 6 and 10, which no
+    power of 2 or 3 reaches: 6 and 10 end 4 samples in every 3 and 5
+    bytes and 36 and 100 end 2 in every 9 and 25, summed from unpacked
+    bits; 216 = 8 * 27 and 1000 = 8 * 125 sum the popcounts of 27 and
+    125 whole bytes a sample.  Each path is the running sum of the
+    unpacked leaf signs, in slices of ``size`` samples and of 2^16
+    leaves."""
+    params = CascadeParams(base=b, hurst=0.7, seed=b + size)
+    _assert_path_is_running_sum(params, 4, [b**3, b**2, b, 1],
+                                lambda: size)
 
 
 @st.composite
@@ -568,9 +594,22 @@ def test_float_text_kernel_is_percent_text(x):
         assert _kernel_text([[x]], fmt) == fmt % x + "\n"
 
 
+#: A ``%.17g`` table of 3-row blocks that take different character rows:
+#: fixed notation only; ``e-05`` cells; a cell left to ``%`` (1e300), a
+#: sign and a three-digit exponent.
+G17_BLOCKS = [0.5, 12.25, 3.0, 1.5e-05, 2.5e-05, 0.125, 1e300, -7.5,
+              2.5e-100]
+
+#: ``%.2f`` blocks whose largest whole part gains a digit in rounding,
+#: whose whole parts are all 0, and whose every cell goes to ``%``.
+F2_BLOCKS = [[9.999], [99.999, 5.0], [999999999.999, 0.5], [0.004],
+             [-1.5, -0.0, 1e9, 2e9, math.nan]]
+
+
 @PROPERTY
 @given(cells=st.lists(any_float, min_size=2, max_size=40),
        cols=st.sampled_from([1, 2, 3]))
+@example(cells=G17_BLOCKS, cols=1)
 def test_float_table_text_is_percent_rows(cells, cols):
     """Tables of several 3-row blocks, with cells left to ``%`` spliced
     at their places: CSV rows end in a newline, SVG points are joined by
@@ -583,3 +622,29 @@ def test_float_table_text_is_percent_rows(cells, cols):
             ",".join("%.17g" % v for v in row) + "\n" for row in values)
         assert _kernel_text(table, "%.2f", " ", "") == " ".join(
             ",".join("%.2f" % v for v in row) for row in values)
+
+
+def test_float_text_blocks_keep_only_the_rows_they_use():
+    """The 3-row blocks of ``G17_BLOCKS`` take different numbers of
+    character rows, and every row the ``%.17g`` kernel returns holds a
+    character of some cell (or the mark of a cell left to ``%``)."""
+    widths = set()
+    for lo in range(0, len(G17_BLOCKS), 3):
+        rows, _ = reports._g17_cells(np.array(G17_BLOCKS[lo:lo + 3]))
+        assert (rows != 0).any(axis=1).all()
+        widths.add(len(rows))
+    assert len(widths) == 3
+
+
+@pytest.mark.parametrize("block", F2_BLOCKS)
+def test_fixed_text_takes_the_rows_of_the_rounded_whole_part(block):
+    """A ``%.2f`` block is ``%`` text, from as many integer-digit rows as
+    its largest whole part has digits after rounding (one where every
+    cell goes to ``%``), the point and two decimals."""
+    x = np.array(block)
+    assert _kernel_text(x[:, None], "%.2f") == "".join(
+        "%.2f\n" % v for v in block)
+    rows, left = reports._f2_cells(x)
+    whole = [len(("%.2f" % v).split(".")[0])
+             for v, rest in zip(block, left) if not rest]
+    assert len(rows) == max(whole, default=1) + 3
