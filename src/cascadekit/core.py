@@ -55,8 +55,9 @@ from . import streams
 DEFAULT_MAX_POINTS = 2**16
 
 #: Memory guard for sign-field generation, which peaks at b^(n-1) / 8 +
-#: b^n / 8 packed bytes plus one _CHUNK and 1.5 MiB of hashing blocks;
-#: the fractal pass then reads the packed field slice by slice.
+#: b^n / 8 packed bytes plus about 1.58 MiB of hashing blocks (25.6 MiB
+#: at b = 2, depth 27); the fractal pass then reads the packed field
+#: slice by slice.
 DEFAULT_MAX_LEAVES = 2**27
 
 #: Leaf chunk size for level expansion at deep levels.
@@ -308,15 +309,16 @@ def generate_leaf_signs(params: CascadeParams, depth: int) -> LeafSignField:
     field, except for a base that is not a power of 2, where levels wider
     than 2^22 nodes take parents off by the chunk start modulo b past the
     first chunk.  Each level runs one loop: every chunk of at most 2^22
-    nodes is hashed into one reused buffer, packed into its level and
+    nodes is hashed straight into its packed slice of the level and
     XORed there, byte by byte, with its parents, b copies each, spread
-    from the packed level before; no level or parent range is ever
-    unpacked.  The peak, at the last level, is b^(n-1) / 8 + b^n / 8
-    packed bytes plus 2^22 + 1.5 MiB: the buffer, and the three
-    2^16-word blocks that :func:`~cascadekit.streams.sign_bits` hashes
-    in (the chunk packed and its spread parents, 2^19 bytes each, come
-    after the hashing).  At b = 2 that is 8.5 MiB at depth 24, 17.5 MiB
-    at depth 26 and 29.5 MiB at depth 27.
+    from the packed level before; no node is ever held one byte per
+    node.  The peak, at the last level, is b^(n-1) / 8 + b^n / 8 packed
+    bytes plus about 1.58 MiB: the three 2^16-word blocks and the bool
+    block that :func:`~cascadekit.streams.sign_bits` hashes in (the
+    chunk's spread parents and, where they are shifted across bytes,
+    their shifted copy, 2^19 bytes each, come after the hashing).  At
+    b = 2 that is 4.58 MiB at depth 24, 13.58 MiB at depth 26 and
+    25.58 MiB at depth 27.
 
     Parameters
     ----------
@@ -336,17 +338,15 @@ def generate_leaf_signs(params: CascadeParams, depth: int) -> LeafSignField:
     table = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     spread = np.packbits(table.repeat(b, axis=1), axis=1).view(f"V{b}")
     parents = np.zeros(1, dtype=np.uint8)  # generation 0: the empty product
-    buf = np.empty(min(b**depth, _CHUNK), dtype=np.uint8)
     for level in range(1, depth + 1):
         count = b**level
         packed = np.empty((count + 7) // 8, dtype=np.uint8)
         # chunk starts are multiples of 2^22, hence of 8
         for lo in range(0, count, _CHUNK):
             hi = min(lo + _CHUNK, count)
-            part = streams.sign_bits(seed_state, b, level, lo, hi - lo,
-                                     threshold, out=buf[:hi - lo])
-            out = packed[lo // 8:(hi + 7) // 8]
-            out[:] = np.packbits(part)
+            out = streams.sign_bits(seed_state, b, level, lo, hi - lo,
+                                    threshold,
+                                    out=packed[lo // 8:(hi + 7) // 8])
             # node lo + i takes parent lo // b + i // b (its own when b
             # divides lo): the spread bits from the one of parent lo // b,
             # which sits `shift` bits into byte `skip` of the rows
@@ -354,12 +354,10 @@ def generate_leaf_signs(params: CascadeParams, depth: int) -> LeafSignField:
             rows = rows.view(np.uint8).ravel()
             skip, shift = divmod(lo // b % 8 * b, 8)
             if shift:
-                # each byte takes the high bits of the next, shifted into
-                # the hashing buffer, which is free; the rows may end
-                # before the last byte's, which are padding
+                # each byte takes the high bits of the next; the rows may
+                # end before the last byte's, which are padding
                 n = min(out.size, rows.size - skip - 1)
-                out[:n] ^= np.right_shift(rows[skip + 1:skip + 1 + n],
-                                          8 - shift, out=buf[:n])
+                out[:n] ^= rows[skip + 1:skip + 1 + n] >> (8 - shift)
                 rows <<= shift
             out ^= rows[skip:skip + out.size]
             if hi % 8:  # clear the padding bits past the level's last node

@@ -272,6 +272,7 @@ def _table_text(table: np.ndarray, fmt: str, row_end: str,
                 spliced += [(fmt % value).encode(), part]
             data = b"".join(spliced)
         yield data
+        del data  # not held while the next block is built
 
 
 def metadata_items(config: Mapping[str, object]) -> list[tuple[str, str]]:

@@ -37,7 +37,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO64 = 1 << 64
 
 #: Words hashed per block in :func:`sign_bits`: the block's three uint64
-#: buffers (1.5 MiB) stay in a 2 MiB L2 cache.
+#: buffers (1.5 MiB) and its bool block stay in a 2 MiB L2 cache.  A
+#: multiple of 8, so every block packs into whole bytes.
 _BLOCK = 2**16
 
 
@@ -101,30 +102,27 @@ def sign_threshold(p_plus: float) -> int:
 
 
 def sign_bits(seed_state: np.uint64, base: int, level: int, start: int,
-              count: int, threshold: int, *,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Sign bits (0 = +1, 1 = -1) for a contiguous run of level nodes.
+              count: int, threshold: int, *, out: np.ndarray) -> np.ndarray:
+    """Packed sign bits of a contiguous run of level nodes, into ``out``.
 
     ``start`` is the in-level index of the first node; ``threshold``
-    comes from :func:`sign_threshold`.  The run is hashed in blocks of
-    ``_BLOCK`` words that reuse the same cache-resident buffers, so the
-    scratch memory is bounded whatever ``count`` is; the words are those
-    of :func:`node_words`, block by block.
+    comes from :func:`sign_threshold`.  ``out`` must be a 1-D uint8
+    array of (count + 7) // 8 bytes, which is filled and returned: bit k
+    of the run, in numpy packbits order, is 1 when node start + k has
+    sign -1 (its :func:`node_words` word is at least ``threshold``), and
+    the padding bits past the run are 0.  A wrong buffer raises
+    ``ValueError`` before anything is hashed.
 
-    The bits go into ``out`` when given, a 1-D uint8 array of ``count``
-    entries, which is returned; a wrong buffer raises ``ValueError``
-    before anything is hashed.  Otherwise a new array is returned.
+    The run is hashed in blocks of ``_BLOCK`` words that reuse the same
+    cache-resident buffers, so the scratch memory is bounded whatever
+    ``count`` is; each block is thresholded into a reused bool block and
+    packed into its ``_BLOCK // 8`` bytes of ``out``.
     """
-    if out is None:
-        out = np.empty(count, dtype=np.uint8)
-    elif out.dtype != np.uint8 or out.shape != (count,):
-        raise ValueError(f"out must be a uint8 array of shape ({count},), "
-                         f"got {out.dtype} {out.shape}")
+    if out.dtype != np.uint8 or out.shape != ((count + 7) // 8,):
+        raise ValueError(f"out must be a uint8 array of shape "
+                         f"({(count + 7) // 8},), got {out.dtype} {out.shape}")
     if threshold >= _TWO64:
         out[...] = 0
-        return out
-    if threshold <= 0:
-        out[...] = 1
         return out
     size = min(count, _BLOCK)
     # (i + 1) * GOLDEN + seed_state for consecutive node indices i is an
@@ -134,6 +132,7 @@ def sign_bits(seed_state: np.uint64, base: int, level: int, start: int,
     ladder *= GOLDEN
     z = np.empty(size, dtype=np.uint64)
     tmp = np.empty(size, dtype=np.uint64)
+    minus = np.empty(size, dtype=np.bool_)
     limit = np.uint64(threshold)
     first = level_offset(base, level) + start + 1
     for lo in range(0, count, _BLOCK):
@@ -141,5 +140,6 @@ def sign_bits(seed_state: np.uint64, base: int, level: int, start: int,
         ctr = ((first + lo) * int(GOLDEN) + int(seed_state)) % _TWO64
         np.add(ladder[:n], np.uint64(ctr), out=z[:n])
         _mix64_inplace(z[:n], tmp[:n])
-        np.greater_equal(z[:n], limit, out=out[lo:lo + n].view(np.bool_))
+        np.greater_equal(z[:n], limit, out=minus[:n])
+        out[lo // 8:(lo + n + 7) // 8] = np.packbits(minus[:n])
     return out

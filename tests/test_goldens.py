@@ -238,21 +238,25 @@ def _window_args(count):
 
 
 def test_sign_bits_window_bits():
-    """An unaligned window spanning several 2^16-word blocks."""
-    bits = streams.sign_bits(*_window_args(3 * 2**16 + 7))
-    assert bits.dtype == np.uint8
-    assert bits.shape == (3 * 2**16 + 7,)
-    assert hashlib.sha256(bits.tobytes()).hexdigest() == \
+    """An unaligned window spanning several 2^16-word blocks, packed into
+    whole bytes with zero padding; the digest is of its unpacked bits."""
+    count = 3 * 2**16 + 7
+    bits = streams.sign_bits(*_window_args(count),
+                             out=np.empty((count + 7) // 8, dtype=np.uint8))
+    assert bits.shape == ((count + 7) // 8,)
+    assert bits[-1] & (0xFF >> count % 8) == 0  # the padding bits
+    unpacked = np.unpackbits(bits, count=count)
+    assert hashlib.sha256(unpacked.tobytes()).hexdigest() == \
         "40f903aa3c411a3b1e9c25563b3886e93350f216dbc6e13097e7d1c6d9ea2914"
 
 
 @pytest.mark.parametrize("threshold", [None, 0, 2**64])
 def test_sign_bits_empty_window(threshold):
-    """count = 0 gives an empty uint8 array, on every threshold branch."""
+    """count = 0 fills an empty uint8 array, hashed or not."""
     args = list(_window_args(0))
     if threshold is not None:
         args[-1] = threshold
-    bits = streams.sign_bits(*args)
+    bits = streams.sign_bits(*args, out=np.empty(0, dtype=np.uint8))
     assert bits.dtype == np.uint8
     assert bits.shape == (0,)
 

@@ -14,8 +14,8 @@ import pytest
 
 from cascadekit import streams
 from cascadekit.cli import main
+from cascadekit import fractal
 from cascadekit.core import (
-    _CHUNK,
     _SLICE,
     CascadeParams,
     build_path,
@@ -109,25 +109,47 @@ def test_box_counting_memory_does_not_grow_with_column_width():
 
 
 def _expansion_bound(b, n):
-    """The packed parents and the packed field, the hashing buffer and
-    the three uint64 blocks ``streams.sign_bits`` hashes it in."""
-    return (b**(n - 1) + 7) // 8 + (b**n + 7) // 8 + _CHUNK \
-        + 3 * 8 * streams._BLOCK
+    """The packed parents and the packed field, and the three uint64
+    blocks and the bool block ``streams.sign_bits`` hashes in."""
+    return (b**(n - 1) + 7) // 8 + (b**n + 7) // 8 \
+        + 3 * 8 * streams._BLOCK + streams._BLOCK
 
 
 @pytest.mark.parametrize("b, n", [(2, 23), (2, 26), (3, 14), (5, 10)])
 def test_leaf_expansion_holds_two_levels_and_one_chunk(b, n):
-    """Every level is hashed chunk by chunk into one reused buffer,
-    packed, and XORed byte by byte with its spread parents: no unpacked
-    level or parent range, and no per-chunk copies of the fresh bits or
-    of their XOR.  At b = 2, depth 26 the level before the last held
-    unpacked peaked at 52 MiB, and unpacking each chunk's parents took
-    2.125 chunks above the two levels.  At b = 5 the parents of the
+    """Every level is hashed chunk by chunk straight into its packed
+    bytes and XORed there, byte by byte, with its spread parents: no
+    node is held one byte per node, and the chunk's spread parents come
+    after the hashing.  At b = 2, depth 26 the level before the last
+    held unpacked peaked at 52 MiB, unpacking each chunk's parents took
+    2.125 chunks above the two levels, and hashing each chunk into a
+    one-byte-per-node buffer took 5.5 MiB.  At b = 5 the parents of the
     chunks past the first are shifted across bytes."""
     params = CascadeParams(base=b, hurst=0.7, seed=3)
     field, peak = _peak(generate_leaf_signs, params, n)
     assert field.packed.nbytes == (b**n + 7) // 8
     assert peak <= _expansion_bound(b, n) + SLACK
+
+
+def _fractal_bound(b, n):
+    """The largest of the three phases of ``fractal --profile``: drawing
+    the field; the summary pass, which holds the field, the summary and
+    one slice (its floats, the indices of its bytes and its min/max
+    pyramid, each at most 8 bytes per sample); and the increment fit,
+    which holds the summary and four float temporaries and a bool mask
+    per increment sample.  The summary is 8 bytes per increment sample,
+    at most b^(n-6) + 1 of them, 16 per block of the extrema table and
+    up to two edge extrema of at most 256 bytes each per pointwise
+    ball."""
+    increments = b**(n - 6) + 1
+    width = b**min(n, fractal._log_at_most(b, fractal._SLICE))
+    block = b**fractal._log_at_most(b, fractal._BLOCK)
+    balls = fractal.PROFILE_POINTS \
+        * (fractal.HOLDER_J_RANGE[1] - fractal.HOLDER_J_RANGE[0] + 1)
+    summary = 8 * increments + 16 * (b**n // block) + 512 * balls
+    return max(_expansion_bound(b, n),
+               (b**n + 7) // 8 + summary + 3 * 8 * width,
+               summary + (4 * 8 + 1) * increments)
 
 
 @pytest.mark.parametrize("b, n, ranges", [
@@ -136,13 +158,14 @@ def test_leaf_expansion_holds_two_levels_and_one_chunk(b, n):
 ])
 def test_fractal_command_never_holds_the_path(b, n, ranges, tmp_path):
     """``fractal --profile`` reads its fits from one pass over the packed
-    field: its peak is that of drawing the field, far below the
-    8·(b^n + 1) bytes of a full-resolution path."""
+    field, far below the 8·(b^n + 1) bytes of a full-resolution path.
+    At b = 2 the increment fit sets the peak, at b = 3 drawing the
+    field."""
     code, peak = _peak(main, ["fractal", "--profile", "--b", str(b),
                               "--n", str(n), "--H", "0.7", *ranges,
                               "--outdir", str(tmp_path)])
     assert code in (0, 1)
-    assert peak <= _expansion_bound(b, n) + SLACK
+    assert peak <= _fractal_bound(b, n) + SLACK
     assert peak < 8 * b**n / 3
 
 
@@ -156,24 +179,25 @@ def path_table():
 
 def test_csv_writer_holds_one_block_of_text(path_table, tmp_path):
     """The float table's text is built and written one block of rows at a
-    time: one column's working arrays and character rows, the other
-    column's rows and the text of the block before, 240 bytes per block
-    row for two columns (the peak is 221 above ``SLACK``), whatever the
-    number of rows (``%`` cell by cell peaked at 7.2 MiB on this
-    table)."""
+    time: one column's working arrays and character rows and the other
+    column's rows, 200 bytes per block row for two columns (the peak is
+    181 above ``SLACK``; holding the text of the block before took 221),
+    whatever the number of rows (``%`` cell by cell peaked at 7.2 MiB on
+    this table)."""
     table = path_rows(path_table)
     assert table.shape == (2**16 + 1, 2)
     _, peak = _peak(write_csv, tmp_path / "p.csv", ["t", "value"], table,
                     {"tool": "cascadekit"})
-    assert peak <= 240 * _BLOCK_ROWS + SLACK
+    assert peak <= 200 * _BLOCK_ROWS + SLACK
 
 
 def test_svg_writer_holds_the_points_and_one_block(path_table, tmp_path):
     """The SVG writer holds the scaled points, 32 bytes per row (x and y,
-    and their two-column table), plus one block of their text at 96
-    bytes per block row (the peak is 84 above the points and ``SLACK``;
-    ``%`` cell by cell peaked at 7.5 MiB)."""
+    and their two-column table), plus one block of their text at 80
+    bytes per block row (the peak is 70 above the points and ``SLACK``,
+    84 while the text of the block before was held; ``%`` cell by cell
+    peaked at 7.5 MiB)."""
     rows = path_table.values.size
     _, peak = _peak(write_svg_polyline, tmp_path / "p.svg", path_table.grid,
                     path_table.values, {"tool": "cascadekit"})
-    assert peak <= 32 * rows + 96 * _BLOCK_ROWS + SLACK
+    assert peak <= 32 * rows + 80 * _BLOCK_ROWS + SLACK

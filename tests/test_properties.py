@@ -199,6 +199,13 @@ def test_sampler_guards_raise_before_the_thread_map(monkeypatch):
         sample_terminal_depths(params, (40, 70), 10)
 
 
+def _unpacked_sign_bits(state, base, level, start, count, threshold):
+    """``streams.sign_bits`` of the run unpacked, one uint8 0/1 per node."""
+    out = np.empty((count + 7) // 8, dtype=np.uint8)
+    streams.sign_bits(state, base, level, start, count, threshold, out=out)
+    return np.unpackbits(out, count=count)
+
+
 @PROPERTY
 @given(params=params_st, level=st.integers(1, 9), data=st.data())
 def test_sign_bits_independent_of_split(params, level, data):
@@ -210,30 +217,38 @@ def test_sign_bits_independent_of_split(params, level, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
     state = streams.premix_seed(params.seed)
     threshold = streams.sign_threshold(params.p_plus)
-    whole = streams.sign_bits(state, b, level, start, count, threshold)
+    whole = _unpacked_sign_bits(state, b, level, start, count, threshold)
     edges = [0, *cuts, count]
-    pieces = [streams.sign_bits(state, b, level, start + lo, hi - lo,
-                                threshold)
+    pieces = [_unpacked_sign_bits(state, b, level, start + lo, hi - lo,
+                                  threshold)
               for lo, hi in zip(edges, edges[1:])]
     assert np.array_equal(np.concatenate(pieces), whole)
 
 
 @PROPERTY
 @given(params=params_st, level=st.integers(18, 20),
-       count=st.integers(2**16 + 1, 3 * 2**16 + 100), data=st.data())
-def test_sign_bits_are_thresholded_node_words(params, level, count, data):
-    """Windows spanning several 2^16-word hashing blocks give the sign of
-    each node's word, computed one array at a time by node_words."""
+       count=st.integers(2**16 + 1, 3 * 2**16 + 100),
+       start=st.integers(0, 3**20))
+@example(params=CascadeParams(base=2, hurst=0.7, seed=1), level=18,
+         count=2**17 + 5, start=3)
+@example(params=CascadeParams(base=3, hurst=None, seed=2), level=19,
+         count=3 * 2**16 + 99, start=12347)
+def test_sign_bits_are_thresholded_node_words(params, level, count, start):
+    """Windows spanning several 2^16-word hashing blocks, from any start
+    and of any length, give the packed sign of each node's word, computed
+    one array at a time by node_words, with zero padding."""
     b = params.base
-    start = data.draw(st.integers(0, b**level - count))
+    start %= b**level - count + 1
     state = streams.premix_seed(params.seed)
     threshold = streams.sign_threshold(params.p_plus)
     first = streams.level_offset(b, level) + start
     words = streams.node_words(
         state, np.arange(first, first + count, dtype=np.uint64))
-    expected = (words.astype(object) >= threshold).astype(np.uint8)
+    expected = np.packbits((words.astype(object) >= threshold).astype(bool))
+    out = np.empty((count + 7) // 8, dtype=np.uint8)
     assert np.array_equal(
-        streams.sign_bits(state, b, level, start, count, threshold), expected)
+        streams.sign_bits(state, b, level, start, count, threshold, out=out),
+        expected)
 
 
 @PROPERTY
@@ -246,7 +261,7 @@ def test_deeper_field_expands_shallower_leaves(params, n, k):
     threshold = streams.sign_threshold(params.p_plus)
     bits = generate_leaf_signs(params, n).leaf_bits()
     for level in range(n + 1, n + k + 1):
-        bits = np.repeat(bits, b) ^ streams.sign_bits(
+        bits = np.repeat(bits, b) ^ _unpacked_sign_bits(
             state, b, level, 0, b**level, threshold)
     assert np.array_equal(bits, generate_leaf_signs(params, n + k).leaf_bits())
 
@@ -262,7 +277,7 @@ def test_deeper_field_expands_shallower_leaves_across_chunks():
     state = streams.premix_seed(params.seed)
     threshold = streams.sign_threshold(params.p_plus)
     bits = np.repeat(generate_leaf_signs(params, 13).leaf_bits(), 3) \
-        ^ streams.sign_bits(state, 3, 14, 0, 3**14, threshold)
+        ^ _unpacked_sign_bits(state, 3, 14, 0, 3**14, threshold)
     assert np.array_equal(bits, generate_leaf_signs(params, 14).leaf_bits())
 
 
@@ -294,7 +309,8 @@ def _unpacked_expansion(params, depth, chunk):
         packed = np.empty((count + 7) // 8, dtype=np.uint8)
         for lo in range(0, count, chunk):
             hi = min(lo + chunk, count)
-            part = streams.sign_bits(state, b, level, lo, hi - lo, threshold)
+            part = _unpacked_sign_bits(state, b, level, lo, hi - lo,
+                                       threshold)
             first = lo // b
             bits = np.unpackbits(parents)[first:first + (hi - lo + b - 1) // b]
             part ^= np.repeat(bits, b)[:hi - lo]

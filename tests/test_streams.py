@@ -70,12 +70,20 @@ def test_sign_threshold_edges():
     assert abs(mid - 2**63) <= 1
 
 
+def _unpacked(state, base, level, start, count, threshold):
+    """The run's sign bits unpacked, one uint8 0/1 per node."""
+    out = np.empty((count + 7) // 8, dtype=np.uint8)
+    sign_bits(state, base, level, start, count, threshold, out=out)
+    return np.unpackbits(out, count=count)
+
+
 def test_sign_bits_shortcuts():
+    """Threshold 0 sets every bit and 2^64 none; the padding stays 0."""
     state = premix_seed(7)
-    ones = sign_bits(state, 2, 3, 0, 8, 0)
-    zeros = sign_bits(state, 2, 3, 0, 8, 2**64)
-    assert np.all(ones == 1)
-    assert np.all(zeros == 0)
+    ones = sign_bits(state, 2, 3, 0, 11, 0, out=np.empty(2, np.uint8))
+    zeros = sign_bits(state, 2, 3, 0, 11, 2**64, out=np.empty(2, np.uint8))
+    assert ones.tolist() == [0xFF, 0xE0]
+    assert zeros.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
@@ -84,8 +92,8 @@ def test_sign_bits_window_consistency(seed):
     level: node draws depend only on (seed, node index)."""
     state = premix_seed(seed)
     thr = sign_threshold(0.7)
-    full = sign_bits(state, 2, 5, 0, 32, thr)
-    part = sign_bits(state, 2, 5, 10, 9, thr)
+    full = _unpacked(state, 2, 5, 0, 32, thr)
+    part = _unpacked(state, 2, 5, 10, 9, thr)
     assert np.array_equal(part, full[10:19])
 
 
@@ -93,29 +101,35 @@ def test_sign_bits_frequency():
     """At p_plus = 0.9 about 10% of a large level should be minus."""
     state = premix_seed(3)
     thr = sign_threshold(0.9)
-    bits = sign_bits(state, 2, 20, 0, 2**18, thr)
+    bits = _unpacked(state, 2, 20, 0, 2**18, thr)
     frac = bits.mean()
     assert 0.09 < frac < 0.11
 
 
 @pytest.mark.parametrize("threshold", [2**64, 0, sign_threshold(0.7)])
 def test_sign_bits_into_buffer(threshold):
-    """``out=`` fills and returns the caller's buffer with the bits of the
-    allocating call, on every threshold branch."""
+    """``out`` is filled and returned with the packed thresholded node
+    words, its padding cleared, on every threshold branch."""
     state = premix_seed(5)
-    want = sign_bits(state, 2, 19, 321, 2**17 + 3, threshold)
-    buf = np.full(2**17 + 3, 7, dtype=np.uint8)
-    got = sign_bits(state, 2, 19, 321, 2**17 + 3, threshold, out=buf)
+    count = 2**17 + 3
+    first = level_offset(2, 19) + 321
+    words = node_words(state, np.arange(first, first + count,
+                                        dtype=np.uint64))
+    want = np.packbits((words.astype(object) >= threshold).astype(bool))
+    buf = np.full((count + 7) // 8, 0xA5, dtype=np.uint8)
+    got = sign_bits(state, 2, 19, 321, count, threshold, out=buf)
     assert got is buf
     assert np.array_equal(buf, want)
 
 
-@pytest.mark.parametrize("buf", [np.empty(99, dtype=np.uint8),
-                                 np.empty(101, dtype=np.uint8),
-                                 np.empty(100, dtype=np.int8),
-                                 np.empty(100, dtype=np.uint64),
-                                 np.empty((10, 10), dtype=np.uint8)])
+@pytest.mark.parametrize("buf", [np.empty(12, dtype=np.uint8),
+                                 np.empty(14, dtype=np.uint8),
+                                 np.empty(13, dtype=np.int8),
+                                 np.empty(13, dtype=np.uint64),
+                                 np.empty((1, 13), dtype=np.uint8),
+                                 np.empty(100, dtype=np.uint8)])
 def test_sign_bits_rejects_a_wrong_buffer_before_hashing(buf, monkeypatch):
+    """100 nodes take 13 packed bytes, not one byte each."""
     def no_hashing(*args):
         raise AssertionError("hashed before checking the buffer")
 
