@@ -9,9 +9,10 @@ Subcommands map one-to-one onto the library layers:
   fractal    box dimension and Hölder estimates -> CSV + JSON
   density    characteristic function and inverted density -> CSVs
 
-Only ``clt`` loads scipy, for the standard normal CDF of its KS
-distances (see :func:`cascadekit.stats.ks_statistic`); importing this
-module and every other subcommand load numpy and nothing heavier.
+Importing this module and every subcommand load numpy and nothing
+heavier; ``clt``'s KS distances evaluate the standard normal CDF with a
+local port of Cephes' ``ndtr`` (see
+:func:`cascadekit.stats.ks_statistic`).
 
 Configuration can come from flags or from a ``key = value`` file passed
 with --config (on/off keys take true or false); explicit flags always win

@@ -19,9 +19,15 @@ seed, so they are frozen here rather than configurable.
 
 Hashing runs in the calling thread, one worker.  Since a word depends
 only on its node index, a window's blocks could be hashed on several
-threads with the same bits, but each block is about ten ufunc calls of
-tens of microseconds, too short for threads to overlap under the
-interpreter lock: a two-thread split made the hashing slower.
+threads with the same bits, and on a 2-vCPU host a 2^24-word run split
+between two threads took 0.62-0.70 of one thread's time.  A whole
+``simulate`` gained nothing from it, though: medians of 0.196 s with one
+thread and 0.201 s with two (two faster in 9 of 16 rounds), while the
+``paths`` benchmark's peak RSS rose from 80.7 to 83.6-83.9 MiB.  The
+ufuncs are bound by memory bandwidth, and the second vCPU adds little
+to it: two hashing processes side by side each took 2.4 times as long
+as one alone (120 ms against 49.8 ms).  Pipelining the next depth's
+hashing behind ``simulate``'s writers saved 0-3 %.
 """
 
 from __future__ import annotations

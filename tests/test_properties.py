@@ -1,7 +1,8 @@
 """Property tests of the determinism contracts of the node streams, the
 sign fields and the count-chain samplers (whatever the number of worker
 threads or the set of depths recorded), of the terminal CLT trend drawn
-from one chain, of the moment recursion's log-sum-exp, of the
+from one chain, of the moment recursion's log-sum-exp and the KS distances' normal
+CDF against scipy's bits, of the
 exactness of the fractal estimators' block extrema, of the path's bits
 under any slice size, of the fractal fits read straight from the packed
 field, and of the float-table text kernel against Python's ``%``."""
@@ -15,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
 from cascadekit import core, streams
 from cascadekit.fractal import (
@@ -39,7 +40,7 @@ from cascadekit.core import (
 )
 from cascadekit import reports
 from cascadekit.moments import _logsumexp
-from cascadekit.stats import clt_terminal_trend
+from cascadekit.stats import _ndtr, clt_terminal_trend
 
 #: Replica chunk size of the samplers.
 CHUNK = 8192
@@ -120,6 +121,27 @@ def test_logsumexp_matches_scipy_bits(terms, data):
     got = np.float64(_logsumexp(a))
     assert got.tobytes() == np.float64(logsumexp(a)).tobytes()
 
+
+
+#: Inputs where the normal CDF changes branch or goes to its limits:
+#: signed zeros and infinities, the smallest subnormal, |a| = 1, sqrt(2)
+#: (erfc's z = 1) and 8 sqrt(2) (z = 8), each with its neighbouring
+#: floats, the underflow edge of exp(-z^2) near -37.7, and huge values.
+_NDTR_EDGES = [0.0, -0.0, math.inf, -math.inf, 5e-324, 8 * math.sqrt(2),
+               -8 * math.sqrt(2), -37.6, -37.7, -38.2, 1e300, -1e300] + [
+    math.nextafter(s, toward) for v in (1.0, math.sqrt(2)) for s in (v, -v)
+    for toward in (-math.inf, s, math.inf)]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(a=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                            allow_subnormal=True), min_size=1, max_size=50))
+@example(a=_NDTR_EDGES)
+def test_ndtr_matches_scipy_bits(a):
+    """The local normal CDF gives scipy's ``ndtr`` bits on every float,
+    non-finite and subnormal ones included."""
+    a = np.array(a)
+    assert _ndtr(a).tobytes() == ndtr(a).tobytes()
 
 @PROPERTY
 @given(params=params_st, n=st.integers(0, 10), k=st.integers(1, 2))

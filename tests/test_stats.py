@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cascadekit import stats
 from cascadekit.core import CapacityError, CascadeParams
 from cascadekit.stats import (
     D_THRESHOLD_CRITICAL,
@@ -33,6 +34,54 @@ def test_ks_statistic_basics():
     u = (np.arange(1, 11) - 0.5) / 10
     d = ks_statistic(u, reference_cdf=lambda x: x)
     assert math.isclose(d, 0.05, rel_tol=1e-12)
+
+
+def _ks_every_point(samples, cdf):
+    """The order-statistic form with the CDF evaluated at every sorted
+    sample, ties included."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    f = cdf(xs)
+    n = xs.size
+    i = np.arange(1, n + 1)
+    return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
+
+
+#: A lattice sample with ties, one sample, a sample holding NaN and a
+#: constant sample.
+TIED_SAMPLES = {
+    "lattice": np.random.default_rng(5).integers(-6, 7, 3000) / 4.0,
+    "single": np.array([0.3]),
+    "nan": np.array([0.5, np.nan, -1.0, 0.5, np.nan, 2.0]),
+    "constant": np.full(500, -0.25),
+}
+
+
+@pytest.mark.parametrize("cdf", [None, lambda x: np.clip(x / 4 + 0.5, 0, 1)],
+                         ids=["ndtr", "uniform"])
+@pytest.mark.parametrize("case", sorted(TIED_SAMPLES))
+def test_ks_evaluates_the_cdf_once_per_distinct_value(case, cdf):
+    """The CDF sees each distinct sample once, in strictly increasing
+    order, and the distance keeps the bits of the CDF evaluated at every
+    sorted sample."""
+    samples = TIED_SAMPLES[case]
+    reference = stats._ndtr if cdf is None else cdf
+    seen = []
+
+    def spy(x):
+        seen.append(x.copy())
+        return reference(x)
+
+    got = ks_statistic(samples, spy)
+    (inputs,) = seen
+    finite = inputs[~np.isnan(inputs)]
+    assert np.all(np.diff(finite) > 0)
+    assert np.array_equal(finite, np.unique(samples[~np.isnan(samples)]))
+    assert inputs.size - finite.size == np.isnan(samples).sum()
+    want = _ks_every_point(samples, reference)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if cdf is None:
+        assert np.float64(ks_statistic(samples)).tobytes() == \
+            np.float64(got).tobytes()
 
 
 def test_ks_threshold_and_calibration():
