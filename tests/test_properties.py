@@ -1,11 +1,11 @@
 """Property tests of the determinism contracts of the node streams, the
 sign fields and the count-chain samplers (whatever the number of worker
 threads or the set of depths recorded), of the terminal CLT trend drawn
-from one chain, of the moment recursion's log-sum-exp and the KS distances' normal
-CDF against scipy's bits, of the
-exactness of the fractal estimators' block extrema, of the path's bits
-under any slice size, of the fractal fits read straight from the packed
-field, and of the float-table text kernel against Python's ``%``."""
+from one chain, of the moment recursion's log-sum-exp and the KS
+distances' normal CDF against scipy's bits, of the exactness of the
+fractal estimators' block extrema, of the path's bits under any slice
+size, of the fractal fits read straight from the packed field, and of
+the float-table text kernel against Python's ``%``."""
 
 import math
 import struct
@@ -122,11 +122,11 @@ def test_logsumexp_matches_scipy_bits(terms, data):
     assert got.tobytes() == np.float64(logsumexp(a)).tobytes()
 
 
-
 #: Inputs where the normal CDF changes branch or goes to its limits:
-#: signed zeros and infinities, the smallest subnormal, |a| = 1, sqrt(2)
-#: (erfc's z = 1) and 8 sqrt(2) (z = 8), each with its neighbouring
-#: floats, the underflow edge of exp(-z^2) near -37.7, and huge values.
+#: signed zeros and infinities, the smallest subnormal, |a| = 1 (erf to
+#: erfc) and sqrt(2) (erfc's z = 1) with their neighbouring floats,
+#: 8 sqrt(2) (z = 8), the underflow edge of exp(-z^2) near -37.7, and
+#: huge values.
 _NDTR_EDGES = [0.0, -0.0, math.inf, -math.inf, 5e-324, 8 * math.sqrt(2),
                -8 * math.sqrt(2), -37.6, -37.7, -38.2, 1e300, -1e300] + [
     math.nextafter(s, toward) for v in (1.0, math.sqrt(2)) for s in (v, -v)
