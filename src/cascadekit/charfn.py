@@ -54,9 +54,9 @@ MIN_X_POINTS = 4096
 #: of _X_BLOCK x-points, and each point of the t-grid costs
 #: _KERNEL_BYTES per x of a block at the peak (the float phase, the complex
 #: kernel and one complex temporary; tracemalloc reads 48.1), so 1 GiB
-#: admits t-grids of up to 43,690 points.
+#: admits t-grids of up to 349,525 points.
 MAX_INVERSION_BYTES = 2**30
-_X_BLOCK = 512
+_X_BLOCK = 64
 _KERNEL_BYTES = 48
 #: Half-width of the inversion's x-window, in standard deviations of Z.
 _SPAN_SDS = 14.0
@@ -234,12 +234,12 @@ def density_of_z(params: CascadeParams, *, x_points: int = MIN_X_POINTS,
     weights = np.full(n_t, t[1] - t[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
+    w_re = weights * phi.real
+    w_im = weights * phi.imag
     f = np.empty_like(x)
     for i in range(0, x.size, _X_BLOCK):
-        xb = x[i:i + _X_BLOCK]
-        kernel = np.exp(-1j * np.outer(t, xb))
-        f[i:i + _X_BLOCK] = (weights * phi.real) @ kernel.real \
-            - (weights * phi.imag) @ kernel.imag
+        kernel = np.exp(-1j * np.outer(t, x[i:i + _X_BLOCK]))
+        f[i:i + _X_BLOCK] = w_re @ kernel.real - w_im @ kernel.imag
     f /= math.pi
     return DensityResult(params=params, x=x, density=f, t=t, phi=phi,
                          depth=depth_used)

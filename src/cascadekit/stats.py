@@ -18,7 +18,11 @@ Conventions used throughout:
   * KS distances are against the standard normal CDF unless stated,
     evaluated by :func:`_ndtr`, a numpy port of Cephes' ``ndtr`` (with
     the C library's ``exp``) that gives scipy 1.17.1's bits without
-    importing scipy.
+    importing scipy.  :func:`ks_statistic` reads the sorted sample run
+    of ties by run and calls the CDF on its distinct values in blocks,
+    so its working set is the sorted copy and the run bounds.
+  * The checks scale and difference their draws in place, in the
+    buffers the samplers return.
   * Moment checks use 4-standard-error bands (two-sided z-scores), a
     per-test false-positive rate of about 6e-5.
   * All randomness flows from ``params.seed``; identical (params, n,
@@ -114,6 +118,8 @@ _U = (3.35617141647503099647E1, 5.21357949780152679795E2,
 #: log of the largest double: exp(-z^2) underflows to 0 below -MAXLOG.
 _MAXLOG = 7.09782712893383996843E2
 _SQRT1_2 = math.sqrt(0.5)
+#: Distinct values per call of the KS distance's CDF.
+_KS_BLOCK = 2**13
 
 
 def _polevl(x: np.ndarray, coef: tuple[float, ...],
@@ -133,36 +139,46 @@ def _erf_small(x: np.ndarray) -> np.ndarray:
     return x * _polevl(z, _T) / _polevl(z, _U, leading_one=True)
 
 
+def _erfc_tail(z: np.ndarray) -> np.ndarray:
+    """Cephes' erfc for z >= sqrt(1/2), each branch on its own elements:
+    1 - erf(z) below 1, exp(-z^2) P(z)/Q(z) below 8, exp(-z^2) R(z)/S(z)
+    from 8 up, and 0 where exp(-z^2) underflows."""
+    e = np.zeros_like(z)
+    near = z < 1.0
+    e[near] = 1.0 - _erf_small(z[near])
+    neg_sq = -z * z
+    live = ~(neg_sq < -_MAXLOG)
+    mid = z < 8.0
+    for part, num, den in ((live & mid & ~near, _P, _Q),
+                           (live & ~mid, _R, _S)):
+        zp = z[part]
+        ef = np.fromiter(map(math.exp, neg_sq[part].tolist()), float,
+                         zp.size)
+        e[part] = ef * _polevl(zp, num) / _polevl(zp, den, leading_one=True)
+    return e
+
+
 def _ndtr(a: np.ndarray) -> np.ndarray:
     """Standard normal CDF with the bits of scipy 1.17.1's
     ``scipy.special.ndtr``.
 
     Follows Cephes' ``ndtr``/``erf``/``erfc`` control flow: with
     x = a/sqrt(2) and z = |x|, 0.5 + 0.5 erf(x) for z < sqrt(1/2), else
-    y = 0.5 erfc(z), flipped to 1 - y for x > 0.  exp(-z^2) comes from
-    ``math.exp``, the C library's exp that the compiled code calls;
-    numpy's vectorized exp differs from it in the last bit on about 1 %
-    of inputs.  Every NaN input gives the default quiet NaN, as Cephes'
-    early return does.
+    y = 0.5 erfc(z), flipped to 1 - y for x > 0.  Each branch runs on
+    its own elements only.  exp(-z^2) comes from ``math.exp``, the C
+    library's exp that the compiled code calls; numpy's vectorized exp
+    differs from it in the last bit on about 1 % of inputs.  Every NaN
+    input gives the default quiet NaN, as Cephes' early return does.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
         x = a.reshape(-1) * _SQRT1_2
         z = np.abs(x)
-        y = 0.5 + 0.5 * _erf_small(x)
-        tail = ~(z < _SQRT1_2)
-        zt = z[tail]
-        e = 1.0 - _erf_small(zt)
-        far = ~(zt < 1.0)
-        zf = zt[far]
-        neg_sq = -zf * zf
-        ef = np.fromiter(map(math.exp, neg_sq.tolist()), float, zf.size)
-        mid = zf < 8.0
-        p = np.where(mid, _polevl(zf, _P), _polevl(zf, _R))
-        q = np.where(mid, _polevl(zf, _Q, leading_one=True),
-                     _polevl(zf, _S, leading_one=True))
-        e[far] = np.where(neg_sq < -_MAXLOG, 0.0, ef * p / q)
-        yt = 0.5 * e
+        y = np.empty_like(x)
+        small = z < _SQRT1_2
+        y[small] = 0.5 + 0.5 * _erf_small(x[small])
+        tail = ~small
+        yt = 0.5 * _erfc_tail(z[tail])
         y[tail] = np.where(x[tail] > 0, 1.0 - yt, yt)
     y[np.isnan(x)] = np.nan
     return y.reshape(a.shape)
@@ -173,26 +189,37 @@ def ks_statistic(samples: np.ndarray, reference_cdf=None) -> float:
 
     ``reference_cdf=None`` means the standard normal CDF, :func:`_ndtr`: a
     numpy port of Cephes' rational approximations with libm's ``exp``,
-    bit-identical to scipy 1.17.1's ``scipy.special.ndtr``.  Uses the
-    two-sided order-statistic form
-    max_i max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N).  The CDF, which must
-    act elementwise, is called once on the distinct sorted values and
-    each result is repeated over its run of ties, so a lattice-valued
-    sample pays for its distinct values only.
+    bit-identical to scipy 1.17.1's ``scipy.special.ndtr``.  The distance
+    is the two-sided order-statistic form
+    max_i max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N), read run by run: a run
+    of equal sorted values at 0-based positions s..e-1 with CDF value F
+    contributes max(e/N - F, F - s/N), which is the maximum over its
+    positions bit for bit, because fl(i/N) and fl(a - F) are monotone.
+    So the call holds the sorted copy and the run bounds only.  The CDF,
+    which must act elementwise, is called on the distinct sorted values
+    in blocks of at most :data:`_KS_BLOCK`, in increasing order; a
+    lattice-valued sample pays for its distinct values only.  A NaN
+    sample makes the distance NaN.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
-    if xs.size == 0:
+    n = xs.size
+    if n == 0:
         raise ValueError("samples must be nonempty")
     if reference_cdf is None:
         reference_cdf = _ndtr
-    new = np.empty(xs.size, dtype=bool)
-    new[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=new[1:])
-    n = xs.size
-    starts = np.flatnonzero(new)
-    f = np.repeat(reference_cdf(xs[starts]), np.diff(starts, append=n))
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(xs[1:], xs[:-1], out=edge[1:n])
+    bounds = np.flatnonzero(edge)
+    del edge
+    starts, ends = bounds[:-1], bounds[1:]  # run k is xs[starts[k]:ends[k]]
+    d = -np.inf
+    for k in range(0, starts.size, _KS_BLOCK):
+        s = starts[k:k + _KS_BLOCK]
+        e = ends[k:k + _KS_BLOCK]
+        f = reference_cdf(xs[s])
+        d = np.maximum(d, np.max(np.maximum(e / n - f, f - s / n)))
+    return float(d)
 
 
 def _require_replicas(reps: int) -> None:
@@ -258,8 +285,8 @@ def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
                    else D_THRESHOLD_FAST)
     columns = sample_terminal_depths(params, depths, reps)
     reports = []
-    for n, z, divisor in zip(depths, columns, divisors):
-        x = z / divisor
+    for n, x, divisor in zip(depths, columns, divisors):
+        x /= divisor
         stats: dict[str, float] = {"ks_distance": ks_statistic(x)}
         thresholds: dict[str, float] = {"ks_distance": d_threshold}
         for q in range(1, 5):
@@ -306,7 +333,8 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     for params in runs:
         m2_n = closed_form_second_moment(params, n)
         scale = 1.0 / math.sqrt(m2_n)
-        y = scale * sample_terminal(params, n, reps)
+        y = sample_terminal(params, n, reps)
+        y *= scale
         d = ks_statistic(y)
         stats = {"ks_distance": d, "mean_z": _z_score(y, scale),
                  "m2_z": _z_score(y**2, 1.0),
@@ -339,16 +367,17 @@ def increments_gaussianity(params: CascadeParams, p: int, n: int,
     check_chain_depths(params.base, (n - p,))
     b = params.base
     cols = b**p
-    w = sample_branch_signs(params, p, reps).astype(float)
-    sub = sample_terminal(params, n - p, reps * cols)
-    sub = sub.reshape(reps, cols) / regime_divisor(params, n - p)
+    w = sample_branch_signs(params, p, reps)
+    incr = sample_terminal(params, n - p, reps * cols).reshape(reps, cols)
+    incr /= regime_divisor(params, n - p)
     factor = float(b) ** (-p / 2.0)
     if regime_of(params) is Regime.CRITICAL:
         factor *= math.sqrt((n - p) / n)
-    incr = w * sub * factor
+    incr *= w
+    incr *= factor
 
-    scaled = incr * float(b) ** (p / 2.0)
-    d_max = max(ks_statistic(scaled[:, j]) for j in range(cols))
+    standardize = float(b) ** (p / 2.0)
+    d_max = max(ks_statistic(incr[:, j] * standardize) for j in range(cols))
 
     target_var = float(b) ** (-p)
     variances = incr.var(axis=0, ddof=1)
@@ -389,10 +418,12 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
     if proxy_levels < 1:
         raise ValueError("the limit proxy needs proxy_levels >= 1; got "
                          f"proxy_levels = {proxy_levels}")
-    z_n, z_deep = sample_terminal_depths(params, (n, n + proxy_levels), reps)
+    z_n, resid = sample_terminal_depths(params, (n, n + proxy_levels), reps)
     sigma_resid = math.sqrt(float(limit_z_moments(params, 2)[1]) - 1.0)
     scale = sigma_resid * float(params.base) ** (n * (0.5 - params.hurst))
-    resid = (z_deep - z_n) / scale
+    resid -= z_n  # Z_(n+m) - Z_n in the deeper draw's buffer
+    del z_n
+    resid /= scale
     d = ks_statistic(resid)
     stats = {"ks_distance": d, "mean_z": _z_score(resid, 0.0),
              "sigma_resid": sigma_resid}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cascadekit.charfn import (
+    _X_BLOCK,
     _deviation_step,
     _ladder,
     charfn_at,
@@ -158,15 +159,15 @@ def test_density_regime_guards():
 
 
 def test_density_grid_budget_is_its_working_memory(monkeypatch):
-    """The t-grid budget is the kernel's working memory, 512 * 48 bytes
-    per grid point: the default run passes a budget of exactly its need,
-    and one point less is a CapacityError."""
+    """The t-grid budget is the kernel's working memory, _X_BLOCK * 48
+    bytes per grid point: the default run passes a budget of exactly its
+    need, and one point less is a CapacityError."""
     n_t = density_of_z(P07).t.size
     monkeypatch.setattr("cascadekit.charfn.MAX_INVERSION_BYTES",
-                        n_t * 512 * 48)
+                        n_t * _X_BLOCK * 48)
     assert density_of_z(P07).t.size == n_t
     monkeypatch.setattr("cascadekit.charfn.MAX_INVERSION_BYTES",
-                        (n_t - 1) * 512 * 48)
+                        (n_t - 1) * _X_BLOCK * 48)
     with pytest.raises(CapacityError, match=f"t-grid of {n_t} points"):
         density_of_z(P07)
 

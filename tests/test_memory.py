@@ -1,5 +1,5 @@
-"""Peak heap of the path-side stages and the writers, measured with
-``tracemalloc``.
+"""Peak heap of the path-side stages, the writers, the Monte-Carlo
+checks and the density inversion, measured with ``tracemalloc``.
 
 Numpy registers its data buffers with ``tracemalloc``, so the peak of a
 call counts every array it allocates, its result included.  Each bound
@@ -10,9 +10,10 @@ buffers.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from cascadekit import streams
+from cascadekit import charfn, stats, streams
 from cascadekit.cli import main
 from cascadekit import fractal
 from cascadekit.core import (
@@ -20,6 +21,7 @@ from cascadekit.core import (
     CascadeParams,
     build_path,
     generate_leaf_signs,
+    sample_terminal_depths,
 )
 from cascadekit.fractal import summarize_field
 from cascadekit.reports import (
@@ -201,3 +203,62 @@ def test_svg_writer_holds_the_points_and_one_block(path_table, tmp_path):
     _, peak = _peak(write_svg_polyline, tmp_path / "p.svg", path_table.grid,
                     path_table.values, {"tool": "cascadekit"})
     assert peak <= 32 * rows + 80 * _BLOCK_ROWS + SLACK
+
+
+#: Bytes per value that ``stats._ndtr`` holds at once: x, |x|, the result,
+#: the tail's |x|, erfc's result and -z^2, one branch's z, -z^2 and
+#: exp(-z^2) with its Horner temporaries, the branch masks, and the exp
+#: loop's Python floats and their list (32 bytes per value).  A block in
+#: the far tail, where every value takes the exp loop, traced 101.5.
+NDTR_BYTES = 104
+
+
+def _ks_bound(n):
+    """The sorted copy (8 bytes per sample), the run-edge mask (1 byte
+    per sample) and the run bounds (8 bytes per run, read as the two
+    views of run starts and ends), plus one CDF block: 2^13 values at
+    ``NDTR_BYTES`` each and the block's values, CDF and two differences,
+    8 bytes each."""
+    return 8 * n + (n + 1) + 8 * (n + 1) + 2**13 * (NDTR_BYTES + 4 * 8)
+
+
+def test_ks_holds_the_sorted_copy_and_one_cdf_block():
+    """A continuous sample has as many runs as samples, so the run bounds
+    are as large as the sorted copy, but the CDF and the differences are
+    held one block at a time (the per-sample CDF, index and difference
+    arrays peaked at 7.3 MB on these 10^5 samples)."""
+    n = 10**5
+    x = np.random.default_rng(1).standard_normal(n)
+    _, peak = _peak(stats.ks_statistic, x)
+    assert peak <= _ks_bound(n) + SLACK
+
+
+def test_residual_check_holds_one_draw_and_one_ks(monkeypatch):
+    """The residual is built in the deeper draw's buffer and the shallower
+    draw is dropped before the KS distance, so the check holds the two
+    draws (8 bytes per replica each) and then the residual and one KS
+    call (three draws, the residual and the KS arrays peaked at 9.8 MB).
+    The draws are replayed from copies, because the count chain's own
+    working set depends on how many threads it runs on."""
+    params = CascadeParams(base=2, hurst=0.7, seed=1)
+    reps, n = 10**5, 12
+    draws = sample_terminal_depths(params, (n, n + 12), reps)
+    monkeypatch.setattr(stats, "sample_terminal_depths",
+                        lambda *args: tuple(z.copy() for z in draws))
+    report, peak = _peak(stats.residual_clt_test, params, n, reps)
+    assert report.sample_size == reps
+    assert peak <= max(2 * 8 * reps, 8 * reps + _ks_bound(reps)) + SLACK
+
+
+def test_density_holds_the_t_grid_and_one_kernel_block():
+    """The x-grid and the density (8 bytes per x each), ten complex
+    arrays of the t-grid (the ladder's steps, phi and the weighted real
+    and imaginary parts), and one kernel block: ``_KERNEL_BYTES`` per
+    t-point for each of 64 columns.  At b = 2, H = 0.95 the t-grid has
+    319 points; 512-column blocks peaked at 7.9 MB."""
+    result, peak = _peak(charfn.density_of_z,
+                         CascadeParams(base=2, hurst=0.95))
+    n_t, n_x = result.t.size, result.x.size
+    assert n_t == 319
+    bound = 16 * n_x + 10 * 16 * n_t + n_t * 64 * charfn._KERNEL_BYTES
+    assert peak <= bound + SLACK

@@ -46,24 +46,28 @@ def _ks_every_point(samples, cdf):
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
-#: A lattice sample with ties, one sample, a sample holding NaN and a
-#: constant sample.
-TIED_SAMPLES = {
+#: A lattice sample with ties, one sample, a sample holding NaN, a
+#: constant sample, and a continuous sample whose distinct values fill
+#: three CDF blocks and five values of a fourth.
+KS_SAMPLES = {
     "lattice": np.random.default_rng(5).integers(-6, 7, 3000) / 4.0,
     "single": np.array([0.3]),
     "nan": np.array([0.5, np.nan, -1.0, 0.5, np.nan, 2.0]),
     "constant": np.full(500, -0.25),
+    "continuous": np.random.default_rng(6).standard_normal(
+        3 * stats._KS_BLOCK + 5),
 }
 
 
 @pytest.mark.parametrize("cdf", [None, lambda x: np.clip(x / 4 + 0.5, 0, 1)],
                          ids=["ndtr", "uniform"])
-@pytest.mark.parametrize("case", sorted(TIED_SAMPLES))
+@pytest.mark.parametrize("case", sorted(KS_SAMPLES))
 def test_ks_evaluates_the_cdf_once_per_distinct_value(case, cdf):
     """The CDF sees each distinct sample once, in strictly increasing
-    order, and the distance keeps the bits of the CDF evaluated at every
-    sorted sample."""
-    samples = TIED_SAMPLES[case]
+    order across calls of at most ``_KS_BLOCK`` values each, and the
+    distance keeps the bits of the CDF evaluated at every sorted
+    sample."""
+    samples = KS_SAMPLES[case]
     reference = stats._ndtr if cdf is None else cdf
     seen = []
 
@@ -72,7 +76,9 @@ def test_ks_evaluates_the_cdf_once_per_distinct_value(case, cdf):
         return reference(x)
 
     got = ks_statistic(samples, spy)
-    (inputs,) = seen
+    assert all(0 < x.size <= stats._KS_BLOCK for x in seen)
+    inputs = np.concatenate(seen)
+    assert len(seen) == -(-inputs.size // stats._KS_BLOCK)
     finite = inputs[~np.isnan(inputs)]
     assert np.all(np.diff(finite) > 0)
     assert np.array_equal(finite, np.unique(samples[~np.isnan(samples)]))
