@@ -9,9 +9,10 @@ the bytes of the files written.
 They pin the exact output of the stream hashing, the level expansion,
 the block sums of ``build_path``, the count chain, the chunked PCG64
 draws, the composition sums and log-sum-exps of the moment tables, the
-statistics of the terminal CLT trend, the regime divisors, the fractal
-window extrema and the writers' number formatting, so a rewrite of any
-of these must reproduce every bit, not just agree to a tolerance.
+enumeration oracle's weighted cell sums, the statistics of the terminal
+CLT trend, the regime divisors, the fractal window extrema and the
+writers' number formatting, so a rewrite of any of these must reproduce
+every bit, not just agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 
 from cascadekit import (
     CascadeParams,
+    brute_force_moments,
     build_path,
     clt_terminal_trend,
     generate_leaf_signs,
@@ -97,6 +99,14 @@ def _exact_cases():
         yield (f"zlog-b{b}-{tag}-n{n_max}-q{q_max}",
                lambda b=b, tag=tag, n_max=n_max, q_max=q_max:
                z_moment_recursion(_params(b, tag), n_max, q_max).log_values)
+    # the enumeration oracle in every regime, at integer H (p_minus = 0 at
+    # H = 1), symmetric, negative H and irrational b^(H-1)
+    for b, h in ((2, 0.7), (2, 0.0), (2, 1.0), (2, None), (3, 0.0),
+                 (2, -2.0), (2, 0.3), (2, 0.5), (2, 0.95), (3, 0.7)):
+        yield (f"oracle-b{b}-H{'sym' if h is None else h}",
+               lambda b=b, h=h: brute_force_moments(
+                   CascadeParams(base=b, hurst=h), 3 if b == 2 else 2,
+                   6).values)
 
 
 def _trend_cases():
@@ -153,6 +163,16 @@ GOLDENS = {
     "normalized-path-b2-H0.5": "43a7e1a4a33fd0b16788118ac4c174e08a7bc6ba23ac9a8b972c21f75000147c",
     "normalized-path-b2-H0.7": "4002afc561ef8412579c7a8cbef61e7b9b2233059fa8ef592107ec0508e83910",
     "normalized-path-b2-sym": "79d72a6b1fdef60bf2b70d61de5fa735c9b80ee76eaca8e215b99ddfdbeb91fc",
+    "oracle-b2-H-2.0": "894faee8e27a141d08bafe27494c293933f3996adb1c5152080f230f034f1ff4",
+    "oracle-b2-H0.0": "89579021ed88b678a2c13af05dfa246e255c2b0fb2d9dcd1692e05bf1c4d1452",
+    "oracle-b2-H0.3": "e668f3f18a19ca95f96987d29a92d1e880ebb011f4b3593da503a337f3c93b80",
+    "oracle-b2-H0.5": "9650282804575c7d0f3b7a012f4bcb1fe0e8dd465a7a5480c203eb401f30cf6a",
+    "oracle-b2-H0.7": "637329f48bf292e088c73617732588a151a284f59c94d71900143de7e3bd9358",
+    "oracle-b2-H0.95": "3a28f873a31beadcc5aec79f58fbaf78779ad1dd0fb5eb41d9f46e95b37bcb33",
+    "oracle-b2-H1.0": "d453d79d97d74088b2ff1846059ab2462f98d27e9838812a542352eec3338521",
+    "oracle-b2-Hsym": "b2331042a2c4fd15a40771bd82549bcb14c542e375e8b2379461156eae2202e1",
+    "oracle-b3-H0.0": "889362f1c5b17c44b8b871bde960e0683b7f85f8b49b4d362e47d568b3fbf3e7",
+    "oracle-b3-H0.7": "6373d407b7634d7cab91f6fa39b30d81194e4ba90a6a8f11c213dbf59fa2ddb2",
     "pair-b2-H0.3": "306f4d1a6d296b292d86c908a1bade8e6c74ef69e091ae6dd43fa01fae2c8188",
     "pair-b2-H0.5": "ba10857adfd44a787c6b8ae7dd599a12300bd4ff762a4d76dac745ff87827e0f",
     "pair-b2-H0.7": "ba55611b373fa7621a39108f9bf6225124ce0d21ce736486a5fdbb8167180408",
