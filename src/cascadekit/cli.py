@@ -41,6 +41,7 @@ import numpy as np
 from . import __version__
 from .charfn import MIN_X_POINTS, density_of_z
 from .core import (
+    DEFAULT_MAX_POINTS,
     CapacityError,
     CascadeParams,
     Regime,
@@ -173,9 +174,9 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                        help="comma-separated depths (default 8,12,18,27)")
     p_sim.add_argument("--normalize", action="store_true",
                        help="apply the regime divisor to each path")
-    p_sim.add_argument("--max-points", type=int, default=2**16,
+    p_sim.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
                        help="decimation threshold for stored/emitted "
-                            "points (default 65536)")
+                            f"points (default {DEFAULT_MAX_POINTS})")
     p_sim.add_argument("--formats", default="csv,svg",
                        help="comma list from {csv,svg} (default csv,svg)")
     registry["simulate"] = p_sim

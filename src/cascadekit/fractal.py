@@ -386,14 +386,19 @@ def increment_scaling_exponent(summary: FractalSummary) -> DimensionFit:
     zeros = 0
     for p in range(p_lo, p_hi + 1):
         step = b ** (p_hi - p)
-        incr = v[step::step] - v[:-step:step]
-        mags = np.abs(incr)
-        nz = mags > 0.0
-        zeros += int(mags.size - nz.sum())
-        if nz.sum() == 0:
+        # each step rebinds ``mags``, which frees the array before it:
+        # |increments|, the nonzero ones, then their base-b logs
+        mags = v[step::step] - v[:-step:step]
+        np.abs(mags, out=mags)
+        count = mags.size
+        mags = mags[mags > 0.0]
+        zeros += count - mags.size
+        if mags.size == 0:
             raise ValueError(f"all generation-{p} increments are zero")
+        mags = np.log(mags)
+        mags /= log_b
         ps.append(p)
-        means.append(float(np.mean(np.log(mags[nz]) / log_b)))
+        means.append(float(np.mean(mags)))
     slope, intercept, r2 = _ols(np.array(ps, dtype=float), np.array(means))
     return DimensionFit(kind="increment_exponent",
                         scales=np.array(ps), log_values=np.array(means),

@@ -35,7 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -82,16 +83,21 @@ class MomentTable:
     ``values[n, q]`` holds the moment (column 0 is a padding column of
     ones so q indexes directly).  ``log_values`` carries log-magnitudes,
     exact even where ``values`` overflowed to inf; such entries have
-    ``overflowed[n, q]`` set.  ``undefined`` marks rows outside the
-    table's domain (the critical normalization has no n = 0 row); they
-    hold NaN in both arrays.
+    ``overflowed[n, q]`` set.  ``undefined`` marks the entries outside the
+    table's domain, which hold NaN (the critical normalization has no
+    n = 0 row).  Both flags are read off the two arrays.
     """
 
     params: CascadeParams
     values: np.ndarray
     log_values: np.ndarray
-    overflowed: np.ndarray
-    undefined: np.ndarray
+    overflowed: np.ndarray = field(init=False)
+    undefined: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "overflowed", np.isinf(self.values)
+                           & np.isfinite(self.log_values))
+        object.__setattr__(self, "undefined", np.isnan(self.values))
 
     @property
     def n_max(self) -> int:
@@ -204,30 +210,22 @@ def _log_eps_moments(params: CascadeParams, q_max: int) -> np.ndarray:
     return out
 
 
-def _finalize_table(params: CascadeParams,
-                    log_vals: np.ndarray) -> MomentTable:
-    with np.errstate(over="ignore"):
-        vals = np.exp(log_vals)
-    overflowed = np.isinf(vals) & np.isfinite(log_vals)
-    if overflowed.any():
+def _table(params: CascadeParams, *, values: np.ndarray | None = None,
+           log_values: np.ndarray | None = None) -> MomentTable:
+    """A table from its values, whose log-magnitudes are log|v| (-inf
+    exactly where v = 0), or from its log-magnitudes, whose values are
+    their exponentials and may overflow to inf, with a warning."""
+    with np.errstate(divide="ignore", over="ignore"):
+        if values is None:
+            values = np.exp(log_values)
+        else:
+            log_values = np.log(np.abs(values))
+    table = MomentTable(params=params, values=values, log_values=log_values)
+    if table.overflowed.any():
         warnings.warn("moment table has entries beyond float64 range; "
                       "values flagged 'overflow', log magnitudes retained",
                       RuntimeWarning, stacklevel=3)
-    vals[:, 0] = 1.0
-    return MomentTable(params=params, values=vals, log_values=log_vals,
-                       overflowed=overflowed,
-                       undefined=np.zeros_like(overflowed))
-
-
-def _value_table(params: CascadeParams, vals: np.ndarray,
-                 undefined: np.ndarray) -> MomentTable:
-    """A table computed in the value domain, which cannot overflow; its
-    log-magnitudes are log|v|, -inf exactly where v = 0."""
-    with np.errstate(divide="ignore"):
-        log_vals = np.log(np.abs(vals))
-    return MomentTable(params=params, values=vals, log_values=log_vals,
-                       overflowed=np.zeros(vals.shape, dtype=bool),
-                       undefined=undefined)
+    return table
 
 
 def z_moment_recursion(params: CascadeParams, n_max: int,
@@ -269,7 +267,7 @@ def z_moment_recursion(params: CascadeParams, n_max: int,
             for part in parts:  # one add per part, in composition order
                 terms += v[part]
             nxt[q] = _logsumexp(terms)
-    return _finalize_table(params, log_vals)
+    return _table(params, log_values=log_vals)
 
 
 def limit_z_moments(params: CascadeParams, q_max: int) -> np.ndarray:
@@ -347,7 +345,6 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
 
     vals = np.zeros((n_max + 1, q_max + 1))
     vals[:, 0] = 1.0
-    undefined = np.zeros_like(vals, dtype=bool)
 
     def step(row: np.ndarray, r_n: float) -> np.ndarray:
         nxt = np.empty_like(row)
@@ -358,8 +355,7 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
         return nxt
 
     if reg is Regime.CRITICAL:
-        undefined[0, 1:] = True
-        vals[0, 1:] = np.nan
+        vals[0, 1:] = np.nan  # flagged undefined
         s = sigma(params)
         base_row = np.ones(q_max + 1)  # moments of Z_0 = 1
         z1 = step(base_row, 1.0)       # E(Z_1^q), prefactor b^(-q/2)
@@ -374,7 +370,7 @@ def normalized_moment_recursion(params: CascadeParams, n_max: int,
         r_n = math.sqrt(n / (n + 1.0)) if reg is Regime.CRITICAL else 1.0
         vals[n + 1] = step(vals[n], r_n)
 
-    return _value_table(params, vals, undefined)
+    return _table(params, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +383,6 @@ _ENUM_BUDGET = 2**24
 def _tree_sign_count(base: int, depth: int) -> int:
     """Number of sign draws in a full depth-``depth`` tree (levels 1..depth)."""
     return (base ** (depth + 1) - base) // (base - 1)
-
-
-def _rational_p_plus(params: CascadeParams) -> Fraction | None:
-    """p_plus as an exact Fraction when b^(H-1) is rational, else None."""
-    if params.is_symmetric:
-        return Fraction(1, 2)
-    h = params.hurst
-    if h == int(h):
-        k = int(h)
-        power = (Fraction(params.base) ** (k - 1))
-        return (1 + power) / 2
-    return None
 
 
 def _aggregate_counts(base: int, depth: int) -> np.ndarray:
@@ -433,61 +417,47 @@ def _aggregate_counts(base: int, depth: int) -> np.ndarray:
     return counts
 
 
-def brute_force_moments(params: CascadeParams, n_max: int, q_max: int, *,
-                        arithmetic: str = "auto") -> MomentTable:
+def brute_force_moments(params: CascadeParams, n_max: int,
+                        q_max: int) -> MomentTable:
     """E(Z_n^q) for n <= n_max by full enumeration of sign assignments.
 
     Every one of the 2^(#signs) assignments of the depth-n tree is
     expanded; assignments are aggregated exactly (integer counts) by
     their sufficient statistic (#minus signs, signed leaf sum), then the
-    probability weights and moment powers are evaluated either in exact
-    rational arithmetic (when p_plus and the b^(-nH) scale are rational:
-    integer H or symmetric) or in 40-digit arbitrary precision.
-
-    ``arithmetic``: "auto" (rational when possible), "rational"
-    (error if impossible), or "mpmath".  This oracle is deliberately
-    independent of :func:`z_moment_recursion`: it never uses the
-    recursion, only the construction's definition.
+    probability weights and moment powers are evaluated in 40-digit
+    decimal arithmetic, for every H, and each entry is rounded once to
+    float64.  This oracle is deliberately independent of
+    :func:`z_moment_recursion`: it never uses the recursion, only the
+    construction's definition.
     """
-    if arithmetic not in ("auto", "rational", "mpmath"):
-        raise ValueError("arithmetic must be auto, rational, or mpmath")
     b = params.base
     if 1 << _tree_sign_count(b, n_max) > _ENUM_BUDGET:
         raise CapacityError("enumeration budget exceeded; lower n_max")
 
-    p_rat = _rational_p_plus(params)
-    use_rational = (arithmetic in ("auto", "rational")) and p_rat is not None
-    if arithmetic == "rational" and not use_rational:
-        raise ValueError("rational arithmetic impossible for this H")
-
-    import mpmath as mp
-
-    vals = np.zeros((n_max + 1, q_max + 1))
-    vals[:, 0] = 1.0
-    vals[0, :] = 1.0  # Z_0 = 1
-
-    for n in range(1, n_max + 1):
-        counts = _aggregate_counts(b, n)
-        n_signs = _tree_sign_count(b, n)
-        # (count, #minus signs, signed leaf sum) per occupied cell
-        ks, si = np.nonzero(counts)
-        cells = [(int(counts[k, i]), k, i - b**n)
-                 for k, i in zip(ks.tolist(), si.tolist())]
-        with mp.workdps(40):
-            if use_rational:
-                p_plus = p_rat
-                scale = (Fraction(1) if params.is_symmetric
-                         else Fraction(b) ** (-n * int(params.hurst)))
-            elif params.is_symmetric:
-                scale, p_plus = mp.mpf(1), mp.mpf(0.5)
-            else:
-                scale = mp.power(b, -n * mp.mpf(params.hurst))
-                p_plus = (1 + mp.power(b, mp.mpf(params.hurst) - 1)) / 2
-            p_minus = 1 - p_plus
-            weights = [p_plus ** (n_signs - k) * p_minus**k
-                       for k in range(n_signs + 1)]
+    vals = np.ones((n_max + 1, q_max + 1))  # column q = 0 and Z_0 = 1
+    with localcontext(Context(prec=40)):
+        if params.is_symmetric:
+            p_plus = Decimal(1) / 2
+        else:
+            h = Decimal(params.hurst)
+            p_plus = (1 + Decimal(b) ** (h - 1)) / 2
+        p_minus = 1 - p_plus
+        for n in range(1, n_max + 1):
+            scale = (Decimal(1) if params.is_symmetric
+                     else Decimal(b) ** (-n * h))
+            counts = _aggregate_counts(b, n)
+            n_signs = _tree_sign_count(b, n)
+            # (count, #minus signs, signed leaf sum) per occupied cell
+            ks, si = np.nonzero(counts)
+            cells = [(int(counts[k, i]), k, i - b**n)
+                     for k, i in zip(ks.tolist(), si.tolist())]
+            # k = 0 skips p_minus ** 0: at H = 1, p_minus = 0 and 0 ** 0
+            # is an invalid operation in decimal
+            weights = [p_plus ** n_signs] + [
+                p_plus ** (n_signs - k) * p_minus**k
+                for k in range(1, n_signs + 1)]
             for q in range(1, q_max + 1):
                 vals[n, q] = float(sum(count * weights[k] * (scale * s) ** q
                                        for count, k, s in cells))
 
-    return _value_table(params, vals, np.zeros(vals.shape, dtype=bool))
+    return _table(params, values=vals)

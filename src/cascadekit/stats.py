@@ -405,11 +405,13 @@ def residual_clt_test(params: CascadeParams, n: int, reps: int, *,
     """Normality of the rescaled residual (Z_limit - Z_n) at t = 1.
 
     The limit is proxied by Z_(n+m) with m = ``proxy_levels`` extra
-    levels (the omitted tail contributes a 1 - b^(-m(2H-1)) variance
-    deficit, below half a percent at the defaults); the residual is
-    divided by sigma_resid * b^(n(1/2-H)) with
-    sigma_resid = sqrt(E Z^2 - 1) from the limit moments.  Gates: KS
-    distance to N(0,1) and the residual-mean z-score against 0.
+    levels, which keep a fraction 1 - b^(-m(2H-1)) of the limit
+    residual's variance.  The omitted tail's deficit b^(-m(2H-1)) is
+    2^(-4.8) = 3.6 % at b = 2, H = 0.7, m = 12, and at b = 2, m = 12 it
+    is below half a percent only for H >= 0.82.  The residual is divided
+    by sigma_resid * b^(n(1/2-H)) with sigma_resid = sqrt(E Z^2 - 1)
+    from the limit moments.  Gates: KS distance to N(0,1) and the
+    residual-mean z-score against 0.
     """
     require_regime(params, "the residual central limit check",
                    convergent=True, below_one=True,

@@ -1,12 +1,14 @@
 """The import contract: every public name resolves and is used by the
-library, and no command loads scipy.
+library, no command loads scipy, and nothing needs mpmath.
 
 ``import cascadekit`` and every subcommand, ``clt`` included, load numpy
 and nothing heavier: the KS distances' normal CDF is a local port of
-scipy's ``ndtr`` (:func:`cascadekit.stats._ndtr`).  The check runs in a
-fresh interpreter, since other test modules import scipy into this one;
-the script imports scipy itself only after every command has run, to
-check the default KS distance against scipy's ``ndtr`` bit for bit.
+scipy's ``ndtr`` (:func:`cascadekit.stats._ndtr`), and the enumeration
+oracle weights its cells in the standard library's ``decimal``.  The
+checks run in a fresh interpreter, since other test modules import scipy
+into this one; the scipy script imports scipy itself only after every
+command has run, to check the default KS distance against scipy's
+``ndtr`` bit for bit.
 """
 
 import ast
@@ -19,6 +21,23 @@ from pathlib import Path
 import cascadekit
 
 SRC = str(Path(cascadekit.__file__).resolve().parents[1])
+
+#: One run of every command, small enough for a test.
+COMMANDS = [["simulate", "--depths", "8"],
+            ["fractal", "--n", "14", "--p-range", "2,8", "--j-range", "2,8",
+             "--profile"],
+            ["moments", "--n", "6", "--q", "4"],
+            ["density"],
+            ["clt", "--test", "terminal", "--H", "0.3", "--n", "8",
+             "--reps", "200"]]
+
+#: The files that ``COMMANDS`` write.
+COMMAND_FILES = [
+    "charfn_b2_H0.7.csv", "clt_terminal_b2_H0.3.json",
+    "density_b2_H0.7.csv", "fractal_b2_H0.7_n14.csv",
+    "fractal_b2_H0.7_n14.json", "limit_moments_b2_H0.7.csv",
+    "moment_table_b2_H0.7.csv", "path_b2_H0.7_n8.csv",
+    "path_b2_H0.7_n8.svg"]
 
 SCRIPT = r"""
 import json
@@ -37,15 +56,8 @@ import cascadekit.cli as cli
 
 cli.build_parser()
 state = {"import": scipy_modules()}
-outdir = sys.argv[1]
-for argv in (["simulate", "--depths", "8"],
-             ["fractal", "--n", "14", "--p-range", "2,8", "--j-range", "2,8",
-              "--profile"],
-             ["moments", "--n", "6", "--q", "4"],
-             ["density"],
-             ["clt", "--test", "terminal", "--H", "0.3", "--n", "8",
-              "--reps", "200"]):
-    cli.main(argv + ["--outdir", outdir])
+for argv in json.loads(sys.argv[2]):
+    cli.main(argv + ["--outdir", sys.argv[1]])
 state["commands"] = scipy_modules()
 
 import scipy.special
@@ -56,27 +68,60 @@ state["ks"] = [cascadekit.ks_statistic(x).hex(),
 print(json.dumps(state))
 """
 
+NO_MPMATH_SCRIPT = r"""
+import sys
 
-def test_no_command_loads_scipy(tmp_path):
+sys.modules["mpmath"] = None  # every import of mpmath now raises
+
+import json
+
+import cascadekit
+import cascadekit.cli as cli
+
+tables = [cascadekit.brute_force_moments(cascadekit.CascadeParams(hurst=h),
+                                         3, 6).values.tolist()
+          for h in (0.7, 1.0)]
+for argv in json.loads(sys.argv[2]):
+    cli.main(argv + ["--outdir", sys.argv[1]])
+print(json.dumps(tables))
+"""
+
+
+def _run_fresh(script, outdir):
+    """Run ``script`` with argv (outdir, COMMANDS as JSON) in a fresh
+    interpreter that imports the package from this checkout; return the
+    JSON of its last line of output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", script, str(outdir),
+                          json.dumps(COMMANDS)],
                          env=env, capture_output=True, text=True,
                          timeout=300, check=True)
-    state = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_no_command_loads_scipy(tmp_path):
+    state = _run_fresh(SCRIPT, tmp_path)
     assert state["import"] == []
     # every command ran to its files without loading scipy
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "charfn_b2_H0.7.csv", "clt_terminal_b2_H0.3.json",
-        "density_b2_H0.7.csv", "fractal_b2_H0.7_n14.csv",
-        "fractal_b2_H0.7_n14.json", "limit_moments_b2_H0.7.csv",
-        "moment_table_b2_H0.7.csv", "path_b2_H0.7_n8.csv",
-        "path_b2_H0.7_n8.svg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == COMMAND_FILES
     assert state["commands"] == []
     # the default CDF gives scipy's ndtr bits
     default, explicit = state["ks"]
     assert default == explicit
+
+
+def test_oracle_and_every_command_run_without_mpmath(tmp_path):
+    """With mpmath blocked, the oracle gives the tables it gives here, at
+    an irrational b^(H-1) and at H = 1 (p_minus = 0), and every command
+    writes its files."""
+    tables = _run_fresh(NO_MPMATH_SCRIPT, tmp_path)
+    assert tables == [
+        cascadekit.brute_force_moments(cascadekit.CascadeParams(hurst=h),
+                                       3, 6).values.tolist()
+        for h in (0.7, 1.0)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == COMMAND_FILES
 
 
 def test_every_public_name_resolves_once():

@@ -138,8 +138,9 @@ def _fractal_bound(b, n):
     the field; the summary pass, which holds the field, the summary and
     one slice (its floats, the indices of its bytes and its min/max
     pyramid, each at most 8 bytes per sample); and the increment fit,
-    which holds the summary and four float temporaries and a bool mask
-    per increment sample.  The summary is 8 bytes per increment sample,
+    which holds the summary and, per increment sample, two float
+    temporaries and a bool mask (the magnitudes, the mask of the nonzero
+    ones and their copy).  The summary is 8 bytes per increment sample,
     at most b^(n-6) + 1 of them, 16 per block of the extrema table and
     up to two edge extrema of at most 256 bytes each per pointwise
     ball."""
@@ -151,7 +152,7 @@ def _fractal_bound(b, n):
     summary = 8 * increments + 16 * (b**n // block) + 512 * balls
     return max(_expansion_bound(b, n),
                (b**n + 7) // 8 + summary + 3 * 8 * width,
-               summary + (4 * 8 + 1) * increments)
+               summary + (2 * 8 + 1) * increments)
 
 
 @pytest.mark.parametrize("b, n, ranges", [
@@ -161,14 +162,27 @@ def _fractal_bound(b, n):
 def test_fractal_command_never_holds_the_path(b, n, ranges, tmp_path):
     """``fractal --profile`` reads its fits from one pass over the packed
     field, far below the 8·(b^n + 1) bytes of a full-resolution path.
-    At b = 2 the increment fit sets the peak, at b = 3 drawing the
-    field."""
+    Drawing the field sets the peak at both bases (at b = 2 the
+    increment fit did while it held four float temporaries per
+    sample)."""
     code, peak = _peak(main, ["fractal", "--profile", "--b", str(b),
                               "--n", str(n), "--H", "0.7", *ranges,
                               "--outdir", str(tmp_path)])
     assert code in (0, 1)
     assert peak <= _fractal_bound(b, n) + SLACK
     assert peak < 8 * b**n / 3
+
+
+def test_increment_fit_holds_the_magnitudes_a_mask_and_their_copy():
+    """The increment fit holds, per increment sample, the magnitudes, the
+    mask of the nonzero ones and their copy, then the copy and its logs:
+    17 bytes (holding the differences, the magnitudes, the mask, the
+    logs and their quotient at once peaked at 33)."""
+    params = CascadeParams(base=2, hurst=0.7, seed=3)
+    summary = summarize_field(generate_leaf_signs(params, 22), params,
+                              p_range=(4, 16))
+    _, peak = _peak(fractal.increment_scaling_exponent, summary)
+    assert peak <= (2 * 8 + 1) * summary.increments.size + SLACK
 
 
 @pytest.fixture(scope="module")

@@ -229,21 +229,21 @@ def test_tilde_moments_consistency():
         limit_z_moments(CascadeParams(base=2, hurst=0.4), 4)
 
 
-@pytest.mark.parametrize("h,arith", [
-    (0.7, "mpmath"),    # irrational p_plus: 40-digit arithmetic
-    (0.0, "rational"),  # integer H: exact fractions
-    (1.0, "rational"),
-    (None, "rational"),
+@pytest.mark.parametrize("h", [
+    0.7,   # irrational p_plus
+    0.0,   # integer H
+    1.0,   # p_minus = 0
+    None,  # symmetric
 ])
-def test_brute_force_oracle_agrees_with_recursion(h, arith):
+def test_brute_force_oracle_agrees_with_recursion(h):
     """Exhaustive enumeration of all sign assignments checks the recursion.
 
     The oracle never touches the recursion: it enumerates the 2^(#signs)
     trees, aggregates by sufficient statistic, and applies probability
-    weights in exact or 40-digit arithmetic.
+    weights in 40-digit decimal arithmetic.
     """
     params = CascadeParams(base=2, hurst=h)
-    oracle = brute_force_moments(params, 3, 6, arithmetic=arith)
+    oracle = brute_force_moments(params, 3, 6)
     table = z_moment_recursion(params, 3, 6)
     for n in range(4):
         for q in range(1, 7):
@@ -263,9 +263,5 @@ def test_brute_force_base_three():
 
 def test_brute_force_guards():
     params = CascadeParams(base=2, hurst=0.7)
-    with pytest.raises(ValueError):
-        brute_force_moments(params, 2, 4, arithmetic="rational")
     with pytest.raises(CapacityError):
         brute_force_moments(params, 5, 4)
-    with pytest.raises(ValueError):
-        brute_force_moments(params, 2, 4, arithmetic="fast")
