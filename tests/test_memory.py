@@ -162,9 +162,7 @@ def _fractal_bound(b, n):
 def test_fractal_command_never_holds_the_path(b, n, ranges, tmp_path):
     """``fractal --profile`` reads its fits from one pass over the packed
     field, far below the 8·(b^n + 1) bytes of a full-resolution path.
-    Drawing the field sets the peak at both bases (at b = 2 the
-    increment fit did while it held four float temporaries per
-    sample)."""
+    Drawing the field sets the peak at both bases."""
     code, peak = _peak(main, ["fractal", "--profile", "--b", str(b),
                               "--n", str(n), "--H", "0.7", *ranges,
                               "--outdir", str(tmp_path)])
