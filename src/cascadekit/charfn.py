@@ -12,17 +12,22 @@ the finite-depth characteristic functions phi_n up the argument ladder
 complex conjugate (Z_n is real), so one stored value per rung covers the
 pair and an n-rung evaluation costs O(n).
 
-Numerical form: the ladder is carried as the deviation g = phi - 1, with
-the bottom rung g_0(v) = -2 sin^2(v/2) + i sin(v) and the step
+Numerical form: the ladder carries phi = e^(u + iv) in log-polar form,
+from u = 0, v = b^(-nH) t at the bottom, with delta = b^(H-1) and one
+rung for every base,
 
-    m  = p_plus * g + p_minus * conj(g)
-    g' = sum_{k=1}^{b} C(b, k) m^k        (i.e. (1+m)^b - 1, expanded).
+    u' = b * (u + (1/2) log1p(-(1 - delta^2) sin^2 v))
+    v' = b * atan2(delta sin v, cos v),
 
-Carrying phi itself loses the real part of the deviation to rounding at
-the bottom rungs (the naive float ladder stalls near 1e-5 relative error
-and, worse, its successive-depth differences still shrink to machine
-epsilon, so a Cauchy test on it certifies garbage).  The deviation form
-is machine-accurate at any depth and its Cauchy test is honest.
+since p_plus e^(iv) + p_minus e^(-iv) = cos v + i delta sin v.  Near
+phi = 1 the small quantities, log|phi| and arg phi, are what log1p and
+atan2 return, so they keep their relative precision; in the tail u only
+grows more negative and nothing cancels, so phi keeps its relative
+precision down to float64's range: |phi| underflows to 0 only once
+u < -745.  atan2 keeps |v| <= b pi, so no reduction mod 2 pi is
+needed.  (A ladder on phi itself loses the deviation from 1 to rounding
+at the bottom rungs, yet its successive depths still agree to machine
+epsilon, so a Cauchy test on it certifies garbage.)
 
 Inversion: f(x) = (1/2pi) Integral e^{-itx} phi(t) dt, computed as the
 Hermitian fold (1/pi) Integral_0^T Re[e^{-itx} phi(t)] dt by trapezoid.
@@ -62,27 +67,17 @@ _KERNEL_BYTES = 48
 _SPAN_SDS = 14.0
 
 
-def _deviation_step(g: np.ndarray, p_plus: float, base: int) -> np.ndarray:
-    """One rung up the ladder in deviation form: g -> (1+m)^b - 1 expanded."""
-    m = p_plus * g + (1.0 - p_plus) * np.conj(g)
-    acc = np.zeros_like(m)
-    power = np.ones_like(m)
-    for k in range(1, base + 1):
-        power = power * m
-        acc = acc + math.comb(base, k) * power
-    return acc
-
-
 def _ladder(params: CascadeParams, t: np.ndarray, depth: int) -> np.ndarray:
-    """phi_depth(t) - 1 for a real argument array, deviation ladder."""
-    h = params.hurst
+    """phi_depth(t) for a real argument array, carried as e^(u + iv)."""
     b = params.base
-    p_plus = params.p_plus
-    v = t * float(b) ** (-depth * h)
-    g = -2.0 * np.sin(0.5 * v) ** 2 + 1j * np.sin(v)
+    delta = params.eps_mean
+    v = t * float(b) ** (-depth * params.hurst)
+    u = np.zeros_like(v)
     for _ in range(depth):
-        g = _deviation_step(g, p_plus, b)
-    return g
+        sin_v = np.sin(v)
+        u = b * (u + 0.5 * np.log1p(-(1.0 - delta * delta) * sin_v**2))
+        v = b * np.arctan2(delta * sin_v, np.cos(v))
+    return np.exp(u) * (np.cos(v) + 1j * np.sin(v))
 
 
 def charfn_at(params: CascadeParams, t, depth: int = DEFAULT_DEPTH):
@@ -90,13 +85,15 @@ def charfn_at(params: CascadeParams, t, depth: int = DEFAULT_DEPTH):
 
     ``t`` may be a scalar or array; scalar in, complex scalar out.  As
     depth grows this converges to the characteristic function of the
-    limit mass Z (geometrically; slower as H approaches 1/2).
+    limit mass Z (geometrically; slower as H approaches 1/2).  Values
+    are accurate relative to |phi|, which underflows to 0 only once
+    log|phi| < -745.
     """
     require_regime(params, "the characteristic function", convergent=True)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     t_arr = np.asarray(t, dtype=float)
-    out = 1.0 + _ladder(params, np.atleast_1d(t_arr), depth)
+    out = _ladder(params, np.atleast_1d(t_arr), depth)
     if t_arr.ndim == 0:
         return complex(out[0])
     return out.reshape(t_arr.shape)
@@ -113,11 +110,11 @@ def charfn_auto(params: CascadeParams, t):
     require_regime(params, "the characteristic function", convergent=True)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     depth = DEFAULT_DEPTH
-    prev = 1.0 + _ladder(params, t_arr, depth)
+    prev = _ladder(params, t_arr, depth)
     gap = math.inf
     while depth < MAX_AUTO_DEPTH and gap > CAUCHY_TOL:
         depth_next = min(2 * depth, MAX_AUTO_DEPTH)
-        cur = 1.0 + _ladder(params, t_arr, depth_next)
+        cur = _ladder(params, t_arr, depth_next)
         gap = float(np.max(np.abs(cur - prev)))
         prev, depth = cur, depth_next
     if gap > CAUCHY_TOL:

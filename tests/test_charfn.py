@@ -7,8 +7,6 @@ import pytest
 
 from cascadekit.charfn import (
     _X_BLOCK,
-    _deviation_step,
-    _ladder,
     charfn_at,
     charfn_auto,
     density_of_z,
@@ -20,6 +18,8 @@ from cascadekit.core import sample_terminal
 
 P07 = CascadeParams(base=2, hurst=0.7)
 P95 = CascadeParams(base=2, hurst=0.95)
+P38 = CascadeParams(base=3, hurst=0.8)
+P56 = CascadeParams(base=5, hurst=0.6)
 
 # 40-digit arbitrary-precision references for phi_n(1) at H = 0.7, b = 2
 PHI30_REF = 0.281188603003460412 + 0.517638107717233363j
@@ -27,14 +27,28 @@ PHI40_REF = 0.281154336952723787 + 0.517575027587149063j
 #: |phi_30(1) - phi_40(1)|: the depth-30 ladder is NOT yet converged at
 #: t = 1; successive depths still move by ~7e-5.
 PHI_30_40_GAP = 7.178624550943972e-05
+#: 80-digit references for phi_48(t) in the tail, from the float64
+#: values of H and t: (params, t, phi_48(t)).
+TAIL_REFS = (
+    (P07, 20.0, 2.029947777305241953e-26 - 2.990608808412032614e-26j),
+    (P07, 40.0, -2.266017725108399551e-65 - 3.086744206714867565e-66j),
+    (P38, 40.0, -1.389422442129214739e-17 - 3.214755076311125987e-18j),
+    (P56, 12.0, 2.330761118963999548e-40 + 1.295373619296555357e-38j),
+)
 
 ELL_H07 = 2.0649064800633348  # limit E(Z^2) at H = 0.7
 
 
 def test_ladder_matches_arbitrary_precision():
-    """The float deviation ladder tracks 40-digit values to ~1e-14."""
+    """The float ladder tracks 40-digit values to ~1e-14."""
     assert abs(charfn_at(P07, 1.0, 30) - PHI30_REF) <= 1e-13
     assert abs(charfn_at(P07, 1.0, 40) - PHI40_REF) <= 1e-13
+
+
+def test_ladder_tail_is_relatively_accurate():
+    """Far below |phi| = 1e-16 the ladder keeps ~12 relative digits."""
+    for params, t, ref in TAIL_REFS:
+        assert abs(charfn_at(params, t, 48) - ref) <= 1e-11 * abs(ref)
 
 
 def test_successive_depth_gap_is_frozen():
@@ -88,16 +102,17 @@ def test_auto_depth_warning_when_capped(monkeypatch):
 
 
 def test_fixed_point_residual():
-    """A converged ladder satisfies the functional equation exactly.
-
-    phi(t) = step(phi(b^(-H) t)) in deviation form; at depth 400 both
-    sides agree to the last ulp.
-    """
-    t = np.array([0.3, 1.0, 2.5, 7.0])
-    g_inner = _ladder(P07, t * 2.0 ** (-0.7), 400)
-    lhs = _deviation_step(g_inner, P07.p_plus, 2)
-    rhs = _ladder(P07, t, 400)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-14
+    """A converged ladder satisfies the functional equation
+    phi(t) = (p_plus phi(s) + p_minus conj(phi(s)))^b, s = b^(-H) t,
+    relative to |phi(t)|, down to |phi| ~ 1e-265 (b = 5 at t = 40)."""
+    t = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 40.0])
+    for params in (P07, P38, P56):
+        b = params.base
+        inner = charfn_at(params, t * float(b) ** (-params.hurst), 400)
+        lhs = (params.p_plus * inner
+               + params.p_minus * np.conj(inner)) ** b
+        rhs = charfn_at(params, t, 400)
+        assert np.all(np.abs(lhs - rhs) <= 1e-11 * np.abs(rhs))
 
 
 def test_grid_invariants():

@@ -9,10 +9,11 @@ the bytes of the files written.
 They pin the exact output of the stream hashing, the level expansion,
 the block sums of ``build_path``, the count chain, the chunked PCG64
 draws, the composition sums and log-sum-exps of the moment tables, the
-enumeration oracle's weighted cell sums, the statistics of the terminal
-CLT trend, the regime divisors, the fractal window extrema and the
-writers' number formatting, so a rewrite of any of these must reproduce
-every bit, not just agree to a tolerance.
+enumeration oracle's weighted cell sums, the characteristic-function
+ladder's log-polar rungs, the statistics of the terminal CLT trend, the
+regime divisors, the fractal window extrema and the writers' number
+formatting, so a rewrite of any of these must reproduce every bit, not
+just agree to a tolerance.
 """
 
 from __future__ import annotations
@@ -331,11 +332,11 @@ ARTIFACTS = {
 
 ARTIFACT_GOLDENS = {
     "density-b2-H0.7": (
-        "0e6fba336cf31c94de0ea1fa8a9fddf149adefd9f56a0f6852c8118bc85427be",
-        "8b2be21a350eb1930481e26ba1b7fc8be3f8198fa089d29229b402fcf0c8e266"),
+        "a2f8b179aca5e5a9dc60e4d60da3d079ddbe62ed4f4ea9821f219d038d34980a",
+        "6ec884eea2fd112ec3f5a2b11a6e135136f20356486e699032b42a40c9b74cb5"),
     "density-b3-H0.6": (
-        "99bf0868ffdcb91d1fbf3f2632a4f21b62d1db926e5b2faac0422633c0561087",
-        "19801ae3d66897119cf6a5d900bcd252ab339059cf1e280a988b0578bc5eb4b6"),
+        "97c8f9483a3f3da688054937baa2a9fc12715ea4674b65e22be7e626f7eb815b",
+        "bbb94c734f61e2af7fde0bffd666dfe798f11d0a05910c9f03819ee889d81614"),
     "fractal-b2-H0.7-n16-profile": (
         "1cdac816698f62f0616e4d0b09e0d584207e735b71214469aa2731c300d8e75b",
         "17e8e7a5b57e09bd8f35efa1a2601fd88b0fa1d62952b3f8a155d6e7d8fe278f"),
