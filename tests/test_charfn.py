@@ -18,8 +18,8 @@ from cascadekit.core import sample_terminal
 
 P07 = CascadeParams(base=2, hurst=0.7)
 P95 = CascadeParams(base=2, hurst=0.95)
-P38 = CascadeParams(base=3, hurst=0.8)
-P56 = CascadeParams(base=5, hurst=0.6)
+P3_08 = CascadeParams(base=3, hurst=0.8)
+P5_06 = CascadeParams(base=5, hurst=0.6)
 
 # 40-digit arbitrary-precision references for phi_n(1) at H = 0.7, b = 2
 PHI30_REF = 0.281188603003460412 + 0.517638107717233363j
@@ -32,8 +32,8 @@ PHI_30_40_GAP = 7.178624550943972e-05
 TAIL_REFS = (
     (P07, 20.0, 2.029947777305241953e-26 - 2.990608808412032614e-26j),
     (P07, 40.0, -2.266017725108399551e-65 - 3.086744206714867565e-66j),
-    (P38, 40.0, -1.389422442129214739e-17 - 3.214755076311125987e-18j),
-    (P56, 12.0, 2.330761118963999548e-40 + 1.295373619296555357e-38j),
+    (P3_08, 40.0, -1.389422442129214739e-17 - 3.214755076311125987e-18j),
+    (P5_06, 12.0, 2.330761118963999548e-40 + 1.295373619296555357e-38j),
 )
 
 ELL_H07 = 2.0649064800633348  # limit E(Z^2) at H = 0.7
@@ -106,7 +106,7 @@ def test_fixed_point_residual():
     phi(t) = (p_plus phi(s) + p_minus conj(phi(s)))^b, s = b^(-H) t,
     relative to |phi(t)|, down to |phi| ~ 1e-265 (b = 5 at t = 40)."""
     t = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 40.0])
-    for params in (P07, P38, P56):
+    for params in (P07, P3_08, P5_06):
         b = params.base
         inner = charfn_at(params, t * float(b) ** (-params.hurst), 400)
         lhs = (params.p_plus * inner
