@@ -22,7 +22,10 @@ Conventions used throughout:
     of ties by run and calls the CDF on its distinct values in blocks,
     so its working set is the sorted copy and the run bounds.
   * The checks scale and difference their draws in place, in the
-    buffers the samplers return.
+    buffers the samplers return, and :func:`_z_score` takes its variance
+    in the buffer it is given.  The terminal trend holds its draws and
+    one working column, which takes in turn each depth's sorted copy
+    and its four powers.
   * Moment checks use 4-standard-error bands (two-sided z-scores), a
     per-test false-positive rate of about 6e-5.
   * All randomness flows from ``params.seed``; identical (params, n,
@@ -202,11 +205,16 @@ def ks_statistic(samples: np.ndarray, reference_cdf=None) -> float:
     sample makes the distance NaN.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
-    n = xs.size
-    if n == 0:
+    if xs.size == 0:
         raise ValueError("samples must be nonempty")
-    if reference_cdf is None:
-        reference_cdf = _ndtr
+    return _ks_sorted(xs, _ndtr if reference_cdf is None else reference_cdf)
+
+
+def _ks_sorted(xs: np.ndarray, reference_cdf) -> float:
+    """:func:`ks_statistic` of the nonempty float64 sample ``xs``, which is
+    already sorted (NaNs last, as ``np.sort`` puts them); it holds the
+    run-edge mask, then the run bounds, beside ``xs``."""
+    n = xs.size
     edge = np.empty(n + 1, dtype=bool)
     edge[0] = edge[n] = True
     np.not_equal(xs[1:], xs[:-1], out=edge[1:n])
@@ -232,12 +240,22 @@ def _require_replicas(reps: int) -> None:
 def _z_score(x: np.ndarray, target: float) -> float:
     """|mean(x) - target| in units of the sample standard error.
 
-    A constant sample (SE = 0, as for Z_n at H = 1) scores 0 when the
-    difference sits at float rounding scale (1e-12 relative, covering
-    the log-space table's last-ulp wobble) and infinity otherwise.
+    Consumes ``x``: its deviations from the mean are taken and squared
+    in its buffer.  These are the steps of numpy 2.4.6's
+    ``x.std(ddof=1)`` in its order (the mean as sum / n, the squared
+    deviations summed and divided by n - 1, the square root), so the
+    score keeps that call's bits without its temporary of the size of
+    ``x``.  A constant sample (SE = 0, as for Z_n at H = 1) scores 0
+    when the difference sits at float rounding scale (1e-12 relative,
+    covering the log-space table's last-ulp wobble) and infinity
+    otherwise.
     """
-    se = float(x.std(ddof=1)) / math.sqrt(x.size)
-    diff = abs(float(x.mean()) - target)
+    n = x.size
+    mean = x.mean()
+    diff = abs(float(mean) - target)
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    se = math.sqrt(float(x.sum()) / (n - 1)) / math.sqrt(n)
     if se == 0.0:
         return 0.0 if diff <= 1e-12 * max(1.0, abs(target)) else math.inf
     return diff / se
@@ -284,14 +302,24 @@ def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
                    if regime_of(params) is Regime.CRITICAL
                    else D_THRESHOLD_FAST)
     columns = sample_terminal_depths(params, depths, reps)
+    # the sorted copy and each power in turn, held beside the draws
+    work = np.empty(reps)
     reports = []
     for n, x, divisor in zip(depths, columns, divisors):
         x /= divisor
-        stats: dict[str, float] = {"ks_distance": ks_statistic(x)}
+        np.copyto(work, x)
+        work.sort()
+        stats: dict[str, float] = {"ks_distance": _ks_sorted(work, _ndtr)}
         thresholds: dict[str, float] = {"ks_distance": d_threshold}
         for q in range(1, 5):
             exact = table.values[n, q]
-            stats[f"moment{q}_z"] = _z_score(x**q, exact)
+            if q == 1:
+                np.copyto(work, x)
+            elif q == 2:
+                np.square(x, out=work)
+            else:
+                np.power(x, q, out=work)
+            stats[f"moment{q}_z"] = _z_score(work, exact)
             stats[f"moment{q}_exact"] = float(exact)
             thresholds[f"moment{q}_z"] = Z_BAND
         reports.append(StatReport(test="clt_terminal", params=params,
@@ -336,8 +364,9 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
         y = sample_terminal(params, n, reps)
         y *= scale
         d = ks_statistic(y)
+        m2_z = _z_score(y**2, 1.0)  # before the mean's score consumes y
         stats = {"ks_distance": d, "mean_z": _z_score(y, scale),
-                 "m2_z": _z_score(y**2, 1.0),
+                 "m2_z": m2_z,
                  "scale": scale, "limit_scale": 1.0 / sigma(params)}
         thresholds = {"mean_z": Z_BAND, "m2_z": Z_BAND}
         out.append(StatReport(test="clt_small_h", params=params,

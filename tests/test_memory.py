@@ -245,21 +245,46 @@ def test_ks_holds_the_sorted_copy_and_one_cdf_block():
     assert peak <= _ks_bound(n) + SLACK
 
 
+def _replay_draws(monkeypatch, params, depths, reps):
+    """Draw the count chain's columns once and make the checks read
+    copies of them, so that a traced call holds the draws but not the
+    chain's own working set, which depends on how many threads it runs
+    on."""
+    draws = sample_terminal_depths(params, depths, reps)
+    monkeypatch.setattr(stats, "sample_terminal_depths",
+                        lambda *args: tuple(z.copy() for z in draws))
+
+
 def test_residual_check_holds_one_draw_and_one_ks(monkeypatch):
     """The residual is built in the deeper draw's buffer and the shallower
     draw is dropped before the KS distance, so the check holds the two
     draws (8 bytes per replica each) and then the residual and one KS
-    call (three draws, the residual and the KS arrays peaked at 9.8 MB).
-    The draws are replayed from copies, because the count chain's own
-    working set depends on how many threads it runs on."""
+    call (three draws, the residual and the KS arrays peaked at 9.8 MB)."""
     params = CascadeParams(base=2, hurst=0.7, seed=1)
     reps, n = 10**5, 12
-    draws = sample_terminal_depths(params, (n, n + 12), reps)
-    monkeypatch.setattr(stats, "sample_terminal_depths",
-                        lambda *args: tuple(z.copy() for z in draws))
+    _replay_draws(monkeypatch, params, (n, n + 12), reps)
     report, peak = _peak(stats.residual_clt_test, params, n, reps)
     assert report.sample_size == reps
     assert peak <= max(2 * 8 * reps, 8 * reps + _ks_bound(reps)) + SLACK
+
+
+def test_terminal_trend_holds_its_draws_and_one_column(monkeypatch):
+    """The trend holds its draws and one working column, which takes in
+    turn each depth's sorted copy and its four powers, whose variances
+    are taken in place; the KS edge mask (1 byte per replica) comes on
+    top while the column is sorted.  The lattice draws at H = 0.3 have
+    at most 1,391 distinct values per depth, so the run bounds and the
+    CDF block stay inside ``SLACK`` (the peak is 42 KiB above the four
+    columns and the mask).  The sorted copy, x**q and the standard
+    deviation's temporary of x - mean made five columns and peaked at
+    3.83 MiB."""
+    params = CascadeParams(base=2, hurst=0.3, seed=1)
+    reps, depths = 10**5, (8, 12, 16)
+    _replay_draws(monkeypatch, params, depths, reps)
+    (reports, _), peak = _peak(stats.clt_terminal_trend, params, depths,
+                               reps)
+    assert [r.sample_size for r in reports] == [reps] * len(depths)
+    assert peak <= (len(depths) + 1) * 8 * reps + (reps + 1) + SLACK
 
 
 def test_density_holds_the_t_grid_and_one_kernel_block():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cascadekit import stats
 from cascadekit.core import CapacityError, CascadeParams
@@ -100,6 +101,55 @@ def test_ks_threshold_and_calibration():
     hits = sum(ks_statistic(rng.standard_normal(n)) > limit
                for _ in range(100))
     assert hits <= 5
+
+
+def _z_score_by_std(x, target):
+    """The z-score as ``x.mean()`` and ``x.std(ddof=1)`` give it."""
+    se = float(x.std(ddof=1)) / math.sqrt(x.size)
+    diff = abs(float(x.mean()) - target)
+    if se == 0.0:
+        return 0.0 if diff <= 1e-12 * max(1.0, abs(target)) else math.inf
+    return diff / se
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n=st.integers(2, 5000),
+       kind=st.sampled_from(["normal", "lattice", "constant"]),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-300, 1e-8, 0.1, 1.0, 3.0, 1e8, 1e150]),
+       loc=st.sampled_from([0.0, 0.1, -7.5, 1e8]),
+       specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                         max_size=3),
+       target=st.one_of(st.none(), st.floats(-1e3, 1e3)))
+@example(n=2, kind="constant", seed=0, scale=1.0, loc=0.1, specials=[],
+         target=None)
+@example(n=4000, kind="constant", seed=0, scale=1.0, loc=0.1, specials=[],
+         target=0.1)
+@example(n=3, kind="normal", seed=1, scale=1.0, loc=0.0,
+         specials=[math.inf, -math.inf], target=0.0)
+def test_z_score_keeps_the_bits_of_numpy_std(n, kind, seed, scale, loc,
+                                             specials, target):
+    """``_z_score`` consumes its sample, taking the variance in its
+    buffer, and keeps the bits of the score through ``x.std(ddof=1)``,
+    NaN for NaN, the SE = 0 branch included, on normal, lattice-tied and
+    constant samples with infinities and NaNs mixed in; a numpy whose
+    variance took other steps would fail here."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.standard_normal(n)
+    elif kind == "lattice":
+        x = rng.integers(-6, 7, n) / 4.0
+    else:
+        x = np.ones(n)
+    x = x * scale + loc
+    x[rng.integers(0, n, len(specials))] = specials
+    with np.errstate(all="ignore"):
+        if target is None:
+            target = float(x.mean())
+        want = _z_score_by_std(x, target)
+        got = stats._z_score(x.copy(), target)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() or \
+        (math.isnan(got) and math.isnan(want))
 
 
 def test_stat_report_gating():
