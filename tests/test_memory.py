@@ -274,7 +274,7 @@ def test_terminal_trend_holds_its_draws_and_one_column(monkeypatch):
     are taken in place; the KS edge mask (1 byte per replica) comes on
     top while the column is sorted.  The lattice draws at H = 0.3 have
     at most 1,391 distinct values per depth, so the run bounds and the
-    CDF block stay inside ``SLACK`` (the peak is 42 KiB above the four
+    CDF block stay inside ``SLACK`` (the peak is 41 KiB above the four
     columns and the mask).  The sorted copy, x**q and the standard
     deviation's temporary of x - mean made five columns and peaked at
     3.83 MiB."""
