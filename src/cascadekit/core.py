@@ -563,7 +563,7 @@ def verify_self_similarity(field: LeafSignField, params: CascadeParams,
     top = generate_leaf_signs(params, p).leaf_bits()  # sign(w) bits at gen p
     leaf_bits = field.leaf_bits()
     full = build_path(field, params, max_points=field.n_leaves)
-    outer_scale = params.weight_scale(p) if not params.is_symmetric else 1.0
+    outer_scale = params.weight_scale(p)
 
     worst = 0.0
     for j in range(b**p):
@@ -652,20 +652,6 @@ def _map_threads(fn, items, workers: int | None = None) -> list:
         return list(pool.map(fn, items))
 
 
-def _evolve_counts(rng: np.random.Generator, b: int, p_plus: float,
-                   plus: np.ndarray, total: int) -> np.ndarray:
-    """One generation of the count chain: plus-node population update.
-
-    Each node spawns b children; a child of a plus node stays plus with
-    probability p_plus, a child of a minus node becomes plus with
-    probability p_minus.  The two binomial draws are sufficient for the
-    joint law of the next generation's sign counts.
-    """
-    from_plus = rng.binomial(b * plus, p_plus)
-    from_minus = rng.binomial(b * (total - plus), 1.0 - p_plus)
-    return from_plus + from_minus
-
-
 def check_chain_depths(base: int, depths: Sequence[int]) -> None:
     """The depth guard of the count-chain samplers, allocating nothing."""
     if min(depths) < 0:
@@ -677,19 +663,30 @@ def check_chain_depths(base: int, depths: Sequence[int]) -> None:
             f"b^(n+1) = {base}^{n_max + 1} exceeds int64 counts")
 
 
-def _count_chain(params: CascadeParams, depths: Sequence[int], reps: int,
-                 workers: int | None = None) -> tuple[np.ndarray, ...]:
-    """Run the count chain once per replica and record Z at each depth.
+def sample_terminal_depths(params: CascadeParams, depths: Sequence[int],
+                           reps: int) -> tuple[np.ndarray, ...]:
+    """Joint draws of Z_n for every n in ``depths``, one array per entry.
 
-    Per generation, the numbers of plus/minus branch products evolve by
-    two binomial draws (:func:`_evolve_counts`); Z_n is b^(-n*H) times
-    the signed count at generation n (unit increments when symmetric).
-    All depths come from the same realization, so the records have the
-    exact joint law of the martingale at those times.
+    Uses the population-count chain over generations instead of explicit
+    trees, which reproduces the law of Z_n exactly at O(n) cost per
+    replica.  Per generation each node spawns b children; a child of a
+    plus node stays plus with probability p_plus, a child of a minus node
+    becomes plus with probability p_minus, so the next generation's plus
+    count is the sum of two binomial draws, Bin(b * plus, p_plus) then
+    Bin(b * minus, p_minus), which carry the joint law of the sign
+    counts.  Z_n is b^(-n*H) times the signed count at generation n (the
+    raw signed count when symmetric).
 
-    Replica chunks run on ``workers`` threads (see :func:`_map_threads`);
-    each chunk draws from its own stream and fills only its own slice,
-    so the records do not depend on the worker count.
+    The chain runs once, to the deepest depth, and records each depth on
+    the way, so the arrays have the exact joint law of the martingale at
+    those times.  This is the one entry for draws at several depths of
+    one realization: the terminal trend passes its depths, the residual
+    check (n, n + m).  Depths may come in any order and repeat.
+    Deterministic given (params.seed, reps): each array is the one a run
+    to its depth alone would give.  Replicas are generated in fixed-size
+    chunks on disjoint PCG64 streams; each chunk fills only its own
+    slice, so the chunks run concurrently on a few threads
+    (:func:`_map_threads`) without changing a bit.
     """
     check_chain_depths(params.base, depths)
     if reps < 1:
@@ -706,37 +703,16 @@ def _count_chain(params: CascadeParams, depths: Sequence[int], reps: int,
         total = 1
         for gen in range(n_max + 1):
             if gen:
-                plus = _evolve_counts(rng, b, p_plus, plus, total)
+                # from plus nodes, then from minus nodes: the stream order
+                plus = (rng.binomial(b * plus, p_plus)
+                        + rng.binomial(b * (total - plus), 1.0 - p_plus))
                 total *= b
             for z, n, scale in zip(out, depths, scales):
                 if n == gen:
                     z[lo:hi] = scale * (2 * plus - total)
 
-    _map_threads(run_chunk, _chunks(params.seed, _DOMAIN_TERMINAL, reps),
-                 workers)
+    _map_threads(run_chunk, _chunks(params.seed, _DOMAIN_TERMINAL, reps))
     return out
-
-
-def sample_terminal_depths(params: CascadeParams, depths: Sequence[int],
-                           reps: int) -> tuple[np.ndarray, ...]:
-    """Joint draws of Z_n for every n in ``depths``, one array per entry.
-
-    Uses the population-count chain over generations instead of explicit
-    trees, which reproduces the law of Z_n exactly at O(n) cost per
-    replica; the chain runs once, to the deepest depth, and records each
-    depth on the way, so the arrays have the exact joint law of the
-    martingale at those times.  This is the one entry for draws at
-    several depths of one realization: the terminal trend passes its
-    depths, the residual check (n, n + m).  Depths may come in any order
-    and repeat.  Deterministic given (params.seed, reps): each array is
-    the one a run to its depth alone would give.  Replicas are generated
-    in fixed-size chunks on disjoint PCG64 streams, and the chunks run
-    concurrently on a few threads without changing a bit.
-
-    Symmetric params return the raw signed leaf count (unit increments);
-    finite H returns b^(-n*H) times the signed count.
-    """
-    return _count_chain(params, depths, reps)
 
 
 def sample_terminal(params: CascadeParams, n: int, reps: int) -> np.ndarray:

@@ -23,8 +23,10 @@ sample as right edge):
 * the box counts per scale, with integer totals summed exactly in
   Python ints: the slice pyramid counts the columns no wider than a
   block, and a pyramid over the block table the wider ones;
-* the raw extrema of each pointwise ball's ragged ends (each inside one
-  block), which with the block table give every ball's oscillation.
+* the oscillation of each pointwise ball: at the end of the pass, the
+  extrema of its whole blocks from the block table and those of its
+  ragged ends (each inside one block), kept as raw pieces of the slices,
+  give its max - min.
 
 Min and max of floats are exact (the result is one of the inputs, with no
 rounding), so they can be regrouped freely: the min of block mins is the
@@ -36,9 +38,9 @@ rebuilds each slice with :func:`~cascadekit.core.path_slices`, the code
 of the full-resolution path, which is never built.  The summary records
 the scale range of each fit it was made for, and each estimator takes
 the summary alone and reads its range from it.  Above the field, the
-pass holds one slice and the summary: 8 bytes per increment sample
-(b^p + 1 of them, for generation p), 24 per block of the table and a
-few scalars per scale and ball.
+pass holds one slice, the block table (24 bytes per block) and the
+summary: 8 bytes per increment sample (b^p + 1 of them, for generation
+p) and a few scalars per scale and ball.
 
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
@@ -87,8 +89,9 @@ class DimensionFit:
 
     ``estimate`` is a documented transform of ``slope``:
     box_dimension: estimate = slope of ln N_j vs j ln b;
-    increment_exponent / pointwise_holder: estimate = -slope of the
-    mean log_b magnitude vs generation/scale index j.
+    increment_exponent: estimate = -slope of the mean log_b magnitude
+    vs generation p.  (The pointwise profile fits each point the same
+    way, against the ball scale j, and keeps only the estimates.)
     """
 
     kind: str
@@ -109,10 +112,10 @@ class FractalSummary:
     the increment, box and pointwise fits it was made for (None for a fit
     it cannot answer).  ``increments`` holds the path at the multiples of
     b^(depth - p_range[1]); ``box_counts`` maps each scale j of
-    ``j_range`` to N_j; ``block_mins``/``block_maxs`` are the extrema of
-    the whole blocks of ``block`` samples, and ``edges`` maps each raw
-    piece (lo, hi) of a summarized ball, sample indices with hi
-    exclusive, to its (min, max).
+    ``j_range`` to N_j; ``oscillations`` holds the max - min of the path
+    over each ball |s - t| <= b^-j of the pointwise fits, t-major (one
+    row of ``holder_range`` scales per profile point), and is empty
+    without a ``holder_range``.
     """
 
     params: CascadeParams
@@ -122,10 +125,7 @@ class FractalSummary:
     holder_range: tuple[int, int] | None
     increments: np.ndarray | None
     box_counts: dict[int, int]
-    block: int
-    block_mins: np.ndarray
-    block_maxs: np.ndarray
-    edges: dict[tuple[int, int], tuple[float, float]]
+    oscillations: np.ndarray
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -249,14 +249,16 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
     """One pass over the slices that ``slices_of(width)`` yields (samples
     [s, s + width] for s = 0, width, ...) collects the samples at the
     multiples of b^(depth - p_range[1]), the box counts for every j in
-    ``j_range``, the block table and the raw piece extrema of every
-    window (i_lo, i_hi) in ``windows``.  The ranges are already checked;
-    the summary records them.
+    ``j_range`` and the oscillation of every window (i_lo, i_hi) in
+    ``windows``, in window order.  The ranges are already checked; the
+    summary records them.
 
     Each slice's min/max pyramid runs down to the block level: it writes
     the slice's rows of the table and counts the columns no wider than a
     block.  The pyramid over the table then counts the wider columns,
-    whose right edges are the samples at block multiples."""
+    whose right edges are the samples at block multiples.  Each window is
+    its whole blocks, read from the table after the pass, and its raw
+    pieces, whose extrema are taken from the slice that holds them."""
     b = params.base
     m = b**depth
     width_log = min(_log_at_most(b, _SLICE), depth)
@@ -278,9 +280,10 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
     block_mins = np.empty(n_blocks, dtype=np.float64)
     block_maxs = np.empty(n_blocks, dtype=np.float64)
     block_starts = np.empty(n_blocks + 1, dtype=np.float64)
+    splits = [_split(i_lo, i_hi, block) for i_lo, i_hi in windows]
     pieces_by_slice: dict[int, set] = {}
-    for i_lo, i_hi in windows:
-        for piece in _split(i_lo, i_hi, block)[2]:
+    for _, _, pieces in splits:
+        for piece in pieces:
             k = min(piece[0] // width, n_slices - 1)
             pieces_by_slice.setdefault(k, set()).add(piece)
     edges = {}
@@ -313,15 +316,18 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
             totals[j] += _column_boxes(mins, maxs, block_starts[c::c], b, j)
     if increments is not None:
         increments[-1] = seg[-1]
+    oscillations = np.empty(len(splits), dtype=np.float64)
+    for w, (first, stop, pieces) in enumerate(splits):
+        extrema = [edges[piece] for piece in pieces]
+        if stop > first:
+            extrema.append((block_mins[first:stop].min(),
+                            block_maxs[first:stop].max()))
+        oscillations[w] = (max(hi for _, hi in extrema)
+                           - min(lo for lo, _ in extrema))
     return FractalSummary(params=params, depth=depth, p_range=p_range,
                           j_range=j_range, holder_range=holder_range,
                           increments=increments, box_counts=totals,
-                          block=block, block_mins=block_mins,
-                          block_maxs=block_maxs, edges=edges)
-
-
-def _profile_points() -> np.ndarray:
-    return (np.arange(PROFILE_POINTS) + 0.5) / PROFILE_POINTS
+                          oscillations=oscillations)
 
 
 def summarize_field(field: LeafSignField, params: CascadeParams, *,
@@ -350,7 +356,8 @@ def summarize_field(field: LeafSignField, params: CascadeParams, *,
         if scale_range is not None:
             check_scale_range(kind, n, scale_range)
     windows = [] if holder_range is None else [
-        _ball(params.base, n, float(t), j) for t in _profile_points()
+        _ball(params.base, n, float(t), j)
+        for t in (np.arange(PROFILE_POINTS) + 0.5) / PROFILE_POINTS
         for j in range(holder_range[0], holder_range[1] + 1)]
     return _summarize(params, n,
                       lambda width: path_slices(field, params, width),
@@ -428,36 +435,6 @@ def box_dimension(summary: FractalSummary) -> DimensionFit:
                         r_squared=r2, estimate=slope)
 
 
-def _oscillation(summary: FractalSummary, i_lo: int, i_hi: int) -> float:
-    """max - min of the path over samples i_lo..i_hi: its whole blocks
-    from the block table, its ragged ends from the raw piece extrema."""
-    first, stop, pieces = _split(i_lo, i_hi, summary.block)
-    extrema = [summary.edges[piece] for piece in pieces]
-    if stop > first:
-        extrema.append((summary.block_mins[first:stop].min(),
-                        summary.block_maxs[first:stop].max()))
-    return float(max(hi for _, hi in extrema) - min(lo for lo, _ in extrema))
-
-
-def _holder_fit(summary: FractalSummary, t: float,
-                j_range: tuple[int, int]) -> DimensionFit:
-    """The fit of the oscillations over the balls around t.  Each is
-    positive: adjacent samples of a field path differ by +-b^(-nH)."""
-    b = summary.params.base
-    log_b = math.log(b)
-    js, log_osc = [], []
-    for j in range(j_range[0], j_range[1] + 1):
-        osc = _oscillation(summary, *_ball(b, summary.depth, t, j))
-        js.append(j)
-        log_osc.append(math.log(osc) / log_b)
-    slope, intercept, r2 = _ols(np.array(js, dtype=float),
-                                np.array(log_osc))
-    return DimensionFit(kind="pointwise_holder", scales=np.array(js),
-                        log_values=np.array(log_osc), slope=slope,
-                        intercept=intercept, r_squared=r2,
-                        estimate=-slope)
-
-
 def pointwise_holder_profile(summary: FractalSummary) -> np.ndarray:
     """Pointwise Hölder exponent estimates at the :data:`PROFILE_POINTS`
     mid-cell positions (k + 1/2)/PROFILE_POINTS, over the summary's
@@ -470,8 +447,13 @@ def pointwise_holder_profile(summary: FractalSummary) -> np.ndarray:
     over a slightly enlarged ball, a conservative choice at these scales.
     The points avoid 0 and 1; monofractality predicts a tight spread
     around H (the profile's spread, not each individual point, is the
-    stable statistic at finite depth).
+    stable statistic at finite depth).  Each oscillation is positive:
+    adjacent samples of a field path differ by +-b^(-nH).
     """
-    j_range = _scale_range(summary, "holder_range")
-    return np.array([_holder_fit(summary, float(t), j_range).estimate
-                     for t in _profile_points()])
+    j_lo, j_hi = _scale_range(summary, "holder_range")
+    js = np.arange(j_lo, j_hi + 1, dtype=float)
+    log_b = math.log(summary.params.base)
+    rows = summary.oscillations.reshape(PROFILE_POINTS, js.size)
+    return np.array([
+        -_ols(js, np.array([math.log(osc) / log_b for osc in row]))[0]
+        for row in rows])

@@ -201,15 +201,6 @@ def _composition_sum(base: int, q: int, m: np.ndarray, *,
     return np.add.accumulate(terms)[-1]
 
 
-def _log_eps_moments(params: CascadeParams, q_max: int) -> np.ndarray:
-    """log E(eps^k) for k = 0..q_max (log 0 = -inf for odd symmetric)."""
-    out = np.zeros(q_max + 1)
-    for k in range(1, q_max + 1, 2):
-        mean = params.eps_mean
-        out[k] = math.log(mean) if mean > 0.0 else -math.inf
-    return out
-
-
 def _table(params: CascadeParams, *, values: np.ndarray | None = None,
            log_values: np.ndarray | None = None) -> MomentTable:
     """A table from its values, whose log-magnitudes are log|v| (-inf
@@ -250,7 +241,8 @@ def z_moment_recursion(params: CascadeParams, n_max: int,
         raise ValueError("n_max must be >= 0")
     b = params.base
     log_b = math.log(b)
-    log_eps = _log_eps_moments(params, q_max)
+    log_eps = np.array([math.log(e) if e > 0.0 else -math.inf
+                        for e in _eps_moments(params, q_max)])
     prefactor = (0.0 if params.is_symmetric
                  else -params.hurst * log_b)
 

@@ -11,18 +11,22 @@ from cascadekit.core import (
     PathKind,
     Regime,
     build_path,
+    check_chain_depths,
     enumerate_next_level_mean,
     evaluate,
     generate_leaf_signs,
     normalize_path,
+    path_slices,
     regime_of,
     sample_branch_signs,
     sample_terminal,
     sample_terminal_depths,
     verify_self_similarity,
 )
+from cascadekit.fractal import summarize_field
 from cascadekit.moments import (
     closed_form_second_moment,
+    normalized_moment_recursion,
     sigma,
     z_moment_recursion,
 )
@@ -310,3 +314,37 @@ def test_sample_branch_signs_law():
     got = signs.mean()
     se = 1.0 / math.sqrt(reps * 8)  # variance of one product is <= 1
     assert abs(got - want) <= 5 * se
+
+
+#: Refusals with their messages: a base-3 field read with base-2 params
+#: (path_slices at its first slice; build_path and summarize_field before
+#: their own argument checks, which these calls would fail), a negative
+#: chain depth, more than 4096 branches, and a normalized table without a
+#: row past the start.
+REFUSALS = {
+    "path_slices": (ValueError, "disagree on base", lambda field: next(
+        path_slices(field, CascadeParams(base=2, hurst=0.7), 9))),
+    "build_path": (ValueError, "disagree on base", lambda field: build_path(
+        field, CascadeParams(base=2, hurst=0.7), max_points=0)),
+    "summarize_field": (ValueError, "disagree on base",
+                        lambda field: summarize_field(
+                            field, CascadeParams(base=2, hurst=0.7),
+                            p_range=(0, 1))),
+    "check_chain_depths": (ValueError, r"depth must be >= 0",
+                           lambda field: check_chain_depths(2, (4, -1))),
+    "sample_branch_signs": (CapacityError, "meant for shallow tops",
+                            lambda field: sample_branch_signs(
+                                CascadeParams(base=2, hurst=0.3), 13, 1)),
+    "normalized_moment_recursion": (ValueError, r"n_max must be >= 1",
+                                    lambda field: normalized_moment_recursion(
+                                        CascadeParams(base=2, hurst=0.5),
+                                        0, 4)),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals_raise_their_messages(name):
+    error, message, call = REFUSALS[name]
+    field = generate_leaf_signs(CascadeParams(base=3, hurst=0.7, seed=1), 4)
+    with pytest.raises(error, match=message):
+        call(field)

@@ -1,5 +1,6 @@
 """The import contract: every public name resolves and is used by the
-library, no command loads scipy, and nothing needs mpmath.
+library, every private top-level function and class is used outside its
+own definition, no command loads scipy, and nothing needs mpmath.
 
 ``import cascadekit`` and every subcommand, ``clt`` included, load numpy
 and nothing heavier: the KS distances' normal CDF is a local port of
@@ -170,3 +171,40 @@ def test_every_public_name_is_used_by_the_library():
             break
         unused |= found
     assert sorted(unused) == []
+
+
+def _unloaded_private_definitions():
+    """``module.name`` of each private top-level function or class of the
+    package that no code loads outside its own definition: by name in
+    its own module or in a module that imports it from there, or as an
+    attribute anywhere.  Imports and docstrings do not load a name."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(cascadekit.__file__).parent.glob("*.py")}
+    loaders: dict[tuple, set] = {}  # (module, name) -> (module, owner)
+    attributes = set()
+    for stem, tree in trees.items():
+        sources = {alias.asname or alias.name: (node.module, alias.name)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names}
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    key = sources.get(node.id, (stem, node.id))
+                    loaders.setdefault(key, set()).add((stem, owner))
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+    return sorted(
+        f"{stem}.{stmt.name}" for stem, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and stmt.name not in attributes
+        and not loaders.get((stem, stmt.name), set()) - {(stem, stmt.name)})
+
+
+def test_every_private_definition_is_used():
+    """Each private top-level function and class is loaded outside its own
+    definition, so a helper whose last caller goes cannot stay behind."""
+    assert _unloaded_private_definitions() == []

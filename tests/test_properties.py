@@ -7,6 +7,7 @@ fractal estimators' block extrema, of the path's bits under any slice
 size, of the fractal fits read straight from the packed field, and of
 the float-table text kernel against Python's ``%``."""
 
+import functools
 import math
 import struct
 import sys
@@ -23,7 +24,6 @@ from cascadekit.fractal import (
     HOLDER_J_RANGE,
     _BLOCK,
     _level_extrema,
-    _oscillation,
     _summarize,
     pointwise_holder_profile,
     summarize_field,
@@ -31,7 +31,6 @@ from cascadekit.fractal import (
 from cascadekit.core import (
     CapacityError,
     CascadeParams,
-    _count_chain,
     _map_threads,
     build_path,
     generate_leaf_signs,
@@ -160,6 +159,14 @@ reps_st = st.one_of(
               st.integers(1, CHUNK - 1)))
 
 
+def _chain_on(workers, params, depths, reps):
+    """``sample_terminal_depths`` with its thread map fixed to ``workers``
+    threads."""
+    with mock.patch.object(core, "_map_threads",
+                           functools.partial(_map_threads, workers=workers)):
+        return sample_terminal_depths(params, depths, reps)
+
+
 @PROPERTY
 @given(params=params_st,
        depths=st.lists(st.integers(0, 12), min_size=1, max_size=2),
@@ -170,8 +177,8 @@ reps_st = st.one_of(
          reps=2 * CHUNK + 5)
 def test_count_chain_independent_of_workers(params, depths, reps):
     """Chunks on two threads give the draws of one thread, bit for bit."""
-    one = _count_chain(params, depths, reps, workers=1)
-    two = _count_chain(params, depths, reps, workers=2)
+    one = _chain_on(1, params, depths, reps)
+    two = _chain_on(2, params, depths, reps)
     assert all(np.array_equal(a, b) for a, b in zip(one, two))
 
 
@@ -179,12 +186,12 @@ def test_more_workers_than_cores_under_fast_switching():
     """Eight threads switching every microsecond still fill every chunk of
     their own slice with the one-thread draws, round after round."""
     params = CascadeParams(base=2, hurst=0.3, seed=7)
-    one = _count_chain(params, (6, 10), 9 * CHUNK + 1, workers=1)
+    one = _chain_on(1, params, (6, 10), 9 * CHUNK + 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            many = _count_chain(params, (6, 10), 9 * CHUNK + 1, workers=8)
+            many = _chain_on(8, params, (6, 10), 9 * CHUNK + 1)
             assert all(np.array_equal(a, b) for a, b in zip(one, many))
     finally:
         sys.setswitchinterval(interval)
@@ -402,7 +409,7 @@ def test_block_oscillation_is_the_window_range(seed, n, data):
     summary = _summarize(CascadeParams(base=2), n,
                          lambda width: _path_slices(v, width),
                          windows=[(i, j)])
-    assert _oscillation(summary, i, j) == window.max() - window.min()
+    assert summary.oscillations.tolist() == [window.max() - window.min()]
 
 
 @PROPERTY

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cascadekit import stats
-from cascadekit.core import CapacityError, CascadeParams
+from cascadekit.core import (
+    CapacityError,
+    CascadeParams,
+    regime_divisor,
+    sample_branch_signs,
+    sample_terminal,
+    sigma,
+)
+from cascadekit.moments import closed_form_second_moment
 from cascadekit.stats import (
     D_THRESHOLD_CRITICAL,
     D_THRESHOLD_FAST,
@@ -351,6 +359,37 @@ def test_increments_guards():
                                2, 8, 100)
     with pytest.raises(ValueError):
         increments_gaussianity(CascadeParams.symmetric(seed=0), 8, 8, 100)
+
+
+def test_increments_critical_factor():
+    """At H = 1/2 each column carries the extra sqrt((n - p)/n).  The
+    report's var_err_max is that of the draws rebuilt with it, bit for
+    bit, and the pooled column variance is the exact one,
+
+      b^-p E Z_(n-p)^2 / (sigma^2 n) - (delta^p b^(-p/2) / (sigma sqrt n))^2,
+
+    0.867 b^-p here with delta = E(eps); without the factor it would read
+    n/(n - p) = 4/3 times that.  The 2 % band is about four standard
+    errors of the pooled variance at these replicas."""
+    b, p, n = 2, 4, 16
+    params = CascadeParams(base=b, hurst=0.5, seed=1)
+    report = increments_gaussianity(params, p, n, REPS)
+
+    incr = sample_terminal(params, n - p, REPS * b**p).reshape(REPS, b**p)
+    incr /= regime_divisor(params, n - p)
+    incr *= sample_branch_signs(params, p, REPS)
+    incr *= float(b) ** (-p / 2.0) * math.sqrt((n - p) / n)
+    target = float(b) ** (-p)
+    variances = incr.var(axis=0, ddof=1)
+    assert report.statistics["var_err_max"] == float(
+        np.max(np.abs(variances - target)))
+
+    s2n = sigma(params) ** 2 * n
+    mean = params.eps_mean**p * math.sqrt(target)
+    exact = (target * closed_form_second_moment(params, n - p) / s2n
+             - mean**2 / s2n)
+    assert exact / target == pytest.approx(0.867, abs=5e-4)
+    assert abs(variances.mean() / exact - 1.0) < 0.02
 
 
 def test_residual_clt():
