@@ -32,6 +32,7 @@ created only after that, so a refused run leaves nothing behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -73,7 +74,6 @@ from .moments import (
 from .reports import (
     charfn_rows,
     density_rows,
-    dimension_fit_payload,
     format_float,
     path_rows,
     stat_report_payload,
@@ -326,9 +326,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     tag = hurst_tag(params.hurst)
     for depth in ns.depths:
         signs = generate_leaf_signs(params, depth)
-        path = build_path(signs, params, max_points=ns.max_points)
+        path = build_path(signs, max_points=ns.max_points)
         if ns.normalize:
-            path = normalize_path(path, params)
+            path = normalize_path(path)
         suffix = "_norm" if ns.normalize else ""
         stem = f"path_b{params.base}_H{tag}_n{depth}{suffix}"
         meta = dict(config, depth=depth, stride=path.stride,
@@ -447,13 +447,13 @@ def cmd_fractal(ns: argparse.Namespace) -> int:
     # one pass over the path rebuilt slice by slice from the packed
     # field; the full-resolution path is never held
     summary = summarize_field(
-        generate_leaf_signs(params, ns.n), params, p_range=ns.p_range,
+        generate_leaf_signs(params, ns.n), p_range=ns.p_range,
         j_range=ns.j_range,
         holder_range=HOLDER_J_RANGE if ns.profile else None)
     exp_fit = increment_scaling_exponent(summary)
     box_fit = box_dimension(summary)
-    payload = {"increment_exponent": dimension_fit_payload(exp_fit),
-               "box_dimension": dimension_fit_payload(box_fit)}
+    payload = {"increment_exponent": dataclasses.asdict(exp_fit),
+               "box_dimension": dataclasses.asdict(box_fit)}
     if ns.profile:
         prof = pointwise_holder_profile(summary)
         payload["pointwise_profile"] = {

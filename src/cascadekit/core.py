@@ -250,19 +250,20 @@ def regime_divisor(params: CascadeParams, n: int) -> float:
 
 @dataclass(frozen=True)
 class LeafSignField:
-    """Branch-product signs of all generation-``depth`` nodes, bit-packed.
+    """Branch-product signs of all generation-``depth`` nodes, bit-packed,
+    with the ``params`` they were drawn with.
 
     Bit convention: 0 encodes +1, 1 encodes -1.  ``packed[k]`` holds leaf
     bits 8k..8k+7 (numpy packbits order).
     """
 
-    base: int
+    params: CascadeParams
     depth: int
     packed: np.ndarray
 
     @property
     def n_leaves(self) -> int:
-        return self.base**self.depth
+        return self.params.base**self.depth
 
     def leaf_bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Unpacked leaf bits (uint8 0/1) for indices [start, stop);
@@ -364,7 +365,7 @@ def generate_leaf_signs(params: CascadeParams, depth: int) -> LeafSignField:
                 out[-1] &= (0xFF << 8 - hi % 8) & 0xFF
             del rows  # not held while the next chunk is hashed
         parents = packed
-    return LeafSignField(base=b, depth=depth, packed=parents)
+    return LeafSignField(params=params, depth=depth, packed=parents)
 
 
 @dataclass(frozen=True)
@@ -394,8 +395,7 @@ class SamplePath:
         return (np.arange(len(self.values)) * self.stride) / denom
 
 
-def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
-                stride: int = 1):
+def path_slices(signs: LeafSignField, width: int, stride: int = 1):
     """Yield B_n sampled every ``stride`` leaves over samples [s, s + width]
     for s = 0, width, ..., the last slice clipped to the path's end.
 
@@ -418,11 +418,10 @@ def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
     exact in float64 and carried across slices, so every sample is a
     correctly rounded product, the same for any ``width``.  Each slice
     is a view of one reused buffer that the next slice overwrites; it
-    starts with the last sample of the slice before.
+    starts with the last sample of the slice before.  H and b come from
+    ``signs.params``.
     """
-    if signs.base != params.base:
-        raise ValueError("sign field and params disagree on base")
-    scale = params.weight_scale(signs.depth)
+    scale = signs.params.weight_scale(signs.depth)
     n_samples = signs.n_leaves // stride
     # the sample ends repeat every `span` bytes, `per` of them
     per, span = 8 // math.gcd(stride, 8), stride // math.gcd(stride, 8)
@@ -462,9 +461,9 @@ def path_slices(signs: LeafSignField, params: CascadeParams, width: int,
         yield seg
 
 
-def build_path(signs: LeafSignField, params: CascadeParams, *,
+def build_path(signs: LeafSignField, *,
                max_points: int = DEFAULT_MAX_POINTS) -> SamplePath:
-    """Assemble B_n from a leaf sign field.
+    """Assemble B_n from a leaf sign field, under the field's params.
 
     Grid value k is b^(-n*H) times the k-term cumulative sum of leaf
     signs (value 0 at t=0), evaluated every ``stride`` leaves, where
@@ -474,17 +473,15 @@ def build_path(signs: LeafSignField, params: CascadeParams, *,
     :func:`path_slices`, copied into the result one slice of at most
     2^16 leaves at a time: the result is the only full-size array.
     """
-    if signs.base != params.base:
-        raise ValueError("sign field and params disagree on base")
     check_max_points(max_points)
     stride = 1
     while signs.n_leaves // stride > max_points:
-        stride *= params.base
+        stride *= signs.params.base
     values = np.empty(signs.n_leaves // stride + 1, dtype=np.float64)
     width = max(1, _SLICE // stride)
-    for i, seg in enumerate(path_slices(signs, params, width, stride)):
+    for i, seg in enumerate(path_slices(signs, width, stride)):
         values[i * width:i * width + seg.size] = seg
-    return SamplePath(params=params, depth=signs.depth, values=values,
+    return SamplePath(params=signs.params, depth=signs.depth, values=values,
                       kind=PathKind.RAW, stride=stride)
 
 
@@ -506,8 +503,8 @@ def evaluate(path: SamplePath, t) -> np.ndarray | float:
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def normalize_path(path: SamplePath, params: CascadeParams) -> SamplePath:
-    """Apply the regime normalization to a raw path.
+def normalize_path(path: SamplePath) -> SamplePath:
+    """Apply the regime normalization of ``path.params`` to a raw path.
 
     Divides by :func:`regime_divisor` at the path's depth; the result
     has kind normalized_tilde in the convergent regime (the limit path
@@ -515,6 +512,7 @@ def normalize_path(path: SamplePath, params: CascadeParams) -> SamplePath:
     """
     if path.kind is not PathKind.RAW:
         raise ValueError("normalize_path expects a raw path")
+    params = path.params
     kind = (PathKind.NORMALIZED_TILDE
             if regime_of(params) is Regime.CONVERGENT
             else PathKind.NORMALIZED_X)
@@ -538,7 +536,7 @@ class SelfSimilarityReport:
         return self.max_rel_violation <= self.tolerance
 
 
-def verify_self_similarity(field: LeafSignField, params: CascadeParams,
+def verify_self_similarity(field: LeafSignField,
                            split_depth: int) -> SelfSimilarityReport:
     """Check the subtree rescaling identity of the construction.
 
@@ -556,13 +554,14 @@ def verify_self_similarity(field: LeafSignField, params: CascadeParams,
     p = split_depth
     if not 0 < p < field.depth:
         raise ValueError("split_depth must be strictly inside (0, depth)")
+    params = field.params
     b = params.base
     n = field.depth - p
     sub_leaves = b**n
 
     top = generate_leaf_signs(params, p).leaf_bits()  # sign(w) bits at gen p
     leaf_bits = field.leaf_bits()
-    full = build_path(field, params, max_points=field.n_leaves)
+    full = build_path(field, max_points=field.n_leaves)
     outer_scale = params.weight_scale(p)
 
     worst = 0.0
@@ -570,8 +569,9 @@ def verify_self_similarity(field: LeafSignField, params: CascadeParams,
         seg = leaf_bits[j * sub_leaves: (j + 1) * sub_leaves]
         # subtree's own signs: divide out the branch product of w
         sub_bits = seg ^ top[j]
-        sub_field = LeafSignField(base=b, depth=n, packed=np.packbits(sub_bits))
-        sub_path = build_path(sub_field, params, max_points=sub_leaves)
+        sub_field = LeafSignField(params=params, depth=n,
+                                  packed=np.packbits(sub_bits))
+        sub_path = build_path(sub_field, max_points=sub_leaves)
         sign_w = 1.0 - 2.0 * top[j]
         rhs = sign_w * outer_scale * sub_path.values
         lo = j * sub_leaves
@@ -584,8 +584,7 @@ def verify_self_similarity(field: LeafSignField, params: CascadeParams,
         max_rel_violation=worst, tolerance=_SELF_SIMILARITY_TOL)
 
 
-def enumerate_next_level_mean(field: LeafSignField,
-                              params: CascadeParams) -> np.ndarray:
+def enumerate_next_level_mean(field: LeafSignField) -> np.ndarray:
     """E[B_{n+1}(t) | generation-n signs] on the generation-(n+1) grid.
 
     Exhaustive: every assignment of the b^(n+1) fresh signs is expanded
@@ -593,6 +592,7 @@ def enumerate_next_level_mean(field: LeafSignField,
     a small-n oracle for the martingale identity (b=2, n <= 3 in tests);
     guarded at 2^20 assignments.
     """
+    params = field.params
     b = params.base
     n = field.depth
     m = b ** (n + 1)
@@ -654,6 +654,8 @@ def _map_threads(fn, items, workers: int | None = None) -> list:
 
 def check_chain_depths(base: int, depths: Sequence[int]) -> None:
     """The depth guard of the count-chain samplers, allocating nothing."""
+    if not depths:
+        raise ValueError("the depth list is empty; give at least one depth")
     if min(depths) < 0:
         raise ValueError("depth must be >= 0")
     n_max = max(depths)

@@ -330,26 +330,25 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
                           oscillations=oscillations)
 
 
-def summarize_field(field: LeafSignField, params: CascadeParams, *,
+def summarize_field(field: LeafSignField, *,
                     p_range: tuple[int, int] | None = None,
                     j_range: tuple[int, int] | None = None,
                     holder_range: tuple[int, int] | None = None
                     ) -> FractalSummary:
     """Summarize B_n for the estimators straight from its packed field.
 
-    One pass over slices of the path rebuilt from ``field`` (see the
-    module docstring), keeping what :func:`increment_scaling_exponent`
-    needs for ``p_range``, :func:`box_dimension` for ``j_range`` and
+    One pass over slices of the path rebuilt from ``field`` under its
+    params (see the module docstring), keeping what
+    :func:`increment_scaling_exponent` needs for ``p_range``,
+    :func:`box_dimension` for ``j_range`` and
     :func:`pointwise_holder_profile` for ``holder_range`` (its balls
     around the :data:`PROFILE_POINTS` points); a range of None skips that
     fit.  Each range is checked against the field's depth first.  The
     fits on the summary are those on the full-resolution path
-    ``build_path(field, params, max_points=b**n)``, bit for bit, and
-    that path is never built.
+    ``build_path(field, max_points=b**n)``, bit for bit, and that path
+    is never built.
     """
-    if field.base != params.base:
-        raise ValueError("sign field and params disagree on base")
-    n = field.depth
+    params, n = field.params, field.depth
     for kind, scale_range in (("increment_exponent", p_range),
                               ("box_dimension", j_range),
                               ("pointwise_holder", holder_range)):
@@ -360,7 +359,7 @@ def summarize_field(field: LeafSignField, params: CascadeParams, *,
         for t in (np.arange(PROFILE_POINTS) + 0.5) / PROFILE_POINTS
         for j in range(holder_range[0], holder_range[1] + 1)]
     return _summarize(params, n,
-                      lambda width: path_slices(field, params, width),
+                      lambda width: path_slices(field, width),
                       p_range=p_range, j_range=j_range,
                       holder_range=holder_range, windows=windows)
 

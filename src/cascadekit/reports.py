@@ -364,20 +364,6 @@ def stat_report_payload(report) -> dict:
     }
 
 
-def dimension_fit_payload(fit) -> dict:
-    """:func:`write_json` payload of a DimensionFit."""
-    return {
-        "kind": fit.kind,
-        "scales": fit.scales,
-        "log_values": fit.log_values,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "estimate": fit.estimate,
-        "zero_increments": fit.zero_increments,
-    }
-
-
 def path_rows(path) -> np.ndarray:
     """(t, value) table for a SamplePath CSV."""
     return np.column_stack((path.grid, path.values))

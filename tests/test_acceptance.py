@@ -145,9 +145,9 @@ def test_criterion_04_structural_identities():
             seed = int(rng.integers(0, 2**32))
             params = CascadeParams(base=2, hurst=h, seed=seed)
             field = generate_leaf_signs(params, depth)
-            rep = verify_self_similarity(field, params, split)
+            rep = verify_self_similarity(field, split)
             worst_ss = max(worst_ss, rep.max_rel_violation)
-            path = build_path(field, params, max_points=2**depth)
+            path = build_path(field, max_points=2**depth)
             scale = params.weight_scale(depth)
             mags = np.abs(np.diff(path.values))
             worst_mag = max(worst_mag,
@@ -159,8 +159,8 @@ def test_criterion_04_structural_identities():
                                seed=int(rng.integers(0, 2**32)))
         for n in range(4):
             field = generate_leaf_signs(params, n)
-            cond = enumerate_next_level_mean(field, params)
-            path = build_path(field, params)
+            cond = enumerate_next_level_mean(field)
+            path = build_path(field)
             fine = np.arange(2 ** (n + 1) + 1) / 2.0 ** (n + 1)
             walk = evaluate(path, fine)
             # relative: at H < 0 the walk amplitude is b^(n|H|), so an
@@ -320,7 +320,7 @@ def test_criterion_09_fractal_claims():
     ok = True
     for h, dim_target, dim_tol in ((0.7, 1.3, 0.1), (0.95, 1.05, 0.07)):
         params = CascadeParams(base=2, hurst=h, seed=SEED_FRACTAL)
-        summary = summarize_field(generate_leaf_signs(params, 18), params,
+        summary = summarize_field(generate_leaf_signs(params, 18),
                                   p_range=(4, 12), j_range=(4, 12),
                                   holder_range=HOLDER_J_RANGE)
         dim = box_dimension(summary).estimate

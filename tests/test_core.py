@@ -16,14 +16,12 @@ from cascadekit.core import (
     evaluate,
     generate_leaf_signs,
     normalize_path,
-    path_slices,
     regime_of,
     sample_branch_signs,
     sample_terminal,
     sample_terminal_depths,
     verify_self_similarity,
 )
-from cascadekit.fractal import summarize_field
 from cascadekit.moments import (
     closed_form_second_moment,
     normalized_moment_recursion,
@@ -107,14 +105,14 @@ def test_h_equal_one_is_deterministic_ramp():
     """H = 1 forces every sign to +1, so B_n(t) = t exactly."""
     params = CascadeParams(base=2, hurst=1.0, seed=99)
     field = generate_leaf_signs(params, 10)
-    path = build_path(field, params)
+    path = build_path(field)
     assert np.allclose(path.values, path.grid, rtol=0, atol=1e-15)
 
 
 def test_path_values_match_manual_cumsum():
     params = CascadeParams(base=2, hurst=0.7, seed=SEED)
     field = generate_leaf_signs(params, 6)
-    path = build_path(field, params)
+    path = build_path(field)
     manual = 2.0 ** (-6 * 0.7) * np.concatenate(
         [[0], np.cumsum(field.leaf_signs())])
     assert np.array_equal(path.values, manual)
@@ -126,7 +124,7 @@ def test_increment_magnitude_is_uniform():
     """Every full-resolution increment has magnitude exactly b^(-n*H)."""
     params = CascadeParams(base=3, hurst=0.8, seed=5)
     field = generate_leaf_signs(params, 5)
-    path = build_path(field, params)
+    path = build_path(field)
     mags = np.abs(np.diff(path.values))
     assert np.max(np.abs(mags - params.weight_scale(5))) <= 1e-16
 
@@ -134,8 +132,8 @@ def test_increment_magnitude_is_uniform():
 def test_decimated_path_is_exact_subsample():
     params = CascadeParams(base=2, hurst=0.7, seed=SEED)
     field = generate_leaf_signs(params, 12)
-    full = build_path(field, params, max_points=2**12)
-    thin = build_path(field, params, max_points=2**9)
+    full = build_path(field, max_points=2**12)
+    thin = build_path(field, max_points=2**9)
     assert thin.stride == 2**3
     assert np.array_equal(thin.values, full.values[::2**3])
 
@@ -144,12 +142,12 @@ def test_build_path_rejects_empty_point_budget():
     params = CascadeParams(base=2, hurst=0.7, seed=SEED)
     field = generate_leaf_signs(params, 7)
     with pytest.raises(ValueError, match="max_points"):
-        build_path(field, params, max_points=0)
+        build_path(field, max_points=0)
 
 
 def test_evaluate_grid_and_midpoints():
     params = CascadeParams(base=2, hurst=0.7, seed=SEED)
-    path = build_path(generate_leaf_signs(params, 4), params)
+    path = build_path(generate_leaf_signs(params, 4))
     grid = path.grid
     assert np.allclose(evaluate(path, grid), path.values, rtol=0, atol=0)
     mid = (grid[3] + grid[4]) / 2
@@ -165,7 +163,7 @@ def test_evaluate_grid_and_midpoints():
 def test_evaluate_rejects_nan(t):
     """NaN lies outside [0, 1]: the documented error, not an IndexError."""
     params = CascadeParams(base=2, hurst=0.7, seed=SEED)
-    path = build_path(generate_leaf_signs(params, 4), params)
+    path = build_path(generate_leaf_signs(params, 4))
     with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
         evaluate(path, t)
 
@@ -178,8 +176,8 @@ def test_normalize_path_kinds_and_divisors():
                     (0.3, PathKind.NORMALIZED_X),
                     (None, PathKind.NORMALIZED_X)]:
         params = CascadeParams(base=2, hurst=h, seed=SEED)
-        raw = build_path(generate_leaf_signs(params, n), params)
-        norm = normalize_path(raw, params)
+        raw = build_path(generate_leaf_signs(params, n))
+        norm = normalize_path(raw)
         assert norm.kind is kind
         raw_vals[h] = (raw, norm)
     raw, norm = raw_vals[0.5]
@@ -188,7 +186,7 @@ def test_normalize_path_kinds_and_divisors():
     raw, norm = raw_vals[None]
     assert np.allclose(norm.values * 2.0 ** (n / 2), raw.values)
     with pytest.raises(ValueError):
-        normalize_path(norm, params)
+        normalize_path(norm)
 
 
 @pytest.mark.parametrize("h,seed", [(0.7, 0), (0.7, 3), (0.5, 1),
@@ -197,7 +195,7 @@ def test_self_similarity_all_regimes(h, seed):
     """Subtree rescaling holds to near machine precision in every regime."""
     params = CascadeParams(base=2, hurst=h, seed=seed)
     field = generate_leaf_signs(params, 10)
-    report = verify_self_similarity(field, params, split_depth=3)
+    report = verify_self_similarity(field, split_depth=3)
     assert report.passed and report.tolerance == 1e-10
     assert report.max_rel_violation <= 1e-12
     assert report.subtrees_checked == 8
@@ -207,7 +205,7 @@ def test_self_similarity_needs_interior_split():
     params = CascadeParams(base=2, hurst=0.7, seed=0)
     field = generate_leaf_signs(params, 6)
     with pytest.raises(ValueError):
-        verify_self_similarity(field, params, split_depth=6)
+        verify_self_similarity(field, split_depth=6)
 
 
 @pytest.mark.parametrize("h", [0.7, 0.5, 0.3, None])
@@ -220,8 +218,8 @@ def test_martingale_identity_exhaustive(h):
     params = CascadeParams(base=2, hurst=h, seed=7)
     for n in (0, 1, 2):
         field = generate_leaf_signs(params, n)
-        cond_mean = enumerate_next_level_mean(field, params)
-        path = build_path(field, params)
+        cond_mean = enumerate_next_level_mean(field)
+        path = build_path(field)
         fine_grid = np.arange(2 ** (n + 1) + 1) / 2.0 ** (n + 1)
         interp = evaluate(path, fine_grid)
         if params.is_symmetric:
@@ -240,7 +238,7 @@ def test_enumeration_budget_guard():
     params = CascadeParams(base=2, hurst=0.7, seed=0)
     field = generate_leaf_signs(params, 4)
     with pytest.raises(CapacityError):
-        enumerate_next_level_mean(field, params)
+        enumerate_next_level_mean(field)
 
 
 def test_sample_terminal_determinism_and_chunking():
@@ -282,7 +280,7 @@ def test_sample_terminal_symmetric_parity():
     assert np.all(np.abs(z) <= 2**6)
 
 
-def test_sample_terminal_pair_consistent_with_single():
+def test_two_depth_draw_matches_single_depth_sampler():
     """A two-depth draw's deep marginal is the single sampler's output."""
     params = CascadeParams(base=2, hurst=0.7, seed=13)
     z_n, z_nm = sample_terminal_depths(params, (6, 10), 5000)
@@ -316,27 +314,20 @@ def test_sample_branch_signs_law():
     assert abs(got - want) <= 5 * se
 
 
-#: Refusals with their messages: a base-3 field read with base-2 params
-#: (path_slices at its first slice; build_path and summarize_field before
-#: their own argument checks, which these calls would fail), a negative
-#: chain depth, more than 4096 branches, and a normalized table without a
-#: row past the start.
+#: Refusals with their messages: a negative chain depth, an empty depth
+#: list, more than 4096 branches, and a normalized table without a row
+#: past the start.
 REFUSALS = {
-    "path_slices": (ValueError, "disagree on base", lambda field: next(
-        path_slices(field, CascadeParams(base=2, hurst=0.7), 9))),
-    "build_path": (ValueError, "disagree on base", lambda field: build_path(
-        field, CascadeParams(base=2, hurst=0.7), max_points=0)),
-    "summarize_field": (ValueError, "disagree on base",
-                        lambda field: summarize_field(
-                            field, CascadeParams(base=2, hurst=0.7),
-                            p_range=(0, 1))),
     "check_chain_depths": (ValueError, r"depth must be >= 0",
-                           lambda field: check_chain_depths(2, (4, -1))),
+                           lambda: check_chain_depths(2, (4, -1))),
+    "sample_terminal_depths": (ValueError, "the depth list is empty",
+                               lambda: sample_terminal_depths(
+                                   CascadeParams(base=2, hurst=0.7), (), 10)),
     "sample_branch_signs": (CapacityError, "meant for shallow tops",
-                            lambda field: sample_branch_signs(
+                            lambda: sample_branch_signs(
                                 CascadeParams(base=2, hurst=0.3), 13, 1)),
     "normalized_moment_recursion": (ValueError, r"n_max must be >= 1",
-                                    lambda field: normalized_moment_recursion(
+                                    lambda: normalized_moment_recursion(
                                         CascadeParams(base=2, hurst=0.5),
                                         0, 4)),
 }
@@ -345,6 +336,5 @@ REFUSALS = {
 @pytest.mark.parametrize("name", REFUSALS)
 def test_refusals_raise_their_messages(name):
     error, message, call = REFUSALS[name]
-    field = generate_leaf_signs(CascadeParams(base=3, hurst=0.7, seed=1), 4)
     with pytest.raises(error, match=message):
-        call(field)
+        call()

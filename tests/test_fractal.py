@@ -17,7 +17,7 @@ DEPTH = 18
 
 def summary_of(params, depth=DEPTH, **ranges):
     """The field summary of a depth-``depth`` path for ``ranges``."""
-    return summarize_field(generate_leaf_signs(params, depth), params,
+    return summarize_field(generate_leaf_signs(params, depth),
                            **ranges)
 
 
@@ -121,7 +121,7 @@ def test_range_preconditions():
                    {"j_range": (0, 8)},
                    {"holder_range": (2, 15)}):  # needs j <= n
         with pytest.raises(ValueError):
-            summarize_field(field, params, **ranges)
+            summarize_field(field, **ranges)
 
 
 def test_pointwise_holder_rejects_scales_below_one():
@@ -129,4 +129,4 @@ def test_pointwise_holder_rejects_scales_below_one():
     params = CascadeParams(base=2, hurst=0.7, seed=0)
     field = generate_leaf_signs(params, 14)
     with pytest.raises(ValueError, match=r"holder_range .*\[1, depth\]"):
-        summarize_field(field, params, holder_range=(0, 8))
+        summarize_field(field, holder_range=(0, 8))

@@ -126,8 +126,8 @@ def _path_cases():
     for tag in HURSTS:
         def run(tag=tag):
             params = _params(2, tag)
-            raw = build_path(generate_leaf_signs(params, 10), params)
-            return normalize_path(raw, params).values
+            raw = build_path(generate_leaf_signs(params, 10))
+            return normalize_path(raw).values
         yield f"normalized-path-b2-{tag}", run
     # n = 23 spans two 2^22-leaf blocks of build_path's block-sum loop
     for name, b, h, depth, max_points in (
@@ -137,7 +137,7 @@ def _path_cases():
             ("path-b5-H0.8-n8-full", 5, 0.8, 8, 5**8)):
         def run(b=b, h=h, depth=depth, max_points=max_points):
             params = CascadeParams(base=b, hurst=h, seed=SEED)
-            return build_path(generate_leaf_signs(params, depth), params,
+            return build_path(generate_leaf_signs(params, depth),
                               max_points=max_points).values
         yield name, run
 
@@ -399,7 +399,7 @@ def test_fractal_estimate_bits(name):
     for bit (equal digests of float64 bytes imply array_equal)."""
     b, h, depth, box_range, prof_range = ESTIMATES[name]
     params = CascadeParams(base=b, hurst=h, seed=SEED)
-    summary = summarize_field(generate_leaf_signs(params, depth), params,
+    summary = summarize_field(generate_leaf_signs(params, depth),
                               j_range=box_range, holder_range=prof_range)
     box = box_dimension(summary)
     profile = pointwise_holder_profile(summary)
@@ -442,7 +442,7 @@ def test_box_count_bits(name):
     """Box-count log values, bit for bit, across slice boundaries."""
     b, h, depth, j_range = BOX_COUNTS[name]
     params = CascadeParams(base=b, hurst=h, seed=SEED)
-    summary = summarize_field(generate_leaf_signs(params, depth), params,
+    summary = summarize_field(generate_leaf_signs(params, depth),
                               j_range=j_range)
     assert _digest(box_dimension(summary).log_values) \
         == BOX_COUNT_GOLDENS[name]
@@ -466,7 +466,7 @@ def test_increment_fit_from_a_p_range_summary_bits(name):
     no balls, bit for bit."""
     (b, h, depth, p_range), golden = INCREMENT_SUMMARIES[name]
     params = CascadeParams(base=b, hurst=h, seed=SEED)
-    summary = summarize_field(generate_leaf_signs(params, depth), params,
+    summary = summarize_field(generate_leaf_signs(params, depth),
                               p_range=p_range)
     fit = increment_scaling_exponent(summary)
     assert _digest(fit.log_values, fit.estimate) == golden

@@ -208,3 +208,37 @@ def test_every_private_definition_is_used():
     """Each private top-level function and class is loaded outside its own
     definition, so a helper whose last caller goes cannot stay behind."""
     assert _unloaded_private_definitions() == []
+
+
+def _public_functions():
+    """(module, function node) of each public top-level function of the
+    package."""
+    for path in sorted(Path(cascadekit.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(stmt, ast.FunctionDef)
+                    and not stmt.name.startswith("_")):
+                yield path.stem, stmt
+
+
+def test_no_public_function_takes_params_beside_a_field_or_path():
+    """A sign field and a path carry the ``CascadeParams`` they were made
+    with, so no public function asks for them again beside one."""
+    offenders = []
+    for stem, func in _public_functions():
+        args = func.args
+        notes = {ast.unparse(a.annotation)
+                 for a in args.posonlyargs + args.args + args.kwonlyargs
+                 if a.annotation is not None}
+        if "CascadeParams" in notes and notes & {"LeafSignField",
+                                                 "SamplePath"}:
+            offenders.append(f"{stem}.{func.name}")
+    assert offenders == []
+
+
+def test_readme_quick_start_runs():
+    """README's library quick start, its one ``python`` block, runs as
+    written."""
+    readme = Path(SRC).parent / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], str(readme), "exec"), {})

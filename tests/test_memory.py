@@ -67,7 +67,7 @@ def test_full_resolution_path_holds_one_float_array(b, n):
     floats."""
     params = CascadeParams(base=b, hurst=0.7, seed=3)
     field = generate_leaf_signs(params, n)
-    path, peak = _peak(build_path, field, params, max_points=b**n)
+    path, peak = _peak(build_path, field, max_points=b**n)
     assert path.values.nbytes == 8 * (b**n + 1)
     assert peak <= _path_bound(b**n, 1) + PATH_SLACK
 
@@ -82,7 +82,7 @@ def test_decimated_path_holds_its_points_and_one_slice():
     params = CascadeParams(base=2, hurst=0.7, seed=3)
     for n in (18, 24):
         field = generate_leaf_signs(params, n)
-        path, peak = _peak(build_path, field, params)
+        path, peak = _peak(build_path, field)
         assert path.stride == 2**(n - 16) and path.values.size == 2**16 + 1
         assert peak <= _path_bound(2**16, path.stride) + PATH_SLACK
 
@@ -95,7 +95,7 @@ def test_box_counting_memory_does_not_grow_with_depth():
     for n in (16, 20):
         params = CascadeParams(base=2, hurst=0.7, seed=3)
         field = generate_leaf_signs(params, n)
-        _, peak = _peak(summarize_field, field, params, j_range=(4, n - 2))
+        _, peak = _peak(summarize_field, field, j_range=(4, n - 2))
         peaks.append(peak)
     assert peaks[1] <= peaks[0] + 16 * 1024
 
@@ -105,8 +105,8 @@ def test_box_counting_memory_does_not_grow_with_column_width():
     extrema, so counting from j = 1 peaks as counting from j = 8."""
     params = CascadeParams(base=2, hurst=0.7, seed=3)
     field = generate_leaf_signs(params, 20)
-    _, wide = _peak(summarize_field, field, params, j_range=(1, 18))
-    _, narrow = _peak(summarize_field, field, params, j_range=(8, 18))
+    _, wide = _peak(summarize_field, field, j_range=(1, 18))
+    _, narrow = _peak(summarize_field, field, j_range=(8, 18))
     assert abs(wide - narrow) <= 16 * 1024
 
 
@@ -177,7 +177,7 @@ def test_increment_fit_holds_the_magnitudes_a_mask_and_their_copy():
     17 bytes (holding the differences, the magnitudes, the mask, the
     logs and their quotient at once peaked at 33)."""
     params = CascadeParams(base=2, hurst=0.7, seed=3)
-    summary = summarize_field(generate_leaf_signs(params, 22), params,
+    summary = summarize_field(generate_leaf_signs(params, 22),
                               p_range=(4, 16))
     _, peak = _peak(fractal.increment_scaling_exponent, summary)
     assert peak <= (2 * 8 + 1) * summary.increments.size + SLACK
@@ -187,7 +187,7 @@ def test_increment_fit_holds_the_magnitudes_a_mask_and_their_copy():
 def path_table():
     """A 2^16 + 1-row path (t, value)."""
     params = CascadeParams(base=2, hurst=0.7, seed=3)
-    return build_path(generate_leaf_signs(params, 16), params,
+    return build_path(generate_leaf_signs(params, 16),
                       max_points=2**16)
 
 

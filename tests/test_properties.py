@@ -462,7 +462,7 @@ def _assert_path_is_running_sum(params, n, point_counts, samples):
 
     def built(max_points, size):
         with mock.patch.object(core, "_SLICE", size):
-            return build_path(field, params, max_points=max_points)
+            return build_path(field, max_points=max_points)
 
     for max_points in point_counts:
         path = built(max_points, 2**16)
@@ -582,9 +582,9 @@ def test_field_summary_fits_equal_path_fits(case):
     params, n, p_range, j_range, holder_range = case
     b = params.base
     field = generate_leaf_signs(params, n)
-    summary = summarize_field(field, params, p_range=p_range,
+    summary = summarize_field(field, p_range=p_range,
                               j_range=j_range, holder_range=holder_range)
-    values = build_path(field, params, max_points=b**n).values
+    values = build_path(field, max_points=b**n).values
     assert summary.box_counts == {
         j: _reference_box_counts(values, b, n, j)
         for j in range(j_range[0], j_range[1] + 1)}
