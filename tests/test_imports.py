@@ -1,6 +1,8 @@
 """The import contract: every public name resolves and is used by the
 library, every private top-level function and class is used outside its
-own definition, no command loads scipy, and nothing needs mpmath.
+own definition, no command loads scipy, nothing needs mpmath, no public
+function asks for the params a sign field or a path already carries, and
+README's library quick start runs.
 
 ``import cascadekit`` and every subcommand, ``clt`` included, load numpy
 and nothing heavier: the KS distances' normal CDF is a local port of
@@ -210,28 +212,23 @@ def test_every_private_definition_is_used():
     assert _unloaded_private_definitions() == []
 
 
-def _public_functions():
-    """(module, function node) of each public top-level function of the
-    package."""
-    for path in sorted(Path(cascadekit.__file__).parent.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(stmt, ast.FunctionDef)
-                    and not stmt.name.startswith("_")):
-                yield path.stem, stmt
-
-
 def test_no_public_function_takes_params_beside_a_field_or_path():
     """A sign field and a path carry the ``CascadeParams`` they were made
-    with, so no public function asks for them again beside one."""
+    with, so no public top-level function asks for them again beside
+    one."""
     offenders = []
-    for stem, func in _public_functions():
-        args = func.args
-        notes = {ast.unparse(a.annotation)
-                 for a in args.posonlyargs + args.args + args.kwonlyargs
-                 if a.annotation is not None}
-        if "CascadeParams" in notes and notes & {"LeafSignField",
-                                                 "SamplePath"}:
-            offenders.append(f"{stem}.{func.name}")
+    for path in sorted(Path(cascadekit.__file__).parent.glob("*.py")):
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(func, ast.FunctionDef)
+                    or func.name.startswith("_")):
+                continue
+            args = func.args
+            notes = {ast.unparse(a.annotation)
+                     for a in args.posonlyargs + args.args + args.kwonlyargs
+                     if a.annotation is not None}
+            if "CascadeParams" in notes and notes & {"LeafSignField",
+                                                     "SamplePath"}:
+                offenders.append(f"{path.stem}.{func.name}")
     assert offenders == []
 
 
