@@ -38,6 +38,7 @@ from .core import (
     sample_terminal,
     sample_terminal_depths,
     sigma,
+    subtree_rows,
     verify_self_similarity,
 )
 from .fractal import (
@@ -112,6 +113,7 @@ __all__ = [
     "sample_terminal",
     "sample_terminal_depths",
     "sigma",
+    "subtree_rows",
     "summarize_field",
     "verify_self_similarity",
     "z_moment_recursion",

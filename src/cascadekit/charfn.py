@@ -41,6 +41,7 @@ phi values, so the charfn CSV holds the grid that was inverted.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -67,11 +68,31 @@ _KERNEL_BYTES = 48
 _SPAN_SDS = 14.0
 
 
+def _deepest_start(params: CascadeParams) -> int:
+    """The largest depth n whose start b^(-nH) is a normal float."""
+    n = 1 + int(-math.log(sys.float_info.min) / (params.hurst
+                                                  * math.log(params.base)))
+    while float(params.base) ** (-n * params.hurst) < sys.float_info.min:
+        n -= 1  # from one past the log quotient, which may round either way
+    return n
+
+
 def _ladder(params: CascadeParams, t: np.ndarray, depth: int) -> np.ndarray:
-    """phi_depth(t) for a real argument array, carried as e^(u + iv)."""
+    """phi_depth(t) for a real argument array, carried as e^(u + iv).
+
+    Raises ``ValueError`` at a depth whose start b^(-depth*H) is below the
+    smallest normal float: a start of 0 or of a few bits climbs to
+    phi = 1, the law of the constant 1, whatever t is.
+    """
     b = params.base
     delta = params.eps_mean
-    v = t * float(b) ** (-depth * params.hurst)
+    start = float(b) ** (-depth * params.hurst)
+    if start < sys.float_info.min:
+        raise ValueError(f"the ladder's start b^(-nH) = {start:.3g} at depth "
+                         f"{depth} is below the smallest normal float; the "
+                         f"deepest depth with a normal start is "
+                         f"{_deepest_start(params)}")
+    v = t * start
     u = np.zeros_like(v)
     for _ in range(depth):
         sin_v = np.sin(v)
@@ -103,17 +124,20 @@ def charfn_auto(params: CascadeParams, t):
     """phi at auto-selected depth: doubles from :data:`DEFAULT_DEPTH` until
     the successive-depth sup-norm difference is below :data:`CAUCHY_TOL`.
 
-    Returns (values, depth_used).  Hitting :data:`MAX_AUTO_DEPTH` without
-    meeting the tolerance is reported as a warning, not an error (the
-    returned values are then the deepest computed).
+    Returns (values, depth_used).  The doubling stops at
+    :data:`MAX_AUTO_DEPTH`, or before it at the deepest depth whose start
+    b^(-nH) is a normal float (1965 at b = 2, H = 0.52); stopping there
+    without meeting the tolerance is reported as a warning, not an error
+    (the returned values are then the deepest computed).
     """
     require_regime(params, "the characteristic function", convergent=True)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    depth = DEFAULT_DEPTH
+    top = min(MAX_AUTO_DEPTH, _deepest_start(params))
+    depth = min(DEFAULT_DEPTH, top)
     prev = _ladder(params, t_arr, depth)
     gap = math.inf
-    while depth < MAX_AUTO_DEPTH and gap > CAUCHY_TOL:
-        depth_next = min(2 * depth, MAX_AUTO_DEPTH)
+    while depth < top and gap > CAUCHY_TOL:
+        depth_next = min(2 * depth, top)
         cur = _ladder(params, t_arr, depth_next)
         gap = float(np.max(np.abs(cur - prev)))
         prev, depth = cur, depth_next

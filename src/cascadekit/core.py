@@ -536,6 +536,20 @@ class SelfSimilarityReport:
         return self.max_rel_violation <= self.tolerance
 
 
+def subtree_rows(field: LeafSignField, p: int) -> np.ndarray:
+    """Row j: the b^(n-p) leaf bits under node j of generation ``p`` of the
+    depth-n ``field`` (uint8, 1 meaning -1), XORed with node j's bit in
+    the depth-p field to divide its branch product out: b^p fields of
+    independent depth-(n-p) cascades (for b not a power of 2, while no
+    level is wider than 2^22 nodes), the only b^n-byte array held.  ``p``
+    outside [0, n] raises ``ValueError`` before anything is drawn."""
+    if not 0 <= p <= field.depth:
+        raise ValueError(f"p must lie in [0, {field.depth}], got {p}")
+    rows = field.leaf_bits().reshape(field.params.base**p, -1)
+    rows ^= generate_leaf_signs(field.params, p).leaf_bits()[:, None]
+    return rows
+
+
 def verify_self_similarity(field: LeafSignField,
                            split_depth: int) -> SelfSimilarityReport:
     """Check the subtree rescaling identity of the construction.
@@ -545,43 +559,29 @@ def verify_self_similarity(field: LeafSignField,
 
         B_{p+n}(t) - B_{p+n}(t_w) = sign(w) * b^(-p*H) * B_n^(w)(s)
 
-    where B_n^(w) is the depth-n path built from the subtree's own signs
-    and s is t rescaled to [0, 1].  The identity is algebraic, so the
-    relative violation reported is pure float roundoff.  The sign(w) are
-    the leaves of the depth-p field, which the node streams make the same
-    generation-p products that ``field`` was expanded from.
+    where B_n^(w) is the depth-n path of w's row of :func:`subtree_rows`
+    and s is t rescaled to [0, 1]; every row is compared at once with one
+    :func:`build_path` of ``field``.  The identity is algebraic, so the
+    violation is float roundoff and any bits pass, random bytes too; the
+    law of the subtree sums against ``z_moment_recursion`` tests the field.
     """
-    p = split_depth
-    if not 0 < p < field.depth:
+    if not 0 < split_depth < field.depth:
         raise ValueError("split_depth must be strictly inside (0, depth)")
-    params = field.params
-    b = params.base
-    n = field.depth - p
-    sub_leaves = b**n
-
-    top = generate_leaf_signs(params, p).leaf_bits()  # sign(w) bits at gen p
-    leaf_bits = field.leaf_bits()
-    full = build_path(field, max_points=field.n_leaves)
-    outer_scale = params.weight_scale(p)
-
-    worst = 0.0
-    for j in range(b**p):
-        seg = leaf_bits[j * sub_leaves: (j + 1) * sub_leaves]
-        # subtree's own signs: divide out the branch product of w
-        sub_bits = seg ^ top[j]
-        sub_field = LeafSignField(params=params, depth=n,
-                                  packed=np.packbits(sub_bits))
-        sub_path = build_path(sub_field, max_points=sub_leaves)
-        sign_w = 1.0 - 2.0 * top[j]
-        rhs = sign_w * outer_scale * sub_path.values
-        lo = j * sub_leaves
-        lhs = full.values[lo: lo + sub_leaves + 1] - full.values[lo]
-        denom = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
-                    params.weight_scale(field.depth))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs)) / denom))
+    params, n = field.params, field.depth - split_depth
+    rows = subtree_rows(field, split_depth)
+    sign_w = 1.0 - 2.0 * generate_leaf_signs(params, split_depth).leaf_bits()
+    # row j: w's own path past t_w, and the full path's rise over w's cell
+    rhs = np.cumsum(1.0 - 2.0 * rows, axis=1) * params.weight_scale(n)
+    rhs *= (sign_w * params.weight_scale(split_depth))[:, None]
+    values = build_path(field, max_points=field.n_leaves).values
+    lhs = values[1:].reshape(rows.shape) - values[:-1:rows.shape[1], None]
+    denom = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
+    lhs -= rhs
+    worst = np.abs(lhs).max(axis=1) / np.maximum(
+        denom, params.weight_scale(field.depth))
     return SelfSimilarityReport(
-        split_depth=p, subtree_depth=n, subtrees_checked=b**p,
-        max_rel_violation=worst, tolerance=_SELF_SIMILARITY_TOL)
+        split_depth=split_depth, subtree_depth=n, subtrees_checked=len(rows),
+        max_rel_violation=float(worst.max()), tolerance=_SELF_SIMILARITY_TOL)
 
 
 def enumerate_next_level_mean(field: LeafSignField) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the characteristic-function ladder and its inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,45 @@ def test_auto_depth_warning_when_capped(monkeypatch):
     with pytest.warns(RuntimeWarning):
         _, d = charfn_auto(P07, np.array([1.0]))
     assert d == 96
+
+
+P052 = CascadeParams(base=2, hurst=0.52)
+
+
+def test_ladder_refuses_a_start_below_the_normal_floats():
+    """b^(-nH) is subnormal at b = 2, H = 0.52 from depth 1966 on, where
+    a start of few bits made |phi(0.1)| read 0.91829 at depth 2048 against
+    0.91720 at 1536: the ladder names the depth instead."""
+    with pytest.raises(ValueError, match=r"at depth 2048 .* is 1965$"):
+        charfn_at(P052, 0.1, 2048)
+    assert abs(charfn_at(P052, 0.1, 1965) - charfn_at(P052, 0.1, 1536)) \
+        <= 1e-12
+
+
+def test_auto_depth_stops_before_the_start_underflows():
+    """Doubling at H = 0.52 once went on to depth 4096, where two
+    underflowed starts agree exactly and phi is 1 at every t, with no
+    warning.  It now stops at depth 1965, the last normal start, with
+    phi decaying in t."""
+    t = np.linspace(0.0, 16.0, 33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, depth = charfn_auto(P052, t)
+    assert depth == 1965
+    assert abs(values[-1]) < 1e-10
+    assert np.max(np.abs(values - charfn_at(P052, t, 1536))) <= 1e-10
+
+
+@pytest.mark.parametrize("h, deepest", [(0.52, 1965), (0.51, 2003),
+                                        (0.505, 2023)])
+def test_auto_depth_warns_when_stopped_at_the_normal_start(h, deepest,
+                                                          monkeypatch):
+    """Short of the tolerance, a doubling cut at the last normal start
+    warns, as one cut at MAX_AUTO_DEPTH does."""
+    monkeypatch.setattr("cascadekit.charfn.CAUCHY_TOL", 0.0)
+    with pytest.warns(RuntimeWarning, match=f"stopped at depth {deepest} "):
+        _, depth = charfn_auto(CascadeParams(base=2, hurst=h), 1.0)
+    assert depth == deepest
 
 
 def test_fixed_point_residual():

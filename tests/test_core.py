@@ -20,14 +20,17 @@ from cascadekit.core import (
     sample_branch_signs,
     sample_terminal,
     sample_terminal_depths,
+    subtree_rows,
     verify_self_similarity,
 )
+from cascadekit import core
 from cascadekit.moments import (
     closed_form_second_moment,
     normalized_moment_recursion,
     sigma,
     z_moment_recursion,
 )
+from cascadekit.stats import Z_BAND
 
 SEED = 2024
 
@@ -192,13 +195,85 @@ def test_normalize_path_kinds_and_divisors():
 @pytest.mark.parametrize("h,seed", [(0.7, 0), (0.7, 3), (0.5, 1),
                                     (0.25, 2), (None, 4)])
 def test_self_similarity_all_regimes(h, seed):
-    """Subtree rescaling holds to near machine precision in every regime."""
-    params = CascadeParams(base=2, hurst=h, seed=seed)
-    field = generate_leaf_signs(params, 10)
-    report = verify_self_similarity(field, split_depth=3)
-    assert report.passed and report.tolerance == 1e-10
-    assert report.max_rel_violation <= 1e-12
-    assert report.subtrees_checked == 8
+    """Subtree rescaling holds to near machine precision in every regime,
+    at b = 2 and at b = 3 (depth 9, below the 2^22-node chunk)."""
+    for base, depth in ((2, 10), (3, 9)):
+        params = CascadeParams(base=base, hurst=h, seed=seed)
+        field = generate_leaf_signs(params, depth)
+        report = verify_self_similarity(field, split_depth=3)
+        assert report.passed and report.tolerance == 1e-10
+        assert report.max_rel_violation <= 1e-12
+        assert report.subtrees_checked == base**3
+        assert report.subtree_depth == depth - 3
+
+
+def test_self_similarity_holds_for_any_bits():
+    """The identity is algebraic: a field of random bytes passes it too,
+    so it checks the path assembly, not the law of the field."""
+    bytes_ = np.random.default_rng(7).integers(0, 256, 2**9, dtype=np.uint8)
+    field = core.LeafSignField(params=CascadeParams(base=2, hurst=0.7),
+                               depth=12, packed=bytes_)
+    assert verify_self_similarity(field, split_depth=5).passed
+
+
+@pytest.mark.parametrize("base, depth", [(2, 9), (3, 5)])
+def test_subtree_rows_divide_out_the_branch_product(base, depth):
+    """Row j is the field's leaves under node j XOR node j's bit; p = 0
+    gives the field's bits as one row, and p = depth gives b^depth rows
+    that are each a single 0."""
+    field = generate_leaf_signs(CascadeParams(base=base, hurst=0.7,
+                                              seed=SEED), depth)
+    bits = field.leaf_bits()
+    top = generate_leaf_signs(field.params, 2).leaf_bits()
+    rows = subtree_rows(field, 2)
+    assert rows.dtype == np.uint8 and rows.shape == (base**2,
+                                                     base**(depth - 2))
+    assert np.array_equal(rows, bits.reshape(base**2, -1) ^ top[:, None])
+    assert np.array_equal(subtree_rows(field, 0), bits[None, :])
+    assert np.array_equal(subtree_rows(field, depth),
+                          np.zeros((base**depth, 1), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("p", [-1, 7])
+def test_subtree_rows_refuse_a_split_outside_the_depth(p, monkeypatch):
+    """The split is checked before the depth-p field is hashed."""
+    field = generate_leaf_signs(CascadeParams(base=2, hurst=0.7), 6)
+
+    def no_hashing(*args, **kwargs):
+        raise AssertionError("a field was hashed before the check")
+
+    monkeypatch.setattr(core, "generate_leaf_signs", no_hashing)
+    with pytest.raises(ValueError, match=rf"p must lie in \[0, 6\], got {p}"):
+        subtree_rows(field, p)
+
+
+#: The seeds the subtree-law test pools, fixed before its gate first ran.
+LAW_SEEDS = (1, 2, 3)
+
+
+@pytest.mark.parametrize("base, h, depth, split", [
+    (2, 0.7, 20, 10), (2, 0.5, 20, 10), (2, 0.3, 20, 10), (3, 0.8, 13, 7)])
+def test_subtree_sums_match_the_exact_moments(base, h, depth, split):
+    """The hashed field's law: each subtree sum S of :func:`subtree_rows`
+    gives a replica Z = b^(-(n-p)H) * S of Z_(n-p), and E Z^q for
+    q = 1..4, pooled over the b^p subtrees of each of ``LAW_SEEDS``, lies
+    within ``Z_BAND`` standard errors of ``z_moment_recursion`` (the
+    largest |z| read 1.58).  The odd orders are what see the branch
+    product: rows not XORed with it scored -8.4 to -60.1 at q = 1 and 3,
+    and within 1.3 at q = 2 and 4."""
+    m = depth - split
+    params = CascadeParams(base=base, hurst=h)
+    z = np.concatenate([
+        base**m - 2.0 * subtree_rows(generate_leaf_signs(
+            CascadeParams(base=base, hurst=h, seed=seed), depth),
+            split).sum(axis=1)
+        for seed in LAW_SEEDS]) * params.weight_scale(m)
+    assert z.size == len(LAW_SEEDS) * base**split
+    exact = z_moment_recursion(params, m, 4).values[m]
+    scores = [(np.mean(z**q) - exact[q])
+              / (np.std(z**q, ddof=1) / math.sqrt(z.size))
+              for q in range(1, 5)]
+    assert max(abs(s) for s in scores) <= Z_BAND, scores
 
 
 def test_self_similarity_needs_interior_split():

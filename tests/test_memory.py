@@ -22,6 +22,7 @@ from cascadekit.core import (
     build_path,
     generate_leaf_signs,
     sample_terminal_depths,
+    subtree_rows,
 )
 from cascadekit.fractal import summarize_field
 from cascadekit.reports import (
@@ -131,6 +132,19 @@ def test_leaf_expansion_holds_two_levels_and_one_chunk(b, n):
     field, peak = _peak(generate_leaf_signs, params, n)
     assert field.packed.nbytes == (b**n + 7) // 8
     assert peak <= _expansion_bound(b, n) + SLACK
+
+
+def test_subtree_rows_hold_one_byte_per_leaf_and_the_top_field():
+    """The rows are the field's unpacked bits, XORed in place: b^n bytes,
+    then the depth-p field (its last two packed levels and the hashing
+    blocks, b^p words long) and its b^p unpacked bits.  A float or int64
+    copy of the rows would add 8 MiB here."""
+    b, n, p = 2, 20, 10
+    field = generate_leaf_signs(CascadeParams(base=b, hurst=0.7, seed=3), n)
+    rows, peak = _peak(subtree_rows, field, p)
+    assert rows.nbytes == b**n
+    top = (b**(p - 1) + 7) // 8 + (b**p + 7) // 8 + 3 * 8 * b**p + b**p
+    assert peak <= b**n + top + b**p + SLACK
 
 
 def _fractal_bound(b, n):
