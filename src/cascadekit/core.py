@@ -563,7 +563,7 @@ def verify_self_similarity(field: LeafSignField,
     and s is t rescaled to [0, 1]; every row is compared at once with one
     :func:`build_path` of ``field``.  The identity is algebraic, so the
     violation is float roundoff and any bits pass, random bytes too; the
-    law of the subtree sums against ``z_moment_recursion`` tests the field.
+    field's law is tested by ``test_subtree_sums_match_the_exact_moments``.
     """
     if not 0 < split_depth < field.depth:
         raise ValueError("split_depth must be strictly inside (0, depth)")
