@@ -51,7 +51,6 @@ from .core import CapacityError, CascadeParams, require_regime
 from .moments import limit_z_moments
 
 DEFAULT_DEPTH = 48
-MAX_AUTO_DEPTH = 4096
 CAUCHY_TOL = 1e-10
 TAIL_TOL = 1e-12
 T_CAP = float(2**20)
@@ -124,15 +123,15 @@ def charfn_auto(params: CascadeParams, t):
     """phi at auto-selected depth: doubles from :data:`DEFAULT_DEPTH` until
     the successive-depth sup-norm difference is below :data:`CAUCHY_TOL`.
 
-    Returns (values, depth_used).  The doubling stops at
-    :data:`MAX_AUTO_DEPTH`, or before it at the deepest depth whose start
-    b^(-nH) is a normal float (1965 at b = 2, H = 0.52); stopping there
-    without meeting the tolerance is reported as a warning, not an error
-    (the returned values are then the deepest computed).
+    Returns (values, depth_used).  The doubling stops at the deepest
+    depth whose start b^(-nH) is a normal float (1965 at b = 2, H = 0.52,
+    at most 2,043 for any H > 1/2); stopping there without meeting the
+    tolerance is reported as a warning, not an error (the returned values
+    are then the deepest computed).
     """
     require_regime(params, "the characteristic function", convergent=True)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    top = min(MAX_AUTO_DEPTH, _deepest_start(params))
+    top = _deepest_start(params)
     depth = min(DEFAULT_DEPTH, top)
     prev = _ladder(params, t_arr, depth)
     gap = math.inf

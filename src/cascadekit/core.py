@@ -254,7 +254,7 @@ class LeafSignField:
     with the ``params`` they were drawn with.
 
     Bit convention: 0 encodes +1, 1 encodes -1.  ``packed[k]`` holds leaf
-    bits 8k..8k+7 (numpy packbits order).
+    bits 8k..8k+7 (numpy packbits order), read only in this module.
     """
 
     params: CascadeParams
@@ -265,22 +265,9 @@ class LeafSignField:
     def n_leaves(self) -> int:
         return self.params.base**self.depth
 
-    def leaf_bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Unpacked leaf bits (uint8 0/1) for indices [start, stop);
-        ValueError unless 0 <= start <= stop <= n_leaves."""
-        if stop is None:
-            stop = self.n_leaves
-        if not 0 <= start <= stop <= self.n_leaves:
-            raise ValueError(f"leaf range [{start}, {stop}) is not within "
-                             f"[0, {self.n_leaves}]")
-        byte_lo, byte_hi = start // 8, (stop + 7) // 8
-        bits = np.unpackbits(self.packed[byte_lo:byte_hi])
-        return bits[start - 8 * byte_lo: stop - 8 * byte_lo]
-
-    def leaf_signs(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Leaf branch products as int8 values in {-1, +1}."""
-        bits = self.leaf_bits(start, stop)
-        return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    def leaf_bits(self) -> np.ndarray:
+        """The one unpacked reader: every leaf bit as a uint8 0/1."""
+        return np.unpackbits(self.packed, count=self.n_leaves)
 
 
 def check_leaf_budget(base: int, depth: int) -> None:
@@ -411,8 +398,8 @@ def path_slices(signs: LeafSignField, width: int, stride: int = 1):
       one table row per byte, offset by S at the byte's start, which is
       the row before's last sample; slices may start and end inside a
       byte;
-    * any other stride straddles bytes (3, 9, ..., 6, 36, 10): each
-      sample sums its leaves' unpacked bits.
+    * any other stride straddles bytes (3, 9, ..., 6, 36, 10): the
+      slice's bytes are unpacked and each sample sums its leaves' bits.
 
     Every partial sum is an integer of magnitude at most b^n <= 2^53,
     exact in float64 and carried across slices, so every sample is a
@@ -450,7 +437,7 @@ def path_slices(signs: LeafSignField, width: int, stride: int = 1):
             if per == 1:  # of whole bytes (r0 is 0)
                 seg[1:] = np.bitwise_count(src).reshape(k, span).sum(axis=1)
             else:  # of unpacked bits, for strides that straddle bytes
-                bits = signs.leaf_bits(lo * stride, (lo + k) * stride)
+                bits = np.unpackbits(src)[r0:r0 + k * stride]
                 np.sum(bits.reshape(k, stride), axis=1, out=seg[1:])
             seg[1:] *= -2.0
             seg[1:] += stride
@@ -561,20 +548,24 @@ def verify_self_similarity(field: LeafSignField,
 
     where B_n^(w) is the depth-n path of w's row of :func:`subtree_rows`
     and s is t rescaled to [0, 1]; every row is compared at once with one
-    :func:`build_path` of ``field``.  The identity is algebraic, so the
-    violation is float roundoff and any bits pass, random bytes too; the
-    field's law is tested by ``test_subtree_sums_match_the_exact_moments``.
+    :func:`build_path` of ``field``.  sign(w) is the field's first bit
+    under w XOR its row's, so only :func:`subtree_rows` hashes the depth-p
+    field.  The identity is algebraic, so the violation is float roundoff
+    and any bits pass, random bytes too; the field's law is tested by
+    ``test_subtree_sums_match_the_exact_moments``.
     """
     if not 0 < split_depth < field.depth:
         raise ValueError("split_depth must be strictly inside (0, depth)")
     params, n = field.params, field.depth - split_depth
     rows = subtree_rows(field, split_depth)
-    sign_w = 1.0 - 2.0 * generate_leaf_signs(params, split_depth).leaf_bits()
+    sign_w = 1.0 - 2.0 * (field.leaf_bits()[::rows.shape[1]] ^ rows[:, 0])
     # row j: w's own path past t_w, and the full path's rise over w's cell
-    rhs = np.cumsum(1.0 - 2.0 * rows, axis=1) * params.weight_scale(n)
+    rhs = np.cumsum(1.0 - 2.0 * rows, axis=1)
+    rhs *= params.weight_scale(n)
     rhs *= (sign_w * params.weight_scale(split_depth))[:, None]
     values = build_path(field, max_points=field.n_leaves).values
     lhs = values[1:].reshape(rows.shape) - values[:-1:rows.shape[1], None]
+    del values  # the absolute values below take its place
     denom = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
     lhs -= rhs
     worst = np.abs(lhs).max(axis=1) / np.maximum(
@@ -598,7 +589,7 @@ def enumerate_next_level_mean(field: LeafSignField) -> np.ndarray:
     m = b ** (n + 1)
     if 2**m > 2**20:
         raise CapacityError(f"2^{m} assignments exceed the enumeration budget")
-    parent_signs = field.leaf_signs().astype(np.float64)
+    parent_signs = 1.0 - 2.0 * field.leaf_bits()
     scale = params.weight_scale(n + 1)
     p_plus, p_minus = params.p_plus, params.p_minus
 
@@ -731,6 +722,10 @@ def sample_branch_signs(params: CascadeParams, depth: int,
     {-1, +1}.  Independent of the field generator streams; used by the
     increment tests, which need fresh top-of-tree signs per replica.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     b = params.base
     if b**depth > 4096:
         raise CapacityError("branch-sign sampling is meant for shallow tops")

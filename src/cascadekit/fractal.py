@@ -16,10 +16,12 @@ read a :class:`FractalSummary` made in one pass over consecutive slices
 of the largest power of b <= 2^16 samples (plus the next slice's first
 sample as right edge):
 
-* the samples at the finest increment generation, copied out;
+* one row of samples, copied out at the multiples of g, the smaller of
+  the finest increment cell and the block below: the increments and
+  the block edges are strided views of it;
 * a table of per-block extrema over blocks of the largest power of
-  b <= 4096 samples (at most one slice), and the samples at the block
-  edges: each slice's b-adic min/max pyramid writes its rows;
+  b <= 4096 samples (at most one slice): each slice's b-adic min/max
+  pyramid writes its rows;
 * the box counts per scale, with integer totals summed exactly in
   Python ints: the slice pyramid counts the columns no wider than a
   block, and a pyramid over the block table the wider ones;
@@ -38,9 +40,10 @@ rebuilds each slice with :func:`~cascadekit.core.path_slices`, the code
 of the full-resolution path, which is never built.  The summary records
 the scale range of each fit it was made for, and each estimator takes
 the summary alone and reads its range from it.  Above the field, the
-pass holds one slice, the block table (24 bytes per block) and the
-summary: 8 bytes per increment sample (b^p + 1 of them, for generation
-p) and a few scalars per scale and ball.
+pass holds one slice, the block table (16 bytes per block), the sample
+row (8 bytes per sample: b^p + 1 of them for a finest generation p, or
+one per block edge where that is finer) and a few scalars per scale and
+ball.
 
 Scale-range rule of thumb baked into the preconditions: the self-similar
 structure below a width-b^-j window scales as b^-(n-j)H, so estimates
@@ -253,12 +256,15 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
     ``windows``, in window order.  The ranges are already checked; the
     summary records them.
 
-    Each slice's min/max pyramid runs down to the block level: it writes
-    the slice's rows of the table and counts the columns no wider than a
-    block.  The pyramid over the table then counts the wider columns,
-    whose right edges are the samples at block multiples.  Each window is
-    its whole blocks, read from the table after the pass, and its raw
-    pieces, whose extrema are taken from the slice that holds them."""
+    Each slice writes its samples at the multiples of g = min(b^(depth -
+    p_range[1]), block) into one row, of which the increments and the
+    block edges are strided views.  Its min/max pyramid runs down to the
+    block level: it writes the slice's rows of the table and counts the
+    columns no wider than a block.  The pyramid over the table then
+    counts the wider columns, whose right edges are the block edges.
+    Each window is its whole blocks, read from the table after the pass,
+    and its raw pieces, whose extrema are taken from the slice that holds
+    them."""
     b = params.base
     m = b**depth
     width_log = min(_log_at_most(b, _SLICE), depth)
@@ -266,10 +272,9 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
     width, block, j_block = b**width_log, b**block_log, depth - block_log
     n_slices = m // width
 
-    increments = None
-    if p_range is not None:
-        step = b**(depth - p_range[1])
-        increments = np.empty(b**p_range[1] + 1, dtype=np.float64)
+    step = block if p_range is None else b**(depth - p_range[1])
+    g = min(step, block)
+    samples = np.empty(m // g + 1, dtype=np.float64)
 
     totals: dict[int, int] = {}
     if j_range is not None:
@@ -279,7 +284,6 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
     n_blocks = m // block
     block_mins = np.empty(n_blocks, dtype=np.float64)
     block_maxs = np.empty(n_blocks, dtype=np.float64)
-    block_starts = np.empty(n_blocks + 1, dtype=np.float64)
     splits = [_split(i_lo, i_hi, block) for i_lo, i_hi in windows]
     pieces_by_slice: dict[int, set] = {}
     for _, _, pieces in splits:
@@ -291,11 +295,8 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
     for k, seg in enumerate(slices_of(width)):
         start = k * width
         body = seg[:width]
-        if increments is not None and start % step == 0:
-            part = body[::step]
-            increments[start // step:start // step + part.size] = part
+        samples[start // g:(start + width) // g + 1] = seg[::g]
         rows = slice(start // block, (start + width) // block)
-        block_starts[rows.start:rows.stop + 1] = seg[::block]
         for lo, hi in pieces_by_slice.get(k, ()):
             piece = seg[lo - start:hi - start]
             edges[lo, hi] = (piece.min(), piece.max())
@@ -312,10 +313,8 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
         for j, mins, maxs in _level_extrema(
                 block_mins, block_maxs, b, j_block,
                 min(max(totals), j_block - 1), min(totals)):
-            c = b**(j_block - j)
-            totals[j] += _column_boxes(mins, maxs, block_starts[c::c], b, j)
-    if increments is not None:
-        increments[-1] = seg[-1]
+            c = block // g * b**(j_block - j)
+            totals[j] += _column_boxes(mins, maxs, samples[c::c], b, j)
     oscillations = np.empty(len(splits), dtype=np.float64)
     for w, (first, stop, pieces) in enumerate(splits):
         extrema = [edges[piece] for piece in pieces]
@@ -324,6 +323,7 @@ def _summarize(params: CascadeParams, depth: int, slices_of, *,
                             block_maxs[first:stop].max()))
         oscillations[w] = (max(hi for _, hi in extrema)
                            - min(lo for lo, _ in extrema))
+    increments = None if p_range is None else samples[::step // g]
     return FractalSummary(params=params, depth=depth, p_range=p_range,
                           j_range=j_range, holder_range=holder_range,
                           increments=increments, box_counts=totals,

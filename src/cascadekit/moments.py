@@ -422,6 +422,10 @@ def brute_force_moments(params: CascadeParams, n_max: int,
     :func:`z_moment_recursion`: it never uses the recursion, only the
     construction's definition.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if q_max < 1:
+        raise ValueError("q_max must be >= 1")
     b = params.base
     if 1 << _tree_sign_count(b, n_max) > _ENUM_BUDGET:
         raise CapacityError("enumeration budget exceeded; lower n_max")

@@ -288,11 +288,9 @@ def clt_terminal_trend(params: CascadeParams, depths: tuple[int, ...],
                    convergent=False,
                    why="the limit of X_n(1) is normal only there")
     _require_replicas(reps)
-    # every depth is checked before the first draw
-    divisors = []
-    for n in depths:
-        check_chain_depths(params.base, (n,))
-        divisors.append(regime_divisor(params, n))
+    # every depth is checked before the moment table and the first draw
+    check_chain_depths(params.base, depths)
+    divisors = [regime_divisor(params, n) for n in depths]
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError("--n: the terminal trend takes strictly increasing "
                          f"depths; got {','.join(map(str, depths))}")
@@ -350,6 +348,8 @@ def clt_small_h_test(h_values, n: int, reps: int, *, base: int = 2,
     _require_replicas(reps)
     runs = [CascadeParams(base=base, hurst=float(h), seed=seed)
             for h in h_values]
+    if not runs:
+        raise ValueError("the H list is empty; give at least one H")
     for params in runs:
         require_regime(params, "the H-to-1/2 limit check", convergent=True,
                        why="for every H of the sequence")

@@ -94,14 +94,6 @@ def test_auto_depth_selection():
     assert d == 192
 
 
-def test_auto_depth_warning_when_capped(monkeypatch):
-    monkeypatch.setattr("cascadekit.charfn.MAX_AUTO_DEPTH", 96)
-    monkeypatch.setattr("cascadekit.charfn.CAUCHY_TOL", 1e-14)
-    with pytest.warns(RuntimeWarning):
-        _, d = charfn_auto(P07, np.array([1.0]))
-    assert d == 96
-
-
 P052 = CascadeParams(base=2, hurst=0.52)
 
 
@@ -134,7 +126,7 @@ def test_auto_depth_stops_before_the_start_underflows():
 def test_auto_depth_warns_when_stopped_at_the_normal_start(h, deepest,
                                                           monkeypatch):
     """Short of the tolerance, a doubling cut at the last normal start
-    warns, as one cut at MAX_AUTO_DEPTH does."""
+    warns."""
     monkeypatch.setattr("cascadekit.charfn.CAUCHY_TOL", 0.0)
     with pytest.warns(RuntimeWarning, match=f"stopped at depth {deepest} "):
         _, depth = charfn_auto(CascadeParams(base=2, hurst=h), 1.0)

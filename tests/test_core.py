@@ -25,6 +25,7 @@ from cascadekit.core import (
 )
 from cascadekit import core
 from cascadekit.moments import (
+    brute_force_moments,
     closed_form_second_moment,
     normalized_moment_recursion,
     sigma,
@@ -79,23 +80,8 @@ def test_field_determinism_and_shapes():
     f2 = generate_leaf_signs(params, 5)
     assert np.array_equal(f1.packed, f2.packed)
     assert f1.n_leaves == 3**5
-    assert len(f1.leaf_signs()) == 3**5
-    assert set(np.unique(f1.leaf_signs())) <= {-1, 1}
-
-
-@pytest.mark.parametrize("start, stop", [(0, 40), (20, 30), (-5, 3),
-                                         (10, 9), (28, 28)])
-def test_leaf_range_outside_the_field_is_refused(start, stop):
-    """A 27-leaf field answers only 0 <= start <= stop <= 27: reading past
-    its end would return the packing's padding bits as +1 leaves."""
-    field = generate_leaf_signs(CascadeParams(base=3, hurst=0.6, seed=SEED),
-                                3)
-    with pytest.raises(ValueError, match="not within"):
-        field.leaf_bits(start, stop)
-    with pytest.raises(ValueError, match="not within"):
-        field.leaf_signs(start, stop)
-    assert field.leaf_bits(27, 27).size == 0
-    assert np.array_equal(field.leaf_bits(20, 27), field.leaf_bits()[20:])
+    assert len(f1.leaf_bits()) == 3**5
+    assert set(np.unique(f1.leaf_bits())) <= {0, 1}
 
 
 def test_capacity_guard(monkeypatch):
@@ -117,7 +103,7 @@ def test_path_values_match_manual_cumsum():
     field = generate_leaf_signs(params, 6)
     path = build_path(field)
     manual = 2.0 ** (-6 * 0.7) * np.concatenate(
-        [[0], np.cumsum(field.leaf_signs())])
+        [[0], np.cumsum(1.0 - 2.0 * field.leaf_bits())])
     assert np.array_equal(path.values, manual)
     assert path.values[0] == 0.0
     assert path.stride == 1
@@ -214,6 +200,22 @@ def test_self_similarity_holds_for_any_bits():
     field = core.LeafSignField(params=CascadeParams(base=2, hurst=0.7),
                                depth=12, packed=bytes_)
     assert verify_self_similarity(field, split_depth=5).passed
+
+
+def test_self_similarity_hashes_the_split_once(monkeypatch):
+    """sign(w) is read off the field and its row, so the depth-p field is
+    hashed once per check, inside :func:`subtree_rows`."""
+    field = generate_leaf_signs(CascadeParams(base=3, hurst=0.7), 7)
+    calls = []
+
+    def spy(params, depth):
+        calls.append(depth)
+        return generate_leaf_signs(params, depth)
+
+    monkeypatch.setattr(core, "generate_leaf_signs", spy)
+    for split in (2, 4):
+        assert verify_self_similarity(field, split_depth=split).passed
+    assert calls == [2, 4]
 
 
 @pytest.mark.parametrize("base, depth", [(2, 9), (3, 5)])
@@ -390,8 +392,9 @@ def test_sample_branch_signs_law():
 
 
 #: Refusals with their messages: a negative chain depth, an empty depth
-#: list, more than 4096 branches, and a normalized table without a row
-#: past the start.
+#: list, more than 4096 branches, a negative branch depth, fewer than one
+#: branch replica, a normalized table without a row past the start, and
+#: an enumeration to a negative depth or of no moment order.
 REFUSALS = {
     "check_chain_depths": (ValueError, r"depth must be >= 0",
                            lambda: check_chain_depths(2, (4, -1))),
@@ -401,6 +404,25 @@ REFUSALS = {
     "sample_branch_signs": (CapacityError, "meant for shallow tops",
                             lambda: sample_branch_signs(
                                 CascadeParams(base=2, hurst=0.3), 13, 1)),
+    "sample_branch_signs-depth": (ValueError, r"depth must be >= 0",
+                                  lambda: sample_branch_signs(
+                                      CascadeParams(base=2, hurst=0.3),
+                                      -1, 10)),
+    "sample_branch_signs-reps": (ValueError, r"reps must be >= 1",
+                                 lambda: sample_branch_signs(
+                                     CascadeParams(base=2, hurst=0.3), 2, -3)),
+    "sample_branch_signs-no-reps": (ValueError, r"reps must be >= 1",
+                                    lambda: sample_branch_signs(
+                                        CascadeParams(base=2, hurst=0.3),
+                                        2, 0)),
+    "brute_force_moments-n_max": (ValueError, r"n_max must be >= 0",
+                                  lambda: brute_force_moments(
+                                      CascadeParams(base=2, hurst=0.7),
+                                      -1, 2)),
+    "brute_force_moments-q_max": (ValueError, r"q_max must be >= 1",
+                                  lambda: brute_force_moments(
+                                      CascadeParams(base=2, hurst=0.7),
+                                      2, -1)),
     "normalized_moment_recursion": (ValueError, r"n_max must be >= 1",
                                     lambda: normalized_moment_recursion(
                                         CascadeParams(base=2, hurst=0.5),

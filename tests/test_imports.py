@@ -1,8 +1,9 @@
 """The import contract: every public name resolves and is used by the
 library, every private top-level function and class is used outside its
 own definition, no command loads scipy, nothing needs mpmath, no public
-function asks for the params a sign field or a path already carries, and
-README's library quick start runs.
+function asks for the params a sign field or a path already carries,
+only ``core`` reads a sign field's packed bytes, and README's library
+quick start runs.
 
 ``import cascadekit`` and every subcommand, ``clt`` included, load numpy
 and nothing heavier: the KS distances' normal CDF is a local port of
@@ -230,6 +231,19 @@ def test_no_public_function_takes_params_beside_a_field_or_path():
                                                      "SamplePath"}:
                 offenders.append(f"{path.stem}.{func.name}")
     assert offenders == []
+
+
+def test_only_core_reads_the_packed_bytes():
+    """The packed layout of a sign field is ``core``'s decision alone: no
+    other module loads a ``.packed`` attribute, so the readers elsewhere
+    take a field's bits through ``leaf_bits``, ``subtree_rows`` or
+    ``path_slices``."""
+    readers = sorted(
+        path.name for path in Path(cascadekit.__file__).parent.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "packed"
+               and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))))
+    assert readers == ["core.py"]
 
 
 def test_readme_quick_start_runs():

@@ -23,6 +23,7 @@ from cascadekit.core import (
     generate_leaf_signs,
     sample_terminal_depths,
     subtree_rows,
+    verify_self_similarity,
 )
 from cascadekit.fractal import summarize_field
 from cascadekit.reports import (
@@ -145,6 +146,20 @@ def test_subtree_rows_hold_one_byte_per_leaf_and_the_top_field():
     assert rows.nbytes == b**n
     top = (b**(p - 1) + 7) // 8 + (b**p + 7) // 8 + 3 * 8 * b**p + b**p
     assert peak <= b**n + top + b**p + SLACK
+
+
+def test_self_similarity_holds_the_rows_and_three_float_arrays():
+    """The check holds the rows (1 byte per leaf), then three float64
+    arrays of 8 bytes per leaf: the subtree paths, built in one buffer,
+    the path and its rises over each cell, and at the end those rises and
+    one absolute value in the path's place; the peak is 25.08 bytes per
+    leaf.  Hashing the depth-p field twice and building the subtree paths
+    out of place held 33.0."""
+    b, n, p = 2, 20, 10
+    field = generate_leaf_signs(CascadeParams(base=b, hurst=0.7, seed=3), n)
+    report, peak = _peak(verify_self_similarity, field, p)
+    assert report.passed and report.subtrees_checked == b**p
+    assert peak <= 26 * b**n + SLACK
 
 
 def _fractal_bound(b, n):

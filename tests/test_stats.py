@@ -404,8 +404,8 @@ def test_residual_clt():
 
 #: Bad arguments that a check would meet only after a valid draw, or
 #: never: q_max past the table's cap, a bad depth after a good one, trend
-#: depths that do not strictly increase, or a residual limit proxy of
-#: fewer than one extra level.
+#: depths that do not strictly increase, an empty depth or H list, or a
+#: residual limit proxy of fewer than one extra level.
 LATE_BAD_ARGS = {
     "moments-q99": (ValueError,
                     lambda: empirical_vs_exact_moments(H07, 8, 100, 99)),
@@ -417,6 +417,8 @@ LATE_BAD_ARGS = {
         H03, (12, 8), 100)),
     "trend-repeated": (ValueError, lambda: clt_terminal_trend(
         H03, (8, 8), 100)),
+    "trend-empty": (ValueError, lambda: clt_terminal_trend(H03, (), 100)),
+    "smallh-empty": (ValueError, lambda: clt_small_h_test((), 8, 100)),
     "increments-depth70": (CapacityError,
                            lambda: increments_gaussianity(H03, 2, 70, 100)),
     "residual-proxy0": (ValueError, lambda: residual_clt_test(
