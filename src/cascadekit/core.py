@@ -560,7 +560,8 @@ def verify_self_similarity(field: LeafSignField,
     rows = subtree_rows(field, split_depth)
     sign_w = 1.0 - 2.0 * (field.leaf_bits()[::rows.shape[1]] ^ rows[:, 0])
     # row j: w's own path past t_w, and the full path's rise over w's cell
-    rhs = np.cumsum(1.0 - 2.0 * rows, axis=1)
+    rhs = 1.0 - 2.0 * rows
+    np.cumsum(rhs, axis=1, out=rhs)
     rhs *= params.weight_scale(n)
     rhs *= (sign_w * params.weight_scale(split_depth))[:, None]
     values = build_path(field, max_points=field.n_leaves).values
